@@ -16,6 +16,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from .errors import (
+    CyclicDependencies,
     DomainMismatch,
     IncompleteAssignment,
     IncompleteValuePartition,
@@ -26,7 +27,7 @@ from .errors import (
     UnknownHighValue,
     UnknownVariable,
 )
-from .scm import enumeration_budget
+from .scm import Diagram, enumeration_budget, topological_order
 from .valuation import (
     CounterfactualQuery,
     HardIntervention,
@@ -211,7 +212,7 @@ def _check_admissible(scm, cm):
             group[m] = c.name
     for v in cm.excluded:
         group[v] = ("var", v)
-    nodes = sorted(set(group.values()), key=repr)
+    nodes = tuple(sorted(set(group.values()), key=repr))
     edges = set()
     for v in scm.variable_names():
         gv = group[v]
@@ -219,23 +220,12 @@ def _check_admissible(scm, cm):
             gp = group[p]
             if gp != gv:
                 edges.add((gp, gv))
-    indeg = {n: 0 for n in nodes}
-    children = {n: [] for n in nodes}
-    for a, b in edges:
-        indeg[b] += 1
-        children[a].append(b)
-    queue = [n for n in nodes if indeg[n] == 0]
-    done = 0
-    while queue:
-        n = queue.pop()
-        done += 1
-        for c in children[n]:
-            indeg[c] -= 1
-            if indeg[c] == 0:
-                queue.append(c)
-    if done != len(nodes):
-        stuck = sorted((n for n in nodes if indeg[n] > 0), key=repr)
-        stuck_names = [n if isinstance(n, str) else n[1] for n in stuck]
+    try:
+        topological_order(Diagram(nodes=nodes, directed=tuple(edges),
+                                  bidirected=()))
+    except CyclicDependencies as exc:
+        stuck_names = [n if isinstance(n, str) else n[1]
+                       for n in exc.details["variables"]]
         raise InadmissibleClustering(
             "clustering creates a dependency cycle through %s"
             % ", ".join(map(str, stuck_names)), groups=stuck_names)
@@ -321,7 +311,9 @@ def check_aic(scm, cm, budget=None):
     different labels.
     """
     working = _working_model(scm, cm)
-    order = {v: i for i, v in enumerate(working.topological_order_names())}
+    topo = working.topological_order_names()
+    member_order = {c.name: [v for v in topo if v in c.members]
+                    for c in cm.clusters}
 
     child_parents = {}
     child_blocks = {}
@@ -373,11 +365,7 @@ def check_aic(scm, cm, budget=None):
             default_unit[(b.name, mn)] = val
 
     def child_label(cj, env, unit):
-        for m in sorted(cj.members, key=order.get):
-            mech = working.mechanisms[m]
-            key = tuple(env[p] for p in mech.endo_parents)
-            key += tuple(unit[k] for k in mech.exo_parents)
-            env[m] = mech.table[key]
+        working.solve(unit, env, member_order[cj.name])
         return cj.label_of(tuple(env[m] for m in cj.members))
 
     for ci in cm.clusters:

@@ -39,6 +39,7 @@ from .valuation import (
 )
 from .abstraction import SigmaMarker, check_aic, load_clusters
 from .projection import (
+    _context_parts,
     construct_projected_abstraction,
     load_high,
     projected_sample,
@@ -563,31 +564,23 @@ def cmd_sample(args):
             raw = json.loads(args.context)
         except ValueError as exc:
             raise DomainMismatch("--context is not valid JSON: %s" % exc)
-        parents = {}
-        for pname, ptoken in (raw.get("parents") or {}).items():
+        parents, shared = _context_parts(raw, split.rho_members)
+        for pname, ptoken in parents.items():
             if pname not in high.splits:
                 raise UnknownVariable("unknown cluster %r in context" % pname,
                                       cluster=pname)
             parents[pname] = _match_value(
                 str(ptoken), high.splits[pname].labels,
                 "value of cluster %s" % pname)
-        shared = {}
-        for mname, mtoken in (raw.get("shared") or {}).items():
-            key = None
-            for (b, m) in split.rho_members:
-                if mname in (m, "%s.%s" % (b, m)):
-                    key = (b, m)
-                    break
-            if key is None:
+        for key, mtoken in shared.items():
+            if key not in split.rho_members:
                 raise UnknownVariable(
-                    "%r is not a shared noise member of %s" % (mname, cname),
-                    member=mname)
-            block = high.scm.block_index[key[0]]
-            domain = dict(zip(block.member_names(),
-                              (m.domain for m in block.members)))[key[1]]
-            shared[key] = _match_value(str(mtoken), domain,
+                    "%r is not a shared noise member of %s" % (key, cname),
+                    member=key)
+            shared[key] = _match_value(str(mtoken),
+                                       high.scm.member_index[key].domain,
                                        "value of %s.%s" % key)
-        context = {"parents": parents, "shared": shared}
+        context = (parents, shared)
     draws = projected_sample(high, cname, label, context=context,
                              seed=args.seed, n=args.n)
     counts = {}

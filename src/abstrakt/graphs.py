@@ -14,11 +14,11 @@ import json
 from dataclasses import dataclass, field
 
 from .errors import (
-    CyclicDependencies,
     DomainMismatch,
     FixpointMismatch,
     UnknownVariable,
 )
+from .scm import topological_order
 from .valuation import (
     CounterfactualQuery,
     HardIntervention,
@@ -84,27 +84,6 @@ def make_graph(nodes, directed, bidirected, projected=False, violators=()):
 def from_diagram(diagram):
     """Lift a model's induced diagram into a cluster diagram."""
     return make_graph(diagram.nodes, diagram.directed, diagram.bidirected)
-
-
-def topological_nodes(g):
-    indeg = {n: 0 for n in g.nodes}
-    children = {n: [] for n in g.nodes}
-    for a, b in g.directed:
-        indeg[b] += 1
-        children[a].append(b)
-    order = []
-    ready = [n for n in g.nodes if indeg[n] == 0]
-    while ready:
-        ready.sort(key=g.position, reverse=True)
-        n = ready.pop()
-        order.append(n)
-        for c in children[n]:
-            indeg[c] -= 1
-            if indeg[c] == 0:
-                ready.append(c)
-    if len(order) != len(g.nodes):
-        raise CyclicDependencies("directed part of the graph has a cycle")
-    return tuple(order)
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +210,7 @@ def build_projected_cdag(cdag, violators):
 
     one_d = set(cdag.directed)
     one_b = set(cdag.bidirected)
-    for x in topological_nodes(cdag):
+    for x in topological_order(cdag):
         if x not in set(vset):
             continue
         add_d, add_b = _apply_rules(pos, one_d, one_b, x)

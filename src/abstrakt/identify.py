@@ -19,7 +19,8 @@ from .errors import (
     UnsupportedData,
     ZeroConditioning,
 )
-from .graphs import ancestors, c_components, make_graph, topological_nodes
+from .graphs import ancestors, c_components, make_graph
+from .scm import topological_order
 from .valuation import SoftIntervention
 
 
@@ -365,7 +366,7 @@ def identify_effect(g, query):
             or set(query.do) & set(query.given):
         raise DomainMismatch("query sets must be disjoint")
 
-    order = {n: i for i, n in enumerate(topological_nodes(g))}
+    order = {n: i for i, n in enumerate(topological_order(g))}
     counter = {}
 
     def fresh(var):

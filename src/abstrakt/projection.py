@@ -51,6 +51,9 @@ from .valuation import (
     QueryTerm,
     RhoContext,
     SoftIntervention,
+    _cell_grid,
+    _cell_map,
+    _uniform,
 )
 
 POLICIES = ("agnostic", "markovian", "general")
@@ -265,17 +268,11 @@ def sigma_machinery(scm, cm, cluster_name, policy, budget=None):
         raise SizeExceeded(
             "sigma computation needs %d states, budget is %d" % (size, bud),
             required=size, budget=bud)
-    topo = scm.topological_order_names()
     parent_clusters = [cm.by_name[p] for p in parents]
     totals = {}
     masses = {}
     for _idx, unit, p in scm.exogenous_support():
-        env = {}
-        for v in topo:
-            mech = scm.mechanisms[v]
-            key = tuple(env[q] for q in mech.endo_parents)
-            key += tuple(unit[k] for k in mech.exo_parents)
-            env[v] = mech.table[key]
+        env = scm.solve(unit)
         joint = tuple(env[m] for m in c.members)
         label = c.label_of(joint)
         pa = tuple(pc.label_of(tuple(env[m] for m in pc.members))
@@ -301,43 +298,60 @@ def sigma_machinery(scm, cm, cluster_name, policy, budget=None):
                           tables=tables)
 
 
-def _context_parts(context):
+def _context_parts(context, rho_members):
+    """Parse a context into its parent labels by cluster name and its shared
+    noise values. A context is None, a (parents, shared) pair, or a dict
+    with 'parents' and 'shared' entries. A shared name that names one of
+    ``rho_members`` by its (block, member) pair, as 'block.member' or by
+    its bare member name becomes that pair; other names are kept as
+    given."""
     if context is None:
-        return {}, {}
-    if isinstance(context, dict):
-        return dict(context.get("parents", {})), dict(context.get("shared", {}))
-    if isinstance(context, (tuple, list)) and len(context) == 2:
-        return dict(context[0] or {}), dict(context[1] or {})
-    raise DomainMismatch(
-        "context must be None, a (parents, shared) pair, or a dict with "
-        "'parents' and 'shared' entries")
+        parts = (None, None)
+    elif isinstance(context, dict):
+        parts = (context.get("parents"), context.get("shared"))
+    elif isinstance(context, (tuple, list)) and len(context) == 2:
+        parts = context
+    else:
+        parts = None  # not iterable, so rejected below
+    try:
+        parents, shared = (dict(part or {}) for part in parts)
+    except (TypeError, ValueError):
+        raise DomainMismatch(
+            "context must be None, a (parents, shared) pair of mappings, or "
+            "a dict with 'parents' and 'shared' mappings")
+    pair_of = {}
+    for k in rho_members:
+        for name in (k, "%s.%s" % k, k[1]):
+            pair_of.setdefault(name, k)
+    return parents, {pair_of.get(n, n): v for n, v in shared.items()}
 
 
-def _context_key(scm, cm, machinery, context):
-    parents_arg, shared_arg = _context_parts(context)
+def _context_key(context, parents, rho_members, rho_classes):
+    """The (parent labels, response class) key of a context's reference
+    table. The context must give every parent cluster in ``parents`` and
+    every shared member in ``rho_members``; other entries are ignored."""
+    parents_arg, shared_arg = _context_parts(context, rho_members)
     pa = []
-    for p in machinery.parents:
+    for p in parents:
         if p not in parents_arg:
             raise DomainMismatch(
                 "context must give a value for parent cluster %r" % p,
                 cluster=p)
-        label = parents_arg[p]
-        cm.cluster(p).fiber(label)  # validates the label
-        pa.append(label)
-    cls = None
-    if machinery.rho is not None:
-        fixed = {}
-        for key, value in shared_arg.items():
-            fixed[scm.resolve_exo_key(key)] = value
-        joint = []
-        for k in machinery.rho.member_keys:
-            if k not in fixed:
-                raise DomainMismatch(
-                    "context must give a value for shared noise member %s.%s"
-                    % k, member=k)
-            joint.append(fixed[k])
-        cls = machinery.rho.class_of[tuple(joint)]
-    return (tuple(pa), cls)
+        pa.append(parents_arg[p])
+    if not rho_members:
+        return tuple(pa), None
+    joint = []
+    for k in rho_members:
+        if k not in shared_arg:
+            raise DomainMismatch(
+                "context must give a value for shared noise member %s.%s"
+                % k, member=k)
+        joint.append(shared_arg[k])
+    joint = tuple(joint)
+    if joint not in rho_classes:
+        raise DomainMismatch(
+            "shared values %r are outside the block domains" % (joint,))
+    return tuple(pa), rho_classes[joint]
 
 
 def sigma_distribution(scm, cm, cluster, label, policy="general",
@@ -348,67 +362,21 @@ def sigma_distribution(scm, cm, cluster, label, policy="general",
     machinery = sigma_machinery(scm, cm, cluster, policy, budget)
     c = cm.cluster(cluster)
     fiber = c.fiber(label)
-    ctx = _context_key(scm, cm, machinery, context)
+    rho = machinery.rho
+    ctx = _context_key(context, machinery.parents,
+                       rho.member_keys if rho else (),
+                       rho.class_of if rho else {})
+    for p, parent_label in zip(machinery.parents, ctx[0]):
+        cm.cluster(p).fiber(parent_label)  # validates the label
     probs = machinery.tables[label].get(ctx)
     if probs is None:
         if fallback == "uniform":
-            k = len(fiber)
-            probs = tuple(Fraction(1, k) for _ in fiber)
+            probs = _uniform(len(fiber))
         else:
             raise ImpossibleContext(
                 "context %r has probability zero together with %s=%s"
                 % (ctx, cluster, label), cluster=cluster, label=label)
     return {t: p for t, p in zip(fiber, probs)}
-
-
-# ---------------------------------------------------------------------------
-# cells: a shared refinement of every context's inverse-CDF breakpoints
-
-
-def _build_cells(fiber, ctx_tables, uniform_too):
-    """Breakpoints, per-context cell maps, and zero-probability fill targets
-    for one cluster value."""
-    points = {Fraction(0), Fraction(1)}
-    for probs in ctx_tables.values():
-        acc = Fraction(0)
-        for p in probs:
-            acc += p
-            points.add(acc)
-    if uniform_too:
-        k = len(fiber)
-        for i in range(1, k):
-            points.add(Fraction(i, k))
-    breaks = tuple(sorted(points))
-    cell_map = {}
-    for ctx, probs in ctx_tables.items():
-        cum = []
-        acc = Fraction(0)
-        for p in probs:
-            acc += p
-            cum.append(acc)
-        mapping = []
-        for i in range(len(breaks) - 1):
-            left = breaks[i]
-            for j, edge in enumerate(cum):
-                if left < edge:
-                    mapping.append(j)
-                    break
-        cell_map[ctx] = tuple(mapping)
-    need_fill = []
-    for idx in range(len(fiber)):
-        if any(probs[idx] == 0 for probs in ctx_tables.values()):
-            need_fill.append(idx)
-    for ctx in cell_map:
-        cell_map[ctx] = cell_map[ctx] + tuple(need_fill)
-    return breaks, cell_map, tuple(need_fill)
-
-
-def _uniform_mapping(breaks, fills, k):
-    mapping = []
-    for i in range(len(breaks) - 1):
-        left = breaks[i]
-        mapping.append(min(int(left * k), k - 1))
-    return tuple(mapping) + tuple(fills)
 
 
 # ---------------------------------------------------------------------------
@@ -447,8 +415,8 @@ def resolve_sigma(scm, cm, query, policy="general", budget=None,
                 "value %s=%s has probability zero everywhere"
                 % (marker.cluster, marker.label),
                 cluster=marker.cluster, label=marker.label)
-        breaks, cell_map, _fills = _build_cells(
-            fiber, ctx_tables, uniform_too=(fallback == "uniform"))
+        breaks, cell_map = _cell_grid(
+            ctx_tables, len(fiber) if fallback == "uniform" else None)
         parents = tuple(
             ParentContext(cluster=p, members=tuple(cm.by_name[p].members),
                           value_of=dict(cm.by_name[p]._label_of))
@@ -462,7 +430,7 @@ def resolve_sigma(scm, cm, query, policy="general", budget=None,
         atom = SoftIntervention(
             targets=tuple(c.members), share_key=share_key,
             candidates=tuple(fiber), tables=dict(ctx_tables), breaks=breaks,
-            cell_map=dict(cell_map), parents=parents, rho=rho,
+            cell_map=cell_map, parents=parents, rho=rho,
             fallback=fallback,
             label="%s=%s" % (marker.cluster, marker.label))
         atoms[key] = atom
@@ -595,21 +563,25 @@ def construct_projected_abstraction(scm, cm, policy="general", budget=None,
                 contexts = _all_contexts(cm, split)
                 for label in lossy:
                     fiber = split.fibers[label]
-                    breaks, cmap, fills = _build_cells(
-                        fiber, split.sigma[label],
-                        uniform_too=(fallback == "uniform"))
+                    tables = split.sigma[label]
+                    breaks, cmap = _cell_grid(
+                        tables, len(fiber) if fallback == "uniform" else None)
+                    # member indices some context never draws; every cell
+                    # map lists them after its cells
+                    fills = tuple(i for i in range(len(fiber))
+                                  if any(p[i] == 0 for p in tables.values()))
+                    cmap = {ctx: m + fills for ctx, m in cmap.items()}
                     split.breaks[label] = breaks
                     split.fill_targets[label] = fills
                     split.component[label] = {}
-                    uniform = tuple(Fraction(1, len(fiber)) for _ in fiber)
+                    uniform = _uniform(len(fiber))
                     for ctx in contexts:
-                        probs = split.sigma[label].get(ctx)
+                        probs = tables.get(ctx)
                         if probs is None:
                             if fallback != "uniform":
                                 continue
                             probs = uniform
-                            cmap[ctx] = _uniform_mapping(breaks, fills,
-                                                         len(fiber))
+                            cmap[ctx] = _cell_map(breaks, uniform) + fills
                         name = _component_member(
                             c.name, label, len(split.component[label]))
                         split.component[label][ctx] = name
@@ -712,11 +684,7 @@ def construct_projected_abstraction(scm, cm, policy="general", budget=None,
                     raw = fiber[0]
                 for m, val in zip(ps.members, raw):
                     env[m] = val
-            for m in member_topo:
-                mech = working.mechanisms[m]
-                key = tuple(env[q] for q in mech.endo_parents)
-                key += tuple(exo_env[k] for k in mech.exo_parents)
-                env[m] = mech.table[key]
+            working.solve(exo_env, env, member_topo)
             out = c.label_of(tuple(env[m] for m in c.members))
             table[combo] = out
         mechanisms[c.name] = Mechanism(
@@ -758,8 +726,12 @@ def verify_partial_projection(low, high, budget=None):
     working = low
     if set(members_all) != set(low.variable_names()):
         working = project_full(low, members_all, budget)
-    low_topo = working.topological_order_names()
     high_topo = high.scm.topological_order_names()
+    # a flagged cluster's cell is read off the labels of its parents, which
+    # come before it in the high model's order
+    stops = [(high_topo[:i], splits[name])
+             for i, name in enumerate(high_topo)
+             if splits[name].block is not None]
 
     subsets = []
     for mask in range(1 << len(names)):
@@ -784,15 +756,7 @@ def verify_partial_projection(low, high, budget=None):
     mismatches = []
     for _idx, unit, _p in working.exogenous_support():
         for chosen, x in subsets:
-            env = {}
-            for v in low_topo:
-                if v in x:
-                    env[v] = x[v]
-                else:
-                    mech = working.mechanisms[v]
-                    key = tuple(env[q] for q in mech.endo_parents)
-                    key += tuple(unit[k] for k in mech.exo_parents)
-                    env[v] = mech.table[key]
+            env = working.solve(unit, dict(x))
             want = {name: splits[name].label_of(
                 tuple(env[m] for m in splits[name].members))
                 for name in names}
@@ -804,32 +768,25 @@ def verify_partial_projection(low, high, budget=None):
                     for label in split.lossy_labels():
                         for mname in split.component[label].values():
                             unit_h[(split.block, mname)] = 0
-            env_h = {}
+            env_h = {name: want[name] for name in chosen}
             trouble = None
-            for name in high_topo:
-                split = splits[name]
-                if split.block is not None:
-                    raw = tuple(env[m] for m in split.members)
-                    actual = split.label_of(raw)
-                    if len(split.fibers[actual]) > 1:
-                        idx = list(split.fibers[actual]).index(raw)
-                        ctx = (tuple(env_h[g] for g in split.parents), None)
-                        if split.rho_members:
-                            joint = tuple(unit[k] for k in split.rho_members)
-                            ctx = (ctx[0], split.rho_classes[joint])
-                        mname = split.component[actual].get(ctx)
-                        if mname is None:
-                            trouble = ("context %r absent for %s=%s"
-                                       % (ctx, name, actual))
-                        else:
-                            unit_h[(split.block, mname)] = idx
-                if name in chosen:
-                    env_h[name] = want[name]
-                else:
-                    mech = high.scm.mechanisms[name]
-                    key = tuple(env_h[q] for q in mech.endo_parents)
-                    key += tuple(unit_h[k] for k in mech.exo_parents)
-                    env_h[name] = mech.table[key]
+            for before, split in stops:
+                raw = tuple(env[m] for m in split.members)
+                actual = split.label_of(raw)
+                if len(split.fibers[actual]) > 1:
+                    idx = list(split.fibers[actual]).index(raw)
+                    high.scm.solve(unit_h, env_h, before)
+                    ctx = (tuple(env_h[g] for g in split.parents), None)
+                    if split.rho_members:
+                        joint = tuple(unit[k] for k in split.rho_members)
+                        ctx = (ctx[0], split.rho_classes[joint])
+                    mname = split.component[actual].get(ctx)
+                    if mname is None:
+                        trouble = ("context %r absent for %s=%s"
+                                   % (ctx, split.cluster, actual))
+                    else:
+                        unit_h[(split.block, mname)] = idx
+            high.scm.solve(unit_h, env_h)
             checked += 1
             bad = [name for name in names if env_h[name] != want[name]]
             if bad or trouble:
@@ -876,8 +833,6 @@ def resolve_sigma_high(high, query):
             atom = HardIntervention(marker.cluster, marker.label)
             atoms[key] = atom
             return atom
-        breaks = split.breaks[marker.label]
-        n_cells = len(breaks) - 1 + len(split.fill_targets[marker.label])
         exo_cells = {}
         for ctx, mname in split.component[marker.label].items():
             mapping = split.cell_map[marker.label][ctx]
@@ -888,8 +843,8 @@ def resolve_sigma_high(high, query):
             share_key=("sigma-high", marker.cluster, str(marker.label)),
             candidates=((marker.label,),),
             tables={ctx0: (Fraction(1),)},
-            breaks=breaks,
-            cell_map={ctx0: tuple(0 for _ in range(n_cells))},
+            breaks=split.breaks[marker.label],
+            cell_map={ctx0: (0,) * split.n_cells(marker.label)},
             exo_cells=exo_cells,
             label="%s=%s" % (marker.cluster, marker.label))
         atoms[key] = atom
@@ -937,22 +892,12 @@ def disambiguation_bounds(scm, cm, cluster, label, outcome, budget=None):
         raise SizeExceeded(
             "bounds need %d evaluations, budget is %d" % (size, bud),
             required=size, budget=bud)
-    topo = scm.topological_order_names()
     lo = Fraction(0)
     hi = Fraction(0)
     for _idx, unit, p in scm.exogenous_support():
         hits = []
         for raw in fiber:
-            forced = dict(zip(c.members, raw))
-            env = {}
-            for v in topo:
-                if v in forced:
-                    env[v] = forced[v]
-                else:
-                    mech = scm.mechanisms[v]
-                    key = tuple(env[q] for q in mech.endo_parents)
-                    key += tuple(unit[k] for k in mech.exo_parents)
-                    env[v] = mech.table[key]
+            env = scm.solve(unit, dict(zip(c.members, raw)))
             hits.append(all(env[v] == val for v, val in outcome.items()))
         if all(hits):
             lo += p
@@ -969,11 +914,6 @@ class CanonicalResponse:
     variable: str
     inputs: tuple
     outputs: tuple  # one output per parent combination, in domain order
-
-    def as_table(self, scm):
-        domains = [scm.domain(p) for p in self.inputs]
-        return {combo: out
-                for combo, out in zip(product(*domains), self.outputs)}
 
 
 def canonical_response_profile(scm, variable, shared):
@@ -1054,36 +994,12 @@ def projected_sample(high, cluster, label, context=None, seed=0, n=None):
     if len(fiber) == 1:
         probs = (Fraction(1),)
     else:
-        parents_arg, shared_arg = _context_parts(context)
-        pa = []
-        for p in split.parents:
-            if p not in parents_arg:
-                raise DomainMismatch(
-                    "context must give a value for parent cluster %r" % p,
-                    cluster=p)
-            pa.append(parents_arg[p])
-        cls = None
-        if split.rho_members:
-            joint = []
-            for k in split.rho_members:
-                lookup = dict(shared_arg)
-                if k in lookup:
-                    joint.append(lookup[k])
-                elif k[1] in lookup:
-                    joint.append(lookup[k[1]])
-                else:
-                    raise DomainMismatch(
-                        "context must give a value for shared noise member "
-                        "%s.%s" % k, member=k)
-            cls = split.rho_classes.get(tuple(joint))
-            if cls is None:
-                raise DomainMismatch(
-                    "shared values %r are outside the block domains" % (joint,))
-        ctx = (tuple(pa), cls)
+        ctx = _context_key(context, split.parents, split.rho_members,
+                           split.rho_classes)
         probs = split.sigma.get(label, {}).get(ctx)
         if probs is None:
             if high.fallback == "uniform":
-                probs = tuple(Fraction(1, len(fiber)) for _ in fiber)
+                probs = _uniform(len(fiber))
             else:
                 raise ImpossibleContext(
                     "context %r has probability zero together with %s=%s"

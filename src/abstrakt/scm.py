@@ -160,6 +160,7 @@ class DiscreteScm:
                 self.member_index[(b.name, m.name)] = m
         self._topo = None
         self._world_cache = {}
+        self._world_terms = {}
 
     def domain(self, name):
         if name not in self.var_index:
@@ -191,6 +192,25 @@ class DiscreteScm:
         if self._topo is None:
             self._topo = topological_order(induce_diagram(self))
         return self._topo
+
+    def solve(self, unit, env=None, order=None):
+        """Solve the mechanisms for the exogenous assignment ``unit``.
+
+        Every variable of ``order`` (default: all of them, in topological
+        order) that ``env`` does not already pin is looked up in its
+        mechanism table, reading parent values from ``env`` and noise values
+        from ``unit``. Pinned entries act as hard interventions. Returns
+        ``env``, filled in place."""
+        if env is None:
+            env = {}
+        mechanisms = self.mechanisms
+        for v in self.topological_order_names() if order is None else order:
+            if v not in env:
+                mech = mechanisms[v]
+                key = tuple([env[p] for p in mech.endo_parents]
+                            + [unit[k] for k in mech.exo_parents])
+                env[v] = mech.table[key]
+        return env
 
     def exogenous_support_size(self):
         size = 1
@@ -418,6 +438,7 @@ def topological_order(diagram):
     for a, b in diagram.directed:
         indeg[b] += 1
         children[a].append(b)
+    pos = {name: i for i, name in enumerate(nodes)}
     order = []
     ready = [n for n in nodes if indeg[n] == 0]
     while ready:
@@ -429,12 +450,12 @@ def topological_order(diagram):
             if indeg[c] == 0:
                 fresh.append(c)
         if fresh:
-            pos = {name: i for i, name in enumerate(nodes)}
             ready = sorted(ready + fresh, key=pos.get)
     if len(order) != len(nodes):
         stuck = [n for n in nodes if n not in order]
         raise CyclicDependencies(
-            "dependency cycle among %s" % ", ".join(stuck), variables=stuck)
+            "dependency cycle among %s" % ", ".join(map(str, stuck)),
+            variables=stuck)
     return order
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
 
 from .errors import (
     DomainMismatch,
@@ -27,7 +27,13 @@ from .errors import (
     UnknownVariable,
     ZeroConditioning,
 )
-from .scm import enumeration_budget, format_decimal, format_rational
+from .scm import (
+    Diagram,
+    enumeration_budget,
+    format_decimal,
+    format_rational,
+    topological_order,
+)
 
 
 @dataclass(frozen=True)
@@ -87,15 +93,33 @@ class SoftIntervention:
         return tuple(self.breaks[i + 1] - self.breaks[i]
                      for i in range(len(self.breaks) - 1))
 
-    def uniform_cell_map(self):
-        """Cell-to-candidate mapping for the uniform fallback distribution."""
-        k = len(self.candidates)
-        mapping = []
-        for i in range(len(self.breaks) - 1):
-            left = self.breaks[i]
-            idx = min(int(left * k), k - 1)
-            mapping.append(idx)
-        return tuple(mapping)
+
+def _uniform(k):
+    """The uniform distribution over ``k`` candidates."""
+    return (Fraction(1, k),) * k
+
+
+def _cell_map(breaks, probs):
+    """The inverse distribution function of ``probs`` on the cells between
+    consecutive ``breaks``: the candidate index each cell selects."""
+    cum = tuple(accumulate(probs))
+    return tuple(next(j for j, edge in enumerate(cum) if left < edge)
+                 for left in breaks[:-1])
+
+
+def _cell_grid(tables, uniform_k=None):
+    """Breakpoints shared by every table of ``tables`` (every cumulative
+    sum, plus 0 and 1) and each table's cell map. With ``uniform_k`` the
+    grid also refines the uniform distribution over that many candidates,
+    so a uniform fallback maps onto the same cells."""
+    points = {Fraction(0), Fraction(1)}
+    for probs in tables.values():
+        points.update(accumulate(probs))
+    if uniform_k:
+        points.update(accumulate(_uniform(uniform_k)))
+    breaks = tuple(sorted(points))
+    return breaks, {ctx: _cell_map(breaks, probs)
+                    for ctx, probs in tables.items()}
 
 
 def constant_soft_intervention(targets, candidates, probs, share_key, label=""):
@@ -103,27 +127,12 @@ def constant_soft_intervention(targets, candidates, probs, share_key, label=""):
     probs = tuple(Fraction(p) for p in probs)
     if sum(probs, Fraction(0)) != 1:
         raise DomainMismatch("stochastic intervention weights must sum to 1")
-    breaks = [Fraction(0)]
-    for p in probs:
-        breaks.append(breaks[-1] + p)
-    dedup = []
-    for b in breaks:
-        if not dedup or b != dedup[-1]:
-            dedup.append(b)
-    ctx = ((), None)
-    mapping = []
-    for i in range(len(dedup) - 1):
-        left = dedup[i]
-        acc = Fraction(0)
-        for j, p in enumerate(probs):
-            acc += p
-            if left < acc:
-                mapping.append(j)
-                break
+    tables = {((), None): probs}
+    breaks, cell_map = _cell_grid(tables)
     return SoftIntervention(targets=tuple(targets), share_key=share_key,
                             candidates=tuple(tuple(c) for c in candidates),
-                            tables={ctx: probs}, breaks=tuple(dedup),
-                            cell_map={ctx: tuple(mapping)}, label=label)
+                            tables=tables, breaks=breaks, cell_map=cell_map,
+                            label=label)
 
 
 @dataclass(frozen=True)
@@ -217,80 +226,58 @@ def evaluate_unit(scm, u, hard=None):
     unit = normalize_unit(scm, u)
     hard_map = _check_hard(scm, [HardIntervention(k, v)
                                  for k, v in (hard or {}).items()])
-    env = {}
-    for v in scm.topological_order_names():
-        if v in hard_map:
-            env[v] = hard_map[v]
-        else:
-            mech = scm.mechanisms[v]
-            key = tuple(env[p] for p in mech.endo_parents)
-            key += tuple(unit[k] for k in mech.exo_parents)
-            env[v] = mech.table[key]
-    return env
+    return scm.solve(unit, hard_map)
 
 
-def _resolve_soft(scm, atom, env, unit, cell):
-    parent_labels = []
-    for pc in atom.parents:
-        joint = tuple(env[m] for m in pc.members)
-        parent_labels.append(pc.value_of[joint])
-    cls = None
-    if atom.rho is not None:
-        cls = atom.rho.class_of[tuple(unit[k] for k in atom.rho.member_keys)]
-    ctx = (tuple(parent_labels), cls)
+def _resolve_soft(atom, env, unit, cell):
+    """Set an atom's targets in a world whose context members are solved."""
+    ctx = (tuple(pc.value_of[tuple(env[m] for m in pc.members)]
+                 for pc in atom.parents),
+           None if atom.rho is None else
+           atom.rho.class_of[tuple(unit[k] for k in atom.rho.member_keys)])
     mapping = atom.cell_map.get(ctx)
     if mapping is None:
-        if atom.fallback == "uniform":
-            mapping = atom.uniform_cell_map()
-            atom.cell_map[ctx] = mapping
-        else:
+        if atom.fallback != "uniform":
             raise ImpossibleContext(
                 "stochastic intervention %s hit context %r with zero "
                 "probability under the reference distribution" %
                 (atom.label or atom.share_key, ctx),
                 context=repr(ctx), target=atom.label)
-    values = atom.candidates[mapping[cell]]
-    for t, val in zip(atom.targets, values):
-        env[t] = val
+        mapping = _cell_map(atom.breaks, _uniform(len(atom.candidates)))
+    env.update(zip(atom.targets, atom.candidates[mapping[cell]]))
 
 
-def _world(scm, u_idx, unit, hard_map, soft_atoms, cell_choice):
-    """Evaluate one world; results are cached per exogenous state and
-    forced-assignment signature so repeated terms are free."""
-    sig = (u_idx,
-           tuple(sorted(hard_map.items(), key=lambda kv: kv[0])),
-           tuple(sorted(((a.share_key, cell_choice[a.share_key])
-                         for a in soft_atoms), key=repr)))
+def _fingerprint(atom):
+    """Everything of a stochastic intervention that the worlds it acts on
+    can read, as a hashable value."""
+    rho = atom.rho
+    return (atom.targets, atom.candidates, atom.breaks, atom.fallback,
+            frozenset(atom.cell_map.items()),
+            frozenset(atom.exo_cells.items()),
+            tuple((pc.members, frozenset(pc.value_of.items()))
+                  for pc in atom.parents),
+            None if rho is None else
+            (rho.member_keys, frozenset(rho.class_of.items())))
+
+
+def _world(scm, u_idx, unit, setup, cell_choice):
+    """Solve one world. Worlds are cached per term content, exogenous state
+    and cell draws, so repeated terms are free."""
+    hard_map, atoms, segments, term_no = setup
+    cells = tuple(cell_choice[a.share_key] for a in atoms)
+    sig = (term_no, u_idx, cells)
     cached = scm._world_cache.get(sig)
     if cached is not None:
         return cached
-    soft_by_var = {}
-    override = {}
-    for a in soft_atoms:
-        for t in a.targets:
-            soft_by_var[t] = a
-        if a.exo_cells:
-            cell = cell_choice[a.share_key]
-            for mk, mapping in a.exo_cells.items():
-                override[mk] = mapping[cell]
+    override = {mk: mapping[cell] for a, cell in zip(atoms, cells)
+                for mk, mapping in a.exo_cells.items()}
     if override:
-        unit = dict(unit)
-        unit.update(override)
-    env = {}
-    resolved = set()
-    for v in scm.topological_order_names():
-        if v in hard_map:
-            env[v] = hard_map[v]
-        elif v in soft_by_var:
-            a = soft_by_var[v]
-            if id(a) not in resolved:
-                _resolve_soft(scm, a, env, unit, cell_choice[a.share_key])
-                resolved.add(id(a))
-        else:
-            mech = scm.mechanisms[v]
-            key = tuple(env[p] for p in mech.endo_parents)
-            key += tuple(unit[k] for k in mech.exo_parents)
-            env[v] = mech.table[key]
+        unit = {**unit, **override}
+    env = dict(hard_map)
+    for segment, atom, cell in zip(segments, atoms, cells):
+        scm.solve(unit, env, segment)
+        _resolve_soft(atom, env, unit, cell)
+    scm.solve(unit, env, segments[-1])
     if len(scm._world_cache) < 1_000_000:
         scm._world_cache[sig] = env
     return env
@@ -328,11 +315,34 @@ def _term_setup(scm, term):
                 raise DomainMismatch(
                     "variable %r is both intervened and constrained in one term"
                     % v)
-    return hard_map, atoms
+    order = scm.topological_order_names()
+    if any(a.parents for a in atoms):
+        # An atom reads its context before it sets its targets, so the
+        # world is solved in the order of its own graph: mechanism edges
+        # into free variables, context edges into each atom's targets.
+        directed = [(p, v) for v in order if v not in taken
+                    for p in scm.mechanisms[v].endo_parents]
+        directed += [(m, t) for a in atoms for pc in a.parents
+                     for m in pc.members for t in a.targets]
+        order = topological_order(Diagram(
+            nodes=scm.variable_names(), directed=tuple(directed),
+            bidirected=()))
+    # Each atom is resolved just before its first target; the segments of
+    # the order between those stops are solved from the mechanisms.
+    stops = sorted((min((order.index(t) for t in a.targets),
+                        default=len(order)), n)
+                   for n, a in enumerate(atoms))
+    atoms = [atoms[n] for _pos, n in stops]
+    bounds = [0] + [pos for pos, _n in stops] + [len(order)]
+    segments = [order[i:j] for i, j in zip(bounds, bounds[1:])]
+    content = (tuple(sorted(hard_map.items(), key=lambda kv: kv[0])),
+               tuple(_fingerprint(a) for a in atoms))
+    term_no = scm._world_terms.setdefault(content, len(scm._world_terms))
+    return hard_map, atoms, segments, term_no
 
 
-def _term_holds(scm, u_idx, unit, term, hard_map, atoms, cell_choice):
-    env = _world(scm, u_idx, unit, hard_map, atoms, cell_choice)
+def _term_holds(scm, u_idx, unit, term, setup, cell_choice):
+    env = _world(scm, u_idx, unit, setup, cell_choice)
     for oc in term.outcomes:
         if tuple(env[v] for v in oc.variables) not in oc.accepted:
             return False
@@ -398,16 +408,16 @@ def prob_query(scm, query, budget=None):
     for u_idx, unit, weight, choice in _enumerate(scm, all_terms, budget):
         ok_cond = True
         if conditioned:
-            for term, (hm, atoms) in zip(all_terms[n_main:], setups[n_main:]):
-                if not _term_holds(scm, u_idx, unit, term, hm, atoms, choice):
+            for term, setup in zip(all_terms[n_main:], setups[n_main:]):
+                if not _term_holds(scm, u_idx, unit, term, setup, choice):
                     ok_cond = False
                     break
             if not ok_cond:
                 continue
             den += weight
         ok = True
-        for term, (hm, atoms) in zip(all_terms[:n_main], setups[:n_main]):
-            if not _term_holds(scm, u_idx, unit, term, hm, atoms, choice):
+        for term, setup in zip(all_terms[:n_main], setups[:n_main]):
+            if not _term_holds(scm, u_idx, unit, term, setup, choice):
                 ok = False
                 break
         if ok:
@@ -428,13 +438,13 @@ def joint_distribution(scm, variables, interventions=(), budget=None):
         raise DomainMismatch(
             "interventions must be hard or resolved stochastic interventions")
     term = QueryTerm(outcomes=(), hard=hard, soft=soft)
-    hard_map, atoms = _term_setup(scm, term)
+    setup = _term_setup(scm, term)
     for v in variables:
         if v not in scm.var_index:
             raise UnknownVariable("unknown variable %r" % v, variable=v)
     probs = {}
     for u_idx, unit, weight, choice in _enumerate(scm, [term], budget):
-        env = _world(scm, u_idx, unit, hard_map, atoms, choice)
+        env = _world(scm, u_idx, unit, setup, choice)
         key = tuple(env[v] for v in variables)
         probs[key] = probs.get(key, Fraction(0)) + weight
     domains = tuple(scm.domain(v) for v in variables)

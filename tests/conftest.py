@@ -186,6 +186,49 @@ def build_lossy_chain(rng, confounded=False):
     return scm, cm
 
 
+def context_after_target_docs():
+    """Model and cluster documents in which a merged cluster's context is
+    declared after one of its members.
+
+    A <- UA, P <- UP, B = P and Y = A xor B, declared in the order A, P, B,
+    Y. Clusters: PC = {P}, C = {A, B} with labels 'same' and 'diff', and
+    YC = {Y}. PC is C's parent cluster, so a reference draw for C reads P,
+    which comes after C's member A in declaration order. Setting C to
+    'same' forces Y = 0.
+    """
+    bits = [0, 1]
+    model = {
+        "endogenous": [{"name": n, "domain": bits} for n in "APBY"],
+        "blocks": [binary_block("UA", Fraction(1, 2)),
+                   binary_block("UP", Fraction(1, 2))],
+        "mechanisms": [
+            {"variable": "A", "endo_parents": [],
+             "exo_parents": [{"block": "UA", "member": "u"}],
+             "table": [{"parents": [u], "out": u} for u in bits]},
+            {"variable": "P", "endo_parents": [],
+             "exo_parents": [{"block": "UP", "member": "u"}],
+             "table": [{"parents": [u], "out": u} for u in bits]},
+            {"variable": "B", "endo_parents": ["P"], "exo_parents": [],
+             "table": [{"parents": [p], "out": p} for p in bits]},
+            {"variable": "Y", "endo_parents": ["A", "B"], "exo_parents": [],
+             "table": [{"parents": [a, b], "out": a ^ b}
+                       for a in bits for b in bits]},
+        ],
+    }
+    clusters = {"clusters": [
+        {"name": "PC", "members": ["P"],
+         "values": [{"label": "p0", "tuples": [[0]]},
+                    {"label": "p1", "tuples": [[1]]}]},
+        {"name": "C", "members": ["A", "B"],
+         "values": [{"label": "same", "tuples": [[0, 0], [1, 1]]},
+                    {"label": "diff", "tuples": [[0, 1], [1, 0]]}]},
+        {"name": "YC", "members": ["Y"],
+         "values": [{"label": "y0", "tuples": [[0]]},
+                    {"label": "y1", "tuples": [[1]]}]},
+    ]}
+    return model, clusters
+
+
 def all_dag_structures(max_nodes):
     """Every DAG over at most ``max_nodes`` declared nodes, with edges
     oriented from earlier to later declarations."""

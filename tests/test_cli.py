@@ -8,7 +8,7 @@ import pytest
 
 import abstrakt as ab
 from abstrakt.cli import parse_query, run
-from conftest import fixture_path
+from conftest import context_after_target_docs, fixture_path
 
 INS = fixture_path("insurance.json")
 INS_CM = fixture_path("insurance_clusters.json")
@@ -81,6 +81,18 @@ class TestEval:
                  "--policy", "agnostic",
                  "--query", "P(Y[~XH=xC]=1|Z=z1)"])
         assert r.payload["rational"] == "149/250"
+
+    def test_marker_context_declared_after_target(self, tmp_path):
+        model, clusters = context_after_target_docs()
+        paths = []
+        for name, doc in (("m.json", model), ("c.json", clusters)):
+            paths.append(str(tmp_path / name))
+            with open(paths[-1], "w") as fh:
+                json.dump(doc, fh)
+        r = run(["eval", "--scm", paths[0], "--clusters", paths[1],
+                 "--query", "P(YC[~C=same]=y0)", "--policy", "general"])
+        assert r.exit_code == 0
+        assert r.payload["rational"] == "1"
 
     def test_marker_needs_tilde(self):
         r = run(["eval", "--scm", INS, "--clusters", INS_CM,
@@ -163,6 +175,13 @@ class TestAbstractAndDownstream:
         assert r1.exit_code == 0
         assert r1.payload["draws"] == r2.payload["draws"]
         assert set(r1.payload["counts"]) <= {"('x1',)", "('x2',)"}
+
+    @pytest.mark.parametrize("context", ['[1, 2, 3]', '{"parents": ["Z"]}'])
+    def test_sample_malformed_context(self, high_path, context):
+        r = run(["sample", "--high", high_path, "--value", "XH=xC",
+                 "--context", context])
+        assert r.exit_code == 2
+        assert r.payload["error"]["kind"] == "DomainMismatch"
 
     def test_sample_unknown_label(self, high_path):
         r = run(["sample", "--high", high_path, "--value", "XH=bogus"])

@@ -35,7 +35,7 @@ class TestMakeGraph:
     def test_cycle_detected(self):
         g = ab.make_graph(("A", "B"), (("A", "B"), ("B", "A")), ())
         with pytest.raises(ab.CyclicDependencies):
-            ab.topological_nodes(g)
+            ab.topological_order(g)
 
 
 class TestAncestry:

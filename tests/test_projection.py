@@ -7,7 +7,8 @@ from fractions import Fraction
 import pytest
 
 import abstrakt as ab
-from conftest import atom, build_lossy_chain, term, query
+from conftest import (atom, build_lossy_chain, context_after_target_docs,
+                      term, query)
 
 
 def sigma_marker_query(outcome_pairs, cluster, label, conditioning=()):
@@ -151,6 +152,18 @@ class TestMarkerResolution:
                                     policy="agnostic")
         # context-free mixture .62 * .9 + .38 * .1, independent of Z
         assert ab.prob_query(insurance, resolved) == Fraction(149, 250)
+
+    @pytest.mark.parametrize("policy", ["markovian", "general"])
+    def test_context_declared_after_target(self, policy):
+        # C's member A precedes its context member P in declaration order;
+        # the draw must still wait for P.
+        model, clusters = context_after_target_docs()
+        scm = ab.validate_scm(model)
+        cm = ab.validate_clusters(scm, clusters)
+        q = sigma_marker_query([("YC", "y0")], "C", "same")
+        resolved = ab.resolve_sigma(scm, cm, ab.lower_query(cm, q),
+                                    policy=policy)
+        assert ab.prob_query(scm, resolved) == 1
 
 
 class TestConstruction:

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 import abstrakt as ab
-from conftest import atom, term, query
+from conftest import atom, fixture_path, term, query
 
 
 class TestObservational:
@@ -126,6 +126,21 @@ class TestStochasticInterventions:
                                 soft=(self._soft(("s2",)),))])
         # E[(.5 a + .5 b)^2] with a ~ B(9/10), b ~ B(9/10) independent
         assert ab.prob_query(insurance, q) == Fraction(171, 200)
+
+    def test_reused_share_key_sees_new_weights(self):
+        # Cached worlds are keyed by what an intervention sets, not by its
+        # share key, so a model that already answered under one weighting
+        # answers the next one afresh.
+        scm = ab.load_scm(fixture_path("insurance.json"))
+
+        def p_y1(weights):
+            si = ab.constant_soft_intervention(
+                ("X",), (("x1",), ("x2",), ("x3",)), weights, share_key="s")
+            t = ab.QueryTerm(outcomes=(atom("Y", 1),), soft=(si,))
+            return ab.prob_query(scm, query([t]))
+
+        assert p_y1((1, 0, 0)) == Fraction(9, 10)
+        assert p_y1((0, 1, 0)) == Fraction(1, 10)
 
     def test_weights_must_sum_to_one(self):
         with pytest.raises(ab.DomainMismatch):
