@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations, product
 
 from .errors import (
@@ -23,13 +22,11 @@ from .errors import (
     InadmissibleClustering,
     NotClusterUnion,
     NotPartition,
-    SizeExceeded,
     UnknownHighValue,
     UnknownVariable,
 )
-from .scm import Diagram, enumeration_budget, topological_order
+from .scm import Diagram, check_budget, topological_order
 from .valuation import (
-    CounterfactualQuery,
     HardIntervention,
     OutcomeAtom,
     QueryTerm,
@@ -110,7 +107,7 @@ class ClusterMap:
         return tuple(out)
 
 
-def _canonical_tuple_order(members, domains):
+def _canonical_tuple_order(domains):
     """Position of each joint member value in the member-domain product,
     enumerated in declaration order."""
     index = {}
@@ -153,7 +150,7 @@ def validate_clusters(scm, doc):
                     % (m, owner[m], name), variable=m)
             owner[m] = name
         domains = [scm.domain(m) for m in members]
-        order = _canonical_tuple_order(members, domains)
+        order = _canonical_tuple_order(domains)
         values = []
         labels = set()
         seen_tuples = {}
@@ -295,10 +292,12 @@ class AicReport:
     cm: object
 
 
-def _working_model(scm, cm):
+def _working_model(scm, cm, budget):
+    """The model a cluster map's checks and constructions run on: the
+    variables outside every cluster are projected away."""
     if cm.excluded:
         from .projection import project_full
-        return project_full(scm, cm.covered_variables())
+        return project_full(scm, cm.covered_variables(), budget)
     return scm
 
 
@@ -310,7 +309,7 @@ def check_aic(scm, cm, budget=None):
     and the child's own noise held fixed, lead the child cluster to two
     different labels.
     """
-    working = _working_model(scm, cm)
+    working = _working_model(scm, cm, budget)
     topo = working.topological_order_names()
     member_order = {c.name: [v for v in topo if v in c.members]
                     for c in cm.clusters}
@@ -350,11 +349,7 @@ def check_aic(scm, cm, budget=None):
                     for m in oc.members:
                         others *= len(working.domain(m))
             cost += 2 * pairs * others * usize
-    bud = enumeration_budget(budget)
-    if cost > bud:
-        raise SizeExceeded(
-            "consistency check needs %d evaluations, budget is %d"
-            % (cost, bud), required=cost, budget=bud)
+    check_budget(cost, budget, "consistency check needs %d evaluations")
 
     violators = []
     witnesses = {}
@@ -509,9 +504,7 @@ def translate_query(cm, query):
                      for name, label in sorted(by_cluster.items()))
         return QueryTerm(outcomes=_outcomes_to_high(cm, term.outcomes),
                          hard=hard, soft=())
-    return CounterfactualQuery(
-        terms=tuple(lift_term(t) for t in query.terms),
-        conditioning=tuple(lift_term(t) for t in (query.conditioning or ())))
+    return query.map_terms(lift_term)
 
 
 def lower_query(cm, query):
@@ -521,7 +514,9 @@ def lower_query(cm, query):
     hard interventions; labels with several member tuples become unresolved
     stochastic interventions (SigmaMarker) that the projection module can
     resolve under a policy. Outcomes become constraints on the label's
-    preimage, so no disambiguation is needed for them."""
+    preimage, so no disambiguation is needed for them. Names that are not
+    clusters pass through unchanged, so a query may mix clusters with
+    low-level variables."""
     def lower_term(term):
         hard = []
         soft = []
@@ -533,7 +528,10 @@ def lower_query(cm, query):
                     "cannot lower concrete stochastic intervention %r"
                     % (a,))
         for h in term.hard:
-            c = cm.cluster(h.variable)
+            c = cm.by_name.get(h.variable)
+            if c is None:
+                hard.append(h)
+                continue
             fiber = c.fiber(h.value)
             if len(fiber) == 1:
                 for m, val in zip(c.members, fiber[0]):
@@ -545,7 +543,10 @@ def lower_query(cm, query):
             if len(oc.variables) != 1:
                 raise NotClusterUnion(
                     "high-level outcome must constrain a single cluster")
-            c = cm.cluster(oc.variables[0])
+            c = cm.by_name.get(oc.variables[0])
+            if c is None:
+                outcomes.append(oc)
+                continue
             accepted = set()
             for (label,) in oc.accepted:
                 accepted |= set(c.fiber(label))
@@ -554,6 +555,4 @@ def lower_query(cm, query):
                 label=oc.label or c.name))
         return QueryTerm(outcomes=tuple(outcomes), hard=tuple(hard),
                          soft=tuple(soft))
-    return CounterfactualQuery(
-        terms=tuple(lower_term(t) for t in query.terms),
-        conditioning=tuple(lower_term(t) for t in (query.conditioning or ())))
+    return query.map_terms(lower_term)

@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass, field
+from functools import partial
 
 from .errors import (
     AbstraktError,
@@ -19,7 +20,6 @@ from .errors import (
     NotClusterUnion,
     QuerySyntaxError,
     UnknownVariable,
-    UnsupportedData,
     ValidationError,
 )
 from .scm import (
@@ -37,7 +37,7 @@ from .valuation import (
     marginal_pushforward,
     prob_query,
 )
-from .abstraction import SigmaMarker, check_aic, load_clusters
+from .abstraction import SigmaMarker, check_aic, load_clusters, lower_query
 from .projection import (
     _context_parts,
     construct_projected_abstraction,
@@ -54,12 +54,12 @@ from .graphs import (
     to_dot,
 )
 from .identify import (
-    IdQuery,
     abstract_identify,
     estimand_to_doc,
     evaluate_estimand,
     identify_effect,
     render_estimand,
+    single_world_query,
 )
 
 
@@ -184,119 +184,36 @@ def _match_value(token, candidates, what):
     raise DomainMismatch("value %r is ambiguous in %s" % (token, what))
 
 
-def bind_low_query(parsed, scm, cm=None):
-    """Bind a parsed query against a low-level model. With a cluster map,
-    names matching clusters constrain the member variables: outcomes accept
-    the label's whole preimage, single-tuple labels become hard
-    interventions, and ~NAME=label marks a reference-distribution
-    intervention to be resolved under a policy."""
+def bind_query(parsed, bind):
+    """Bind a parsed query name by name. ``bind(name, token, sigma)``
+    returns the value one name=token pair stands for; ``sigma`` is True for
+    ~NAME=token, False for a plain intervention and None for an outcome.
+    Plain interventions become hard interventions, ~NAME=value becomes a
+    SigmaMarker, and every outcome constrains its one name to one value."""
     def bind_term(t):
-        outcomes = []
         hard = []
         soft = []
         for name, token, sigma in t.interventions:
-            c = cm.by_name.get(name) if cm else None
-            if c is not None:
-                label = _match_value(token, c.labels(),
-                                     "value of cluster %s" % name)
-                fiber = c.fiber(label)
-                if sigma:
-                    soft.append(SigmaMarker(cluster=name, label=label))
-                elif len(fiber) == 1:
-                    for m, val in zip(c.members, fiber[0]):
-                        hard.append(HardIntervention(m, val))
-                else:
-                    raise NotClusterUnion(
-                        "cluster value %s=%s covers several member tuples; "
-                        "use ~%s=%s to draw from the reference distribution"
-                        % (name, label, name, label), cluster=name)
+            val = bind(name, token, sigma)
+            if sigma:
+                soft.append(SigmaMarker(cluster=name, label=val))
             else:
-                if name not in scm.var_index:
-                    raise UnknownVariable("unknown variable %r" % name,
-                                          variable=name)
-                if sigma:
-                    raise DomainMismatch(
-                        "~ marks cluster values; %r is a plain variable"
-                        % name)
-                val = _match_value(token, scm.domain(name),
-                                   "value of %s" % name)
                 hard.append(HardIntervention(name, val))
-        name = t.variable
-        c = cm.by_name.get(name) if cm else None
-        if c is not None:
-            label = _match_value(t.value, c.labels(),
-                                 "value of cluster %s" % name)
-            outcomes.append(OutcomeAtom(
-                variables=tuple(c.members),
-                accepted=frozenset(c.fiber(label)),
-                label="%s=%s" % (name, label)))
-        else:
-            if name not in scm.var_index:
-                raise UnknownVariable("unknown variable %r" % name,
-                                      variable=name)
-            val = _match_value(t.value, scm.domain(name), "value of %s" % name)
-            outcomes.append(OutcomeAtom(
-                variables=(name,), accepted=frozenset({(val,)}),
-                label="%s=%s" % (name, val)))
-        return QueryTerm(outcomes=tuple(outcomes), hard=tuple(hard),
-                         soft=tuple(soft))
-
-    return CounterfactualQuery(
-        terms=tuple(bind_term(t) for t in parsed.terms),
-        conditioning=tuple(bind_term(t) for t in parsed.conditioning))
-
-
-def bind_high_query(parsed, cm):
-    """Bind a parsed query at the cluster level: every name must be a
-    cluster, values are labels, and both plain and ~ interventions set the
-    cluster's label."""
-    def bind_term(t):
-        hard = []
-        soft = []
-        for name, token, sigma in t.interventions:
-            c = cm.cluster(name)
-            label = _match_value(token, c.labels(),
-                                 "value of cluster %s" % name)
-            if sigma or len(c.fiber(label)) > 1:
-                soft.append(SigmaMarker(cluster=name, label=label))
-            else:
-                hard.append(HardIntervention(name, label))
-        c = cm.cluster(t.variable)
-        label = _match_value(t.value, c.labels(),
-                             "value of cluster %s" % t.variable)
+        val = bind(t.variable, t.value, None)
         outcome = OutcomeAtom(variables=(t.variable,),
-                              accepted=frozenset({(label,)}),
-                              label="%s=%s" % (t.variable, label))
+                              accepted=frozenset({(val,)}),
+                              label="%s=%s" % (t.variable, val))
         return QueryTerm(outcomes=(outcome,), hard=tuple(hard),
                          soft=tuple(soft))
 
-    return CounterfactualQuery(
-        terms=tuple(bind_term(t) for t in parsed.terms),
-        conditioning=tuple(bind_term(t) for t in parsed.conditioning))
+    skeleton = CounterfactualQuery(parsed.terms, parsed.conditioning)
+    return skeleton.map_terms(bind_term)
 
 
-def bind_graph_query(parsed, g):
-    """Bind a parsed query against a bare graph: values stay as written."""
-    if len(parsed.terms) != 1:
-        raise UnsupportedData(
-            "identification handles single-world queries only; this one "
-            "has %d terms" % len(parsed.terms))
-    term = parsed.terms[0]
-    for name, _tok, _sig in term.interventions:
-        g.position(name)
-    g.position(term.variable)
-    do = {name: token for name, token, _sigma in term.interventions}
-    outcome = {term.variable: term.value}
-    given = {}
-    for t in parsed.conditioning:
-        ivs = {name: token for name, token, _sigma in t.interventions}
-        if ivs != do:
-            raise UnsupportedData(
-                "conditioning must share the term's interventions; "
-                "cross-world conditioning needs counterfactual data")
-        g.position(t.variable)
-        given[t.variable] = t.value
-    return IdQuery(outcome=outcome, do=do, given=given)
+def _bind_label(cm, name, token, sigma=None):
+    """Bind a cluster name's token to one of the cluster's labels."""
+    return _match_value(token, cm.cluster(name).labels(),
+                        "value of cluster %s" % name)
 
 
 # ---------------------------------------------------------------------------
@@ -425,20 +342,36 @@ def cmd_validate(args):
 
 
 def cmd_eval(args):
+    """Names that are clusters bind to their labels and are lowered onto
+    the member variables; the others bind to model variables. A plain
+    intervention on a label covering several member tuples is rejected,
+    since no single hard setting represents it."""
     scm = load_scm(args.scm)
     parsed = parse_query(args.query)
-    if args.clusters:
-        cm = load_clusters(scm, args.clusters)
-        query = bind_low_query(parsed, scm, cm)
-        has_markers = any(
-            isinstance(a, SigmaMarker)
-            for t in query.terms + query.conditioning for a in t.soft)
-        if has_markers:
-            query = resolve_sigma(scm, cm, query, policy=args.policy,
-                                  budget=args.budget,
-                                  fallback=args.sigma_fallback)
-    else:
-        query = bind_low_query(parsed, scm, None)
+    cm = load_clusters(scm, args.clusters) if args.clusters else None
+
+    def bind(name, token, sigma):
+        if cm is not None and name in cm.by_name:
+            label = _bind_label(cm, name, token)
+            if sigma is False and len(cm.by_name[name].fiber(label)) > 1:
+                raise NotClusterUnion(
+                    "cluster value %s=%s covers several member tuples; "
+                    "use ~%s=%s to draw from the reference distribution"
+                    % (name, label, name, label), cluster=name)
+            return label
+        if name not in scm.var_index:
+            raise UnknownVariable("unknown variable %r" % name,
+                                  variable=name)
+        if sigma:
+            raise DomainMismatch(
+                "~ marks cluster values; %r is a plain variable" % name)
+        return _match_value(token, scm.domain(name), "value of %s" % name)
+
+    query = bind_query(parsed, bind)
+    if cm is not None:
+        query = resolve_sigma(scm, cm, lower_query(cm, query),
+                              policy=args.policy, budget=args.budget,
+                              fallback=args.sigma_fallback)
     value = prob_query(scm, query, budget=args.budget)
     payload = {"query": args.query}
     payload.update(_value_payload(value))
@@ -493,60 +426,56 @@ def cmd_identify(args):
     parsed = parse_query(args.query)
     if args.graph:
         g = load_graph(args.graph)
-        idq = bind_graph_query(parsed, g)
-        decision = identify_effect(g, idq)
+
+        def bind(name, token, sigma):
+            g.position(name)  # rejects a name that is not a node
+            return token
+
+        query = bind_query(parsed, bind)
+        decision = identify_effect(g, single_world_query(query))
     elif args.scm and args.clusters:
         scm = load_scm(args.scm)
         cm = load_clusters(scm, args.clusters)
         g, _report = _projected_graph(scm, cm, args.budget)
-        query = bind_high_query(parsed, cm)
+        query = bind_query(parsed, partial(_bind_label, cm))
         decision = abstract_identify(cm, g, query)
     else:
         raise ValidationError(
             "identify needs either --graph or both --scm and --clusters")
+    return _decision_result(decision, args.query)
+
+
+def _decision_result(decision, text):
     if not decision.identifiable:
         return CommandResult(5, {
             "identifiable": False,
             "witness": decision.witness,
-            "query": args.query,
+            "query": text,
         })
     return CommandResult(0, {
         "identifiable": True,
         "estimand": render_estimand(decision.estimand),
         "tree": estimand_to_doc(decision.estimand),
-        "query": args.query,
+        "query": text,
     })
 
 
 def cmd_estimate(args):
     scm = load_scm(args.scm)
     cm = load_clusters(scm, args.clusters)
-    working = scm
-    if cm.excluded:
-        from .projection import project_full
-        working = project_full(scm, cm.covered_variables(), args.budget)
-    g, _report = _projected_graph(working, cm, args.budget)
-    parsed = parse_query(args.query)
-    query = bind_high_query(parsed, cm)
+    report = check_aic(scm, cm, args.budget)
+    g = build_projected_cdag(build_cdag(induce_diagram(report.scm), cm),
+                             report.violators)
+    query = bind_query(parse_query(args.query), partial(_bind_label, cm))
     decision = abstract_identify(cm, g, query)
-    if not decision.identifiable:
-        return CommandResult(5, {
-            "identifiable": False,
-            "witness": decision.witness,
-            "query": args.query,
-        })
-    table = joint_distribution(working, cm.covered_variables(),
-                               budget=args.budget)
-    pushed = marginal_pushforward(table, cm)
-    value = evaluate_estimand(decision.estimand, pushed)
-    payload = {
-        "identifiable": True,
-        "estimand": render_estimand(decision.estimand),
-        "tree": estimand_to_doc(decision.estimand),
-        "query": args.query,
-    }
-    payload.update(_value_payload(value))
-    return CommandResult(0, payload)
+    result = _decision_result(decision, args.query)
+    if decision.identifiable:
+        table = joint_distribution(report.scm, cm.covered_variables(),
+                                   budget=args.budget)
+        pushed = marginal_pushforward(table, cm)
+        result.payload.update(_value_payload(
+            evaluate_estimand(decision.estimand, pushed)))
+    return result
 
 
 def cmd_sample(args):

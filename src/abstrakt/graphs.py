@@ -11,7 +11,7 @@ violator's disambiguation cell.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import (
     DomainMismatch,
@@ -79,11 +79,6 @@ def make_graph(nodes, directed, bidirected, projected=False, violators=()):
         bidirected=tuple(sorted(bi, key=lambda e: (pos[e[0]], pos[e[1]]))),
         projected=projected,
         violators=tuple(sorted(set(violators), key=pos.get)))
-
-
-def from_diagram(diagram):
-    """Lift a model's induced diagram into a cluster diagram."""
-    return make_graph(diagram.nodes, diagram.directed, diagram.bidirected)
 
 
 # ---------------------------------------------------------------------------

@@ -496,20 +496,28 @@ def abstract_identify(cm, g, query, data="observational"):
     if data != "observational":
         raise UnsupportedData("only observational data is supported",
                               data=data)
+    return identify_effect(g, single_world_query(query))
+
+
+def single_world_query(query):
+    """The IdQuery of a single-world counterfactual query: one term whose
+    hard and reference-distribution interventions both become ``do``
+    entries, plus conditioning terms under the same interventions. Raises
+    UnsupportedData for anything else."""
     if len(query.terms) != 1:
         raise UnsupportedData(
             "observational data identifies single-world queries only; "
             "this one has %d terms" % len(query.terms))
-    term = query.terms[0]
-    do = {}
-    for h in term.hard:
-        do[h.variable] = h.value
-    for a in term.soft:
-        if isinstance(a, SoftIntervention):
-            raise UnsupportedData(
-                "resolved stochastic interventions cannot be identified "
-                "symbolically; pass the cluster-level query instead")
-        do[a.cluster] = a.label
+
+    def interventions(term):
+        do = {h.variable: h.value for h in term.hard}
+        for a in term.soft:
+            if isinstance(a, SoftIntervention):
+                raise UnsupportedData(
+                    "resolved stochastic interventions cannot be identified "
+                    "symbolically; pass the cluster-level query instead")
+            do[a.cluster] = a.label
+        return do
 
     def atoms_to_values(atoms):
         out = {}
@@ -522,19 +530,14 @@ def abstract_identify(cm, g, query, data="observational"):
             out[oc.variables[0]] = value
         return out
 
+    term = query.terms[0]
+    do = interventions(term)
     outcome = atoms_to_values(term.outcomes)
     given = {}
     for cterm in query.conditioning or ():
-        c_do = {h.variable: h.value for h in cterm.hard}
-        for a in cterm.soft:
-            if isinstance(a, SoftIntervention):
-                raise UnsupportedData(
-                    "resolved stochastic interventions cannot be identified "
-                    "symbolically; pass the cluster-level query instead")
-            c_do[a.cluster] = a.label
-        if c_do != do:
+        if interventions(cterm) != do:
             raise UnsupportedData(
                 "conditioning must share the term's interventions; "
                 "cross-world conditioning needs counterfactual data")
         given.update(atoms_to_values(cterm.outcomes))
-    return identify_effect(g, IdQuery(outcome=outcome, do=do, given=given))
+    return IdQuery(outcome=outcome, do=do, given=given)

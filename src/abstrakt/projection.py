@@ -27,7 +27,6 @@ from itertools import product
 from .errors import (
     DomainMismatch,
     ImpossibleContext,
-    SizeExceeded,
     UnknownHighValue,
     UnknownVariable,
 )
@@ -37,7 +36,7 @@ from .scm import (
     ExogenousBlock,
     Mechanism,
     VariableDecl,
-    enumeration_budget,
+    check_budget,
     format_rational,
     parse_probability,
     scm_to_doc,
@@ -45,7 +44,6 @@ from .scm import (
 )
 from .abstraction import SigmaMarker, check_aic
 from .valuation import (
-    CounterfactualQuery,
     HardIntervention,
     ParentContext,
     QueryTerm,
@@ -90,7 +88,6 @@ def project_full(scm, keep, budget=None):
     for b in scm.blocks:
         for i, m in enumerate(b.members):
             member_pos[(b.name, m.name)] = (block_pos[b.name], i)
-    bud = enumeration_budget(budget)
 
     expr = {}  # var -> (endo_inputs, exo_inputs, table)
     for v in order:
@@ -119,10 +116,8 @@ def project_full(scm, keep, budget=None):
         size = 1
         for d in domains:
             size *= len(d)
-        if size > bud:
-            raise SizeExceeded(
-                "projected mechanism for %r needs %d rows, budget is %d"
-                % (v, size, bud), variable=v, required=size, budget=bud)
+        check_budget(size, budget, "projected mechanism for %r needs %d rows",
+                     v, variable=v)
         table = {}
         for combo in product(*domains):
             env = dict(zip(endo_inputs, combo[:len(endo_inputs)]))
@@ -170,7 +165,6 @@ class RhoSpec:
     blocks: tuple
     member_keys: tuple
     class_of: dict
-    n_classes: int
 
 
 @dataclass
@@ -232,8 +226,7 @@ def _rho_shared_reads(scm, members):
         if sig not in signatures:
             signatures[sig] = len(signatures)
         class_of[joint] = signatures[sig]
-    return RhoSpec(blocks=shared, member_keys=member_keys, class_of=class_of,
-                   n_classes=len(signatures))
+    return RhoSpec(blocks=shared, member_keys=member_keys, class_of=class_of)
 
 
 def _parent_clusters(scm, cm, cluster):
@@ -262,12 +255,8 @@ def sigma_machinery(scm, cm, cluster_name, policy, budget=None):
     c = cm.cluster(cluster_name)
     parents = _parent_clusters(scm, cm, c) if policy != "agnostic" else ()
     rho = _rho_shared_reads(scm, c.members) if policy == "general" else None
-    size = scm.exogenous_support_size()
-    bud = enumeration_budget(budget)
-    if size > bud:
-        raise SizeExceeded(
-            "sigma computation needs %d states, budget is %d" % (size, bud),
-            required=size, budget=bud)
+    check_budget(scm.exogenous_support_size(), budget,
+                 "sigma computation needs %d states")
     parent_clusters = [cm.by_name[p] for p in parents]
     totals = {}
     masses = {}
@@ -389,6 +378,29 @@ def _machinery_fingerprint(machinery, label):
     return hashlib.md5(blob.encode("utf-8")).hexdigest()[:12]
 
 
+def _resolve_markers(query, resolve):
+    """Replace every SigmaMarker of a query with ``resolve(marker)``, called
+    once per (cluster, label), so markers with the same cluster and label
+    share one intervention across all terms. A HardIntervention result
+    joins the term's hard interventions."""
+    resolved = {}
+
+    def rewrite(term):
+        hard = list(term.hard)
+        soft = []
+        for a in term.soft:
+            if isinstance(a, SigmaMarker):
+                key = (a.cluster, a.label)
+                if key not in resolved:
+                    resolved[key] = resolve(a)
+                a = resolved[key]
+            (hard if isinstance(a, HardIntervention) else soft).append(a)
+        return QueryTerm(outcomes=term.outcomes, hard=tuple(hard),
+                         soft=tuple(soft))
+
+    return query.map_terms(rewrite)
+
+
 def resolve_sigma(scm, cm, query, policy="general", budget=None,
                   fallback=None):
     """Replace every SigmaMarker in a query with a concrete stochastic
@@ -397,12 +409,8 @@ def resolve_sigma(scm, cm, query, policy="general", budget=None,
     one cell draw across all terms."""
     validate_policy(policy)
     machineries = {}
-    atoms = {}
 
     def atom_for(marker):
-        key = (marker.cluster, marker.label)
-        if key in atoms:
-            return atoms[key]
         if marker.cluster not in machineries:
             machineries[marker.cluster] = sigma_machinery(
                 scm, cm, marker.cluster, policy, budget)
@@ -427,28 +435,14 @@ def resolve_sigma(scm, cm, query, policy="general", budget=None,
                              class_of=mach.rho.class_of)
         share_key = ("sigma", policy, marker.cluster, str(marker.label),
                      fallback, _machinery_fingerprint(mach, marker.label))
-        atom = SoftIntervention(
+        return SoftIntervention(
             targets=tuple(c.members), share_key=share_key,
             candidates=tuple(fiber), tables=dict(ctx_tables), breaks=breaks,
             cell_map=cell_map, parents=parents, rho=rho,
             fallback=fallback,
             label="%s=%s" % (marker.cluster, marker.label))
-        atoms[key] = atom
-        return atom
 
-    def rewrite(term):
-        soft = []
-        for a in term.soft:
-            if isinstance(a, SigmaMarker):
-                soft.append(atom_for(a))
-            else:
-                soft.append(a)
-        return QueryTerm(outcomes=term.outcomes, hard=term.hard,
-                         soft=tuple(soft))
-
-    return CounterfactualQuery(
-        terms=tuple(rewrite(t) for t in query.terms),
-        conditioning=tuple(rewrite(t) for t in (query.conditioning or ())))
+    return _resolve_markers(query, atom_for)
 
 
 # ---------------------------------------------------------------------------
@@ -533,12 +527,9 @@ def construct_projected_abstraction(scm, cm, policy="general", budget=None,
     they can select the right reference table, and they read the shared
     noise blocks when the policy is context sensitive."""
     validate_policy(policy)
-    working = scm
-    if cm.excluded:
-        working = project_full(scm, cm.covered_variables(), budget)
-    report = check_aic(working, cm, budget)
+    report = check_aic(scm, cm, budget)
+    working = report.scm
     violators = set(report.violators)
-    bud = enumeration_budget(budget)
 
     splits = {}
     extra_blocks = []
@@ -594,10 +585,8 @@ def construct_projected_abstraction(scm, cm, policy="general", budget=None,
                 size = 1
                 for w in probs_per_member:
                     size *= len(w)
-                if size > bud:
-                    raise SizeExceeded(
-                        "cell block for %r needs %d rows, budget is %d"
-                        % (c.name, size, bud), required=size, budget=bud)
+                check_budget(size, budget, "cell block for %r needs %d rows",
+                             c.name)
                 table = {}
                 for combo in product(*(range(len(w)) for w in probs_per_member)):
                     p = Fraction(1)
@@ -654,10 +643,8 @@ def construct_projected_abstraction(scm, cm, policy="general", budget=None,
         size = 1
         for d in endo_domains + exo_domains:
             size *= len(d)
-        if size > bud:
-            raise SizeExceeded(
-                "high-level mechanism for %r needs %d rows, budget is %d"
-                % (c.name, size, bud), required=size, budget=bud)
+        check_budget(size, budget, "high-level mechanism for %r needs %d rows",
+                     c.name)
 
         member_topo = [v for v in working.topological_order_names()
                        if v in set(c.members)]
@@ -745,12 +732,8 @@ def verify_partial_projection(low, high, budget=None):
         for combo in product(*domains):
             subsets.append((tuple(chosen), dict(zip(var_list, combo))))
 
-    size = working.exogenous_support_size() * len(subsets)
-    bud = enumeration_budget(budget)
-    if size > bud:
-        raise SizeExceeded(
-            "replay needs %d evaluations, budget is %d" % (size, bud),
-            required=size, budget=bud)
+    check_budget(working.exogenous_support_size() * len(subsets), budget,
+                 "replay needs %d evaluations")
 
     checked = 0
     mismatches = []
@@ -815,12 +798,7 @@ def resolve_sigma_high(high, query):
     label, mapped into each context's member through the recorded cell
     table. This matches the sharing semantics of resolving the same markers
     against the low-level model."""
-    atoms = {}
-
     def atom_for(marker):
-        key = (marker.cluster, marker.label)
-        if key in atoms:
-            return atoms[key]
         if marker.cluster not in high.splits:
             raise UnknownVariable("unknown cluster %r" % marker.cluster,
                                   cluster=marker.cluster)
@@ -830,15 +808,13 @@ def resolve_sigma_high(high, query):
                 "cluster %r has no value %r" % (marker.cluster, marker.label),
                 cluster=marker.cluster, label=marker.label)
         if len(split.fibers[marker.label]) == 1 or split.block is None:
-            atom = HardIntervention(marker.cluster, marker.label)
-            atoms[key] = atom
-            return atom
+            return HardIntervention(marker.cluster, marker.label)
         exo_cells = {}
         for ctx, mname in split.component[marker.label].items():
             mapping = split.cell_map[marker.label][ctx]
             exo_cells[(split.block, mname)] = tuple(mapping)
         ctx0 = ((), None)
-        atom = SoftIntervention(
+        return SoftIntervention(
             targets=(marker.cluster,),
             share_key=("sigma-high", marker.cluster, str(marker.label)),
             candidates=((marker.label,),),
@@ -847,27 +823,8 @@ def resolve_sigma_high(high, query):
             cell_map={ctx0: (0,) * split.n_cells(marker.label)},
             exo_cells=exo_cells,
             label="%s=%s" % (marker.cluster, marker.label))
-        atoms[key] = atom
-        return atom
 
-    def rewrite(term):
-        hard = list(term.hard)
-        soft = []
-        for a in term.soft:
-            if isinstance(a, SigmaMarker):
-                r = atom_for(a)
-                if isinstance(r, HardIntervention):
-                    hard.append(r)
-                else:
-                    soft.append(r)
-            else:
-                soft.append(a)
-        return QueryTerm(outcomes=term.outcomes, hard=tuple(hard),
-                         soft=tuple(soft))
-
-    return CounterfactualQuery(
-        terms=tuple(rewrite(t) for t in query.terms),
-        conditioning=tuple(rewrite(t) for t in (query.conditioning or ())))
+    return _resolve_markers(query, atom_for)
 
 
 # ---------------------------------------------------------------------------
@@ -886,12 +843,8 @@ def disambiguation_bounds(scm, cm, cluster, label, outcome, budget=None):
         if val not in scm.domain(v):
             raise DomainMismatch("outcome value %r is outside the domain of %r"
                                  % (val, v))
-    size = scm.exogenous_support_size() * len(fiber)
-    bud = enumeration_budget(budget)
-    if size > bud:
-        raise SizeExceeded(
-            "bounds need %d evaluations, budget is %d" % (size, bud),
-            required=size, budget=bud)
+    check_budget(scm.exogenous_support_size() * len(fiber), budget,
+                 "bounds need %d evaluations")
     lo = Fraction(0)
     hi = Fraction(0)
     for _idx, unit, p in scm.exogenous_support():

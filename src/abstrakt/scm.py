@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
 from .errors import (
     CyclicDependencies,
     DomainMismatch,
-    IncompleteAssignment,
     NonNormalizedBlock,
     PartialMechanism,
     SizeExceeded,
@@ -42,6 +41,17 @@ def enumeration_budget(budget=None):
             raise DomainMismatch(
                 "ABSTRAKT_BUDGET must be an integer, got %r" % raw)
     return DEFAULT_BUDGET
+
+
+def check_budget(required, budget, what, *args, **details):
+    """Raise SizeExceeded when an exact computation needs more than the
+    enumeration budget allows. ``what % (*args, required)`` names the
+    need; ``details`` go into the error ahead of required and budget."""
+    limit = enumeration_budget(budget)
+    if required > limit:
+        raise SizeExceeded(
+            "%s, budget is %d" % (what % (*args, required), limit),
+            **details, required=required, budget=limit)
 
 
 def parse_probability(raw):

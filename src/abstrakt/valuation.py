@@ -23,13 +23,12 @@ from .errors import (
     ImpossibleContext,
     IncompleteAssignment,
     NotClusterUnion,
-    SizeExceeded,
     UnknownVariable,
     ZeroConditioning,
 )
 from .scm import (
     Diagram,
-    enumeration_budget,
+    check_budget,
     format_decimal,
     format_rational,
     topological_order,
@@ -160,6 +159,13 @@ class QueryTerm:
 class CounterfactualQuery:
     terms: tuple
     conditioning: tuple = ()
+
+    def map_terms(self, fn):
+        """The query with ``fn`` applied to every term and conditioning
+        term."""
+        return CounterfactualQuery(
+            terms=tuple(map(fn, self.terms)),
+            conditioning=tuple(map(fn, self.conditioning or ())))
 
 
 @dataclass
@@ -377,11 +383,7 @@ def _enumerate(scm, terms, budget):
     total = scm.exogenous_support_size()
     for w in widths:
         total *= len(w)
-    bud = enumeration_budget(budget)
-    if total > bud:
-        raise SizeExceeded(
-            "enumeration needs %d states, budget is %d" % (total, bud),
-            required=total, budget=bud)
+    check_budget(total, budget, "enumeration needs %d states")
     keys = [a.share_key for a in atoms]
     for u_idx, unit, pu in scm.exogenous_support():
         for combo in product(*widths) if widths else [()]:

@@ -163,6 +163,13 @@ class TestQueryTranslation:
         assert low.terms[0].hard == ()
         assert low.terms[0].soft == (ab.SigmaMarker("XH", "xC"),)
 
+    def test_lower_passes_other_names_through(self, insurance_cm):
+        high = query([term([("X", "x1")], [("XH", "xE"), ("W", 0)])])
+        low = ab.lower_query(insurance_cm, high)
+        assert low.terms[0].hard == (ab.HardIntervention("X", "x3"),
+                                     ab.HardIntervention("W", 0))
+        assert low.terms[0].outcomes == high.terms[0].outcomes
+
     def test_lower_outcome_becomes_preimage(self, insurance_cm):
         high = query([term([("XH", "xC")])])
         low = ab.lower_query(insurance_cm, high)

@@ -1,6 +1,7 @@
 """Command-line surface: payloads, exit codes, and the JSON output mode."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -12,6 +13,7 @@ from conftest import context_after_target_docs, fixture_path
 
 INS = fixture_path("insurance.json")
 INS_CM = fixture_path("insurance_clusters.json")
+SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
 
 class TestQueryParsing:
@@ -101,6 +103,19 @@ class TestEval:
         assert r.payload["error"]["kind"] == "NotClusterUnion"
         assert "~XH=xC" in r.payload["error"]["message"]
 
+    def test_cluster_and_variable_names_mix(self):
+        r = run(["eval", "--scm", INS, "--clusters", INS_CM,
+                 "--query", "P(Y[X=x1]=1)"])
+        assert r.exit_code == 0
+        assert r.payload["rational"] == "9/10"
+
+    @pytest.mark.parametrize("clusters", [[], ["--clusters", INS_CM]])
+    def test_tilde_on_plain_variable(self, clusters):
+        r = run(["eval", "--scm", INS, *clusters,
+                 "--query", "P(Y[~X=x1]=1)"])
+        assert r.exit_code == 2
+        assert r.payload["error"]["kind"] == "DomainMismatch"
+
     def test_singleton_label_is_hard(self):
         r = run(["eval", "--scm", INS, "--clusters", INS_CM,
                  "--query", "P(Y[XH=xE]=1)"])
@@ -128,6 +143,33 @@ class TestAicCheck:
         w = r.payload["witnesses"]["XH"]
         assert w["child"] == "Y"
         assert sorted([w["left"], w["right"]]) == [["x1"], ["x2"]]
+
+
+class TestExplicitBudget:
+    """With variables outside every cluster, the model is projected under
+    the caller's --budget, which wins over ABSTRAKT_BUDGET."""
+
+    @pytest.mark.parametrize("command, extra", [
+        ("aic-check", []),
+        ("cdag", ["--project"]),
+        ("abstract", ["-o", "high.json"]),
+        ("identify", ["--query", "P(YC[XH=xE]=1)"]),
+        ("estimate", ["--query", "P(YC[XH=xE]=1)"]),
+    ])
+    def test_excluded_variable(self, tmp_path, monkeypatch, command, extra):
+        monkeypatch.chdir(tmp_path)
+        with open("no_z.json", "w") as fh:
+            json.dump({"clusters": [
+                {"name": "XH", "members": ["X"], "values": [
+                    {"label": "xC", "tuples": [["x1"], ["x2"]]},
+                    {"label": "xE", "tuples": [["x3"]]}]},
+                {"name": "YC", "members": ["Y"], "values": [
+                    {"label": 0, "tuples": [[0]]},
+                    {"label": 1, "tuples": [[1]]}]}]}, fh)
+        monkeypatch.setenv("ABSTRAKT_BUDGET", "2")
+        r = run([command, "--scm", INS, "--clusters", "no_z.json",
+                 "--budget", "10000000", *extra])
+        assert "error" not in r.payload, r.payload
 
 
 class TestAbstractAndDownstream:
@@ -220,6 +262,33 @@ class TestIdentify:
         assert r.payload["identifiable"] is False
         assert r.payload["witness"]
 
+    @pytest.fixture()
+    def chain_path(self, tmp_path):
+        path = str(tmp_path / "chain.json")
+        ab.save_graph(ab.make_graph(
+            ("V1", "V2", "V3", "V4"),
+            (("V1", "V2"), ("V2", "V3"), ("V3", "V4")), ()), path)
+        return path
+
+    @pytest.mark.parametrize("query", [
+        "P(V4[V1=1]=1)", "P(V4[V1=1]=1 | V2[V1=1]=1)", "P(V4[~V1=1]=1)"])
+    def test_graph_identifiable(self, chain_path, query):
+        r = run(["identify", "--graph", chain_path, "--query", query])
+        assert r.exit_code == 0
+        assert r.payload["identifiable"] is True
+
+    @pytest.mark.parametrize("query, code, kind", [
+        ("P(V4[V1=1]=1, V4[V1=0]=0)", 3, "UnsupportedData"),
+        ("P(V4[V1=1]=1 | V2[V1=0]=1)", 3, "UnsupportedData"),
+        ("P(V4[V1=1]=1 | V2=1)", 3, "UnsupportedData"),
+        ("P(V9[V1=1]=1)", 2, "UnknownVariable"),
+        ("P(V4[V9=1]=1)", 2, "UnknownVariable"),
+    ])
+    def test_graph_rejections(self, chain_path, query, code, kind):
+        r = run(["identify", "--graph", chain_path, "--query", query])
+        assert r.exit_code == code
+        assert r.payload["error"]["kind"] == kind
+
     def test_needs_inputs(self):
         r = run(["identify", "--query", "P(Y[X=1]=1)"])
         assert r.exit_code == 2
@@ -244,6 +313,13 @@ class TestEstimate:
 
 
 class TestEntryPoint:
+    @pytest.fixture(autouse=True)
+    def src_on_path(self, monkeypatch):
+        """``python -m abstrakt.cli`` runs in a fresh interpreter, which the
+        pytest ``pythonpath`` setting does not reach."""
+        monkeypatch.setenv("PYTHONPATH", os.pathsep.join(
+            filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+
     def test_json_output_and_exit_code(self):
         proc = subprocess.run(
             [sys.executable, "-m", "abstrakt.cli", "eval",
