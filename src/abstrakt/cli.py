@@ -3,13 +3,15 @@
 Every subcommand prints a JSON payload on stdout and exits with 0 on
 success, 2 on validation problems, 3 on semantic problems, 4 when an exact
 computation would exceed the enumeration budget, and 5 when a query is not
-identifiable from the requested data.
+identifiable from the requested data. When stdout is closed before the
+payload is written, the command exits with 1 and prints no traceback.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass, field
 from functools import partial
@@ -312,8 +314,11 @@ def _witness_payload(w):
 
 
 def _projected_graph(scm, cm, budget):
-    cdag = build_cdag(induce_diagram(scm), cm)
+    """The projected cluster diagram and the consistency report. The
+    diagram comes from the model the check ran on, where the variables
+    outside every cluster are already projected away."""
     report = check_aic(scm, cm, budget)
+    cdag = build_cdag(induce_diagram(report.scm), cm)
     return build_projected_cdag(cdag, report.violators), report
 
 
@@ -463,9 +468,7 @@ def _decision_result(decision, text):
 def cmd_estimate(args):
     scm = load_scm(args.scm)
     cm = load_clusters(scm, args.clusters)
-    report = check_aic(scm, cm, args.budget)
-    g = build_projected_cdag(build_cdag(induce_diagram(report.scm), cm),
-                             report.violators)
+    g, report = _projected_graph(scm, cm, args.budget)
     query = bind_query(parse_query(args.query), partial(_bind_label, cm))
     decision = abstract_identify(cm, g, query)
     result = _decision_result(decision, args.query)
@@ -570,11 +573,16 @@ def run(argv):
 
 
 def main():
+    result = run(sys.argv[1:])
     try:
-        result = run(sys.argv[1:])
-    except SystemExit:
-        raise
-    print(json.dumps(result.payload, indent=2, default=str))
+        print(json.dumps(result.payload, indent=2, default=str))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away. Point stdout at devnull so the flush at
+        # exit fails no more, and exit 1 as Python does on EPIPE.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        sys.exit(1)
     for line in result.diagnostics:
         print(line, file=sys.stderr)
     sys.exit(result.exit_code)

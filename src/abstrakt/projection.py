@@ -260,7 +260,7 @@ def sigma_machinery(scm, cm, cluster_name, policy, budget=None):
     parent_clusters = [cm.by_name[p] for p in parents]
     totals = {}
     masses = {}
-    for _idx, unit, p in scm.exogenous_support():
+    for _idx, unit, w in scm.exogenous_support():
         env = scm.solve(unit)
         joint = tuple(env[m] for m in c.members)
         label = c.label_of(joint)
@@ -270,16 +270,16 @@ def sigma_machinery(scm, cm, cluster_name, policy, budget=None):
         if rho is not None:
             cls = rho.class_of[tuple(unit[k] for k in rho.member_keys)]
         ctx = (pa, cls)
-        totals[(label, ctx)] = totals.get((label, ctx), Fraction(0)) + p
+        totals[(label, ctx)] = totals.get((label, ctx), 0) + w
         key2 = (label, ctx, joint)
-        masses[key2] = masses.get(key2, Fraction(0)) + p
+        masses[key2] = masses.get(key2, 0) + w
     tables = {}
     for cv in c.values:
         ctxs = {}
         for (label, ctx), tot in totals.items():
-            if label != cv.label or tot == 0:
+            if label != cv.label:
                 continue
-            probs = tuple(masses.get((label, ctx, t), Fraction(0)) / tot
+            probs = tuple(Fraction(masses.get((label, ctx, t), 0), tot)
                           for t in cv.tuples)
             ctxs[ctx] = probs
         tables[cv.label] = ctxs
@@ -845,18 +845,19 @@ def disambiguation_bounds(scm, cm, cluster, label, outcome, budget=None):
                                  % (val, v))
     check_budget(scm.exogenous_support_size() * len(fiber), budget,
                  "bounds need %d evaluations")
-    lo = Fraction(0)
-    hi = Fraction(0)
-    for _idx, unit, p in scm.exogenous_support():
+    lo = 0
+    hi = 0
+    for _idx, unit, w in scm.exogenous_support():
         hits = []
         for raw in fiber:
             env = scm.solve(unit, dict(zip(c.members, raw)))
             hits.append(all(env[v] == val for v, val in outcome.items()))
         if all(hits):
-            lo += p
+            lo += w
         if any(hits):
-            hi += p
-    return lo, hi
+            hi += w
+    den = scm.exogenous_denominator()
+    return Fraction(lo, den), Fraction(hi, den)
 
 
 @dataclass(frozen=True)

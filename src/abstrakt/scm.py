@@ -4,12 +4,15 @@ A model is a set of endogenous variable declarations, a set of exogenous
 blocks (each block a joint rational distribution over its member noise
 variables; distinct blocks are independent), and one total mechanism table
 per endogenous variable. All probabilities are fractions.Fraction, so every
-downstream computation is exact.
+downstream computation is exact. Enumeration weighs each joint exogenous
+state with an integer over one common denominator, so sums over states add
+integers and divide once.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,6 +29,9 @@ from .errors import (
 
 DEFAULT_BUDGET = 10_000_000
 BUDGET_ENV = "ABSTRAKT_BUDGET"
+# Entries a per-model cache (solved worlds, enumerated exogenous states)
+# holds at most; a model beyond it is enumerated afresh on every call.
+CACHE_LIMIT = 1_000_000
 
 
 def enumeration_budget(budget=None):
@@ -169,6 +175,8 @@ class DiscreteScm:
             for m in b.members:
                 self.member_index[(b.name, m.name)] = m
         self._topo = None
+        self._rows = None
+        self._states = None
         self._world_cache = {}
         self._world_terms = {}
 
@@ -222,28 +230,56 @@ class DiscreteScm:
                 env[v] = mech.table[key]
         return env
 
+    def _block_rows(self):
+        """Per block, its positive rows as (member items, integer weight)
+        pairs, the weights taken over the lcm of the rows' denominators;
+        and the product of those lcms."""
+        if self._rows is None:
+            rows = []
+            den = 1
+            for b in self.blocks:
+                support = b.support()
+                lcm = math.lcm(*(p.denominator for _values, p in support))
+                keys = [(b.name, mn) for mn in b.member_names()]
+                rows.append([(tuple(zip(keys, values)),
+                              p.numerator * (lcm // p.denominator))
+                             for values, p in support])
+                den *= lcm
+            self._rows = (rows, den)
+        return self._rows
+
     def exogenous_support_size(self):
-        size = 1
-        for b in self.blocks:
-            size *= len(b.support())
-        return size
+        return math.prod(len(rows) for rows in self._block_rows()[0])
+
+    def exogenous_denominator(self):
+        """The common denominator of the weights exogenous_support yields:
+        they sum to it, and a state's probability is its weight over it."""
+        return self._block_rows()[1]
 
     def exogenous_support(self):
-        """Iterate (index_tuple, assignment, probability) over joint noise
-        values with positive probability. The assignment maps (block, member)
-        pairs to values."""
-        supports = [b.support() for b in self.blocks]
-        names = [b.name for b in self.blocks]
-        member_lists = [b.member_names() for b in self.blocks]
-        for combo in product(*(range(len(s)) for s in supports)):
-            u = {}
-            p = Fraction(1)
-            for bi, ri in enumerate(combo):
-                values, rp = supports[bi][ri]
-                p *= rp
-                for mn, val in zip(member_lists[bi], values):
-                    u[(names[bi], mn)] = val
-            yield combo, u, p
+        """Iterate (index_tuple, assignment, weight) over joint noise values
+        with positive probability, in block-row product order. The
+        assignment maps (block, member) pairs to values and must not be
+        changed; the weight is an integer, the state's probability times
+        exogenous_denominator(). A complete pass over a support of at most
+        CACHE_LIMIT states is kept, and later passes replay it."""
+        if self._states is not None:
+            yield from self._states
+            return
+        rows = self._block_rows()[0]
+        keep = [] if self.exogenous_support_size() <= CACHE_LIMIT else None
+        for combo in product(*(range(len(r)) for r in rows)):
+            unit = {}
+            weight = 1
+            for block_rows, ri in zip(rows, combo):
+                items, w = block_rows[ri]
+                unit.update(items)
+                weight *= w
+            if keep is not None:
+                keep.append((combo, unit, weight))
+            yield combo, unit, weight
+        if keep is not None:
+            self._states = keep
 
 
 @dataclass

@@ -14,6 +14,7 @@ coupled.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, product
@@ -27,6 +28,7 @@ from .errors import (
     ZeroConditioning,
 )
 from .scm import (
+    CACHE_LIMIT,
     Diagram,
     check_budget,
     format_decimal,
@@ -284,7 +286,7 @@ def _world(scm, u_idx, unit, setup, cell_choice):
         scm.solve(unit, env, segment)
         _resolve_soft(atom, env, unit, cell)
     scm.solve(unit, env, segments[-1])
-    if len(scm._world_cache) < 1_000_000:
+    if len(scm._world_cache) < CACHE_LIMIT:
         scm._world_cache[sig] = env
     return env
 
@@ -370,44 +372,54 @@ def _collect_atoms(terms):
 
 
 def _enumerate(scm, terms, budget):
-    """Yield (u_idx, unit, weight, cell_choice) over the joint exogenous
-    state and all shared cell draws, after a budget check."""
+    """Check the budget, then return the common denominator and an iterator
+    of (u_idx, unit, weight, cell_choice) over the joint exogenous state and
+    all shared cell draws. Weights are integers that sum to the
+    denominator."""
     atoms = list(_collect_atoms(terms).values())
+    total = scm.exogenous_support_size()
     widths = []
     for a in atoms:
-        w = [x for x in a.cell_widths() if x > 0]
-        if sum(w, Fraction(0)) != 1:
+        cells = [(i, x) for i, x in enumerate(a.cell_widths()) if x > 0]
+        if sum((x for _i, x in cells), Fraction(0)) != 1:
             raise DomainMismatch(
                 "cell widths of %r do not sum to 1" % (a.share_key,))
-        widths.append([(i, x) for i, x in enumerate(a.cell_widths()) if x > 0])
-    total = scm.exogenous_support_size()
-    for w in widths:
-        total *= len(w)
+        widths.append(cells)
+        total *= len(cells)
     check_budget(total, budget, "enumeration needs %d states")
-    keys = [a.share_key for a in atoms]
-    for u_idx, unit, pu in scm.exogenous_support():
-        for combo in product(*widths) if widths else [()]:
-            weight = pu
-            choice = {}
-            for key, (ci, cw) in zip(keys, combo):
-                weight *= cw
-                choice[key] = ci
-            yield u_idx, unit, weight, choice
+    # one entry per joint cell draw: the cell index per share key and the
+    # draw's integer weight over each atom's lcm of cell denominators
+    den = scm.exogenous_denominator()
+    draws = [({}, 1)]
+    for a, cells in zip(atoms, widths):
+        lcm = math.lcm(*(x.denominator for _i, x in cells))
+        draws = [({**choice, a.share_key: i},
+                  w * x.numerator * (lcm // x.denominator))
+                 for choice, w in draws for i, x in cells]
+        den *= lcm
+
+    def states():
+        for u_idx, unit, pu in scm.exogenous_support():
+            for choice, w in draws:
+                yield u_idx, unit, pu * w, choice
+    return den, states()
 
 
 def prob_query(scm, query, budget=None):
     """Exact probability of a counterfactual conjunction, optionally
     conditioned on another conjunction. All terms share the exogenous draw
-    and all shared stochastic-intervention cells."""
+    and all shared stochastic-intervention cells. Integer weights are
+    added up and divided once."""
     if not query.terms:
         raise DomainMismatch("query has no terms")
     all_terms = list(query.terms) + list(query.conditioning or ())
     setups = [_term_setup(scm, t) for t in all_terms]
     n_main = len(query.terms)
     conditioned = bool(query.conditioning)
-    num = Fraction(0)
-    den = Fraction(0)
-    for u_idx, unit, weight, choice in _enumerate(scm, all_terms, budget):
+    den, states = _enumerate(scm, all_terms, budget)
+    num = 0
+    cond = 0
+    for u_idx, unit, weight, choice in states:
         ok_cond = True
         if conditioned:
             for term, setup in zip(all_terms[n_main:], setups[n_main:]):
@@ -416,7 +428,7 @@ def prob_query(scm, query, budget=None):
                     break
             if not ok_cond:
                 continue
-            den += weight
+            cond += weight
         ok = True
         for term, setup in zip(all_terms[:n_main], setups[:n_main]):
             if not _term_holds(scm, u_idx, unit, term, setup, choice):
@@ -425,10 +437,10 @@ def prob_query(scm, query, budget=None):
         if ok:
             num += weight
     if conditioned:
-        if den == 0:
+        if cond == 0:
             raise ZeroConditioning("conditioning event has probability zero")
-        return num / den
-    return num
+        return Fraction(num, cond)
+    return Fraction(num, den)
 
 
 def joint_distribution(scm, variables, interventions=(), budget=None):
@@ -444,14 +456,16 @@ def joint_distribution(scm, variables, interventions=(), budget=None):
     for v in variables:
         if v not in scm.var_index:
             raise UnknownVariable("unknown variable %r" % v, variable=v)
-    probs = {}
-    for u_idx, unit, weight, choice in _enumerate(scm, [term], budget):
+    den, states = _enumerate(scm, [term], budget)
+    weights = {}
+    for u_idx, unit, weight, choice in states:
         env = _world(scm, u_idx, unit, setup, choice)
         key = tuple(env[v] for v in variables)
-        probs[key] = probs.get(key, Fraction(0)) + weight
+        weights[key] = weights.get(key, 0) + weight
     domains = tuple(scm.domain(v) for v in variables)
-    return DistributionTable(variables=tuple(variables), domains=domains,
-                             probs=probs)
+    return DistributionTable(
+        variables=tuple(variables), domains=domains,
+        probs={key: Fraction(w, den) for key, w in weights.items()})
 
 
 def marginal_pushforward(table, cm):

@@ -5,11 +5,13 @@ import os
 import subprocess
 import sys
 
+from fractions import Fraction
+
 import pytest
 
 import abstrakt as ab
 from abstrakt.cli import parse_query, run
-from conftest import context_after_target_docs, fixture_path
+from conftest import binary_block, context_after_target_docs, fixture_path
 
 INS = fixture_path("insurance.json")
 INS_CM = fixture_path("insurance_clusters.json")
@@ -312,6 +314,72 @@ class TestEstimate:
         assert r.payload["identifiable"] is False
 
 
+def _noiseless_mediator_docs():
+    """Z -> W -> {X, Y} and X -> Y, where W = Z reads no noise of its own.
+    The clusters leave W out, so projecting it away adds no confounding."""
+    bits = [0, 1]
+
+    def noise(name):
+        return [{"block": name, "member": "u"}]
+
+    model = {
+        "endogenous": [{"name": n, "domain": bits} for n in "ZWXY"],
+        "blocks": [binary_block(name, Fraction(1, 2))
+                   for name in ("UZ", "UX", "UY")],
+        "mechanisms": [
+            {"variable": "Z", "endo_parents": [], "exo_parents": noise("UZ"),
+             "table": [{"parents": [u], "out": u} for u in bits]},
+            {"variable": "W", "endo_parents": ["Z"], "exo_parents": [],
+             "table": [{"parents": [z], "out": z} for z in bits]},
+            {"variable": "X", "endo_parents": ["W"], "exo_parents": noise("UX"),
+             "table": [{"parents": [w, u], "out": w ^ u}
+                       for w in bits for u in bits]},
+            {"variable": "Y", "endo_parents": ["W", "X"],
+             "exo_parents": noise("UY"),
+             "table": [{"parents": [w, x, u], "out": (w & x) ^ u}
+                       for w in bits for x in bits for u in bits]},
+        ],
+    }
+    clusters = {"clusters": [
+        {"name": n, "members": [n],
+         "values": [{"label": v, "tuples": [[v]]} for v in bits]}
+        for n in "ZXY"]}
+    return model, clusters
+
+
+class TestProjectedGraphAgreement:
+    """identify, estimate and cdag --project read one cluster diagram: the
+    one of the model with the unclustered variables projected away."""
+
+    @pytest.fixture()
+    def paths(self, tmp_path):
+        model, clusters = _noiseless_mediator_docs()
+        out = []
+        for name, doc in (("model.json", model), ("clusters.json", clusters)):
+            out.append(str(tmp_path / name))
+            with open(out[-1], "w") as fh:
+                json.dump(doc, fh)
+        return out
+
+    def test_identify_matches_estimate(self, paths):
+        scm_path, cm_path = paths
+        args = ["--scm", scm_path, "--clusters", cm_path,
+                "--query", "P(Y[X=1]=1)"]
+        ident = run(["identify", *args])
+        est = run(["estimate", *args])
+        value = run(["eval", *args])
+        assert ident.exit_code == est.exit_code == 0
+        assert ident.payload["estimand"] == est.payload["estimand"]
+        assert est.payload["rational"] == value.payload["rational"] == "1/2"
+
+    def test_cdag_has_no_spurious_confounding(self, paths):
+        scm_path, cm_path = paths
+        r = run(["cdag", "--project", "--scm", scm_path,
+                 "--clusters", cm_path])
+        assert r.exit_code == 0
+        assert r.payload["bidirected"] == []
+
+
 class TestEntryPoint:
     @pytest.fixture(autouse=True)
     def src_on_path(self, monkeypatch):
@@ -335,3 +403,18 @@ class TestEntryPoint:
              "--scm", INS, "--query", "P(Y[=1)"],
             capture_output=True, text=True)
         assert proc.returncode == 2
+
+    def test_closed_stdout(self):
+        """A reader that goes away early gets no traceback on stderr."""
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "abstrakt.cli", "estimate",
+                 "--scm", INS, "--clusters", INS_CM,
+                 "--query", "P(Y[XH=xC]=1)"],
+                stdout=write_end, stderr=subprocess.PIPE, text=True)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert proc.stderr == ""

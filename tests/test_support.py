@@ -1,0 +1,437 @@
+"""The integer-weight exogenous support: its contract, the budget gate in
+front of it, and exact agreement with a Fraction-product reference.
+
+The reference below enumerates the joint exogenous state with each
+probability built as a product of block Fractions and adds Fractions
+state by state. Every answer the package computes from integer weights
+over a common denominator must equal it exactly.
+"""
+
+import itertools
+import json
+import random
+import time
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import abstrakt as ab
+from abstrakt import projection, scm as scm_module, valuation
+from abstrakt.cli import run
+from conftest import (binary_block, build_dag_model, build_lossy_chain,
+                      fixture_path, query, term)
+
+FIXTURES = ("insurance", "cholesterol", "hospital")
+POLICIES = ("agnostic", "markovian", "general")
+
+
+# ---------------------------------------------------------------------------
+# the Fraction-product reference
+
+
+def fresh(model):
+    """The same model with empty caches."""
+    return ab.DiscreteScm(model.endogenous, model.blocks, model.mechanisms)
+
+
+_twins = {}
+
+
+def twin(model):
+    """One fresh copy per model and its Fraction-product support, so the
+    reference solves its worlds apart from the package's caches but
+    reuses them across reference queries."""
+    if id(model) not in _twins:
+        copy = fresh(model)
+        _twins[id(model)] = (model, copy, list(fraction_support(copy)))
+    return _twins[id(model)][1:]
+
+
+def fraction_support(model):
+    """(index, assignment, probability) per joint exogenous state, the
+    probability a product of block Fractions."""
+    supports = [b.support() for b in model.blocks]
+    for combo in itertools.product(*(range(len(s)) for s in supports)):
+        unit = {}
+        p = Fraction(1)
+        for b, rows, ri in zip(model.blocks, supports, combo):
+            values, rp = rows[ri]
+            p *= rp
+            unit.update(zip(((b.name, m) for m in b.member_names()), values))
+        yield combo, unit, p
+
+
+def fraction_states(support, terms):
+    """A Fraction-product support times every joint draw of the shared
+    cells."""
+    atoms = list(valuation._collect_atoms(terms).values())
+    widths = [[(i, w) for i, w in enumerate(a.cell_widths()) if w > 0]
+              for a in atoms]
+    for idx, unit, p in support:
+        for cells in itertools.product(*widths):
+            weight = p
+            for _i, w in cells:
+                weight *= w
+            choice = {a.share_key: i for a, (i, _w) in zip(atoms, cells)}
+            yield idx, unit, weight, choice
+
+
+def reference_prob(model, q):
+    model, support = twin(model)
+    terms = list(q.terms)
+    cond = list(q.conditioning or ())
+    setups = {id(t): valuation._term_setup(model, t) for t in terms + cond}
+
+    def holds(ts, idx, unit, choice):
+        return all(valuation._term_holds(model, idx, unit, t, setups[id(t)],
+                                         choice) for t in ts)
+
+    num = Fraction(0)
+    den = Fraction(0)
+    for idx, unit, w, choice in fraction_states(support, terms + cond):
+        if holds(cond, idx, unit, choice):
+            den += w
+            if holds(terms, idx, unit, choice):
+                num += w
+    if cond and den == 0:
+        raise ab.ZeroConditioning("conditioning event has probability zero")
+    return num / den
+
+
+def reference_joint(model, variables, interventions=()):
+    model, support = twin(model)
+    t = ab.QueryTerm(
+        hard=tuple(i for i in interventions
+                   if isinstance(i, ab.HardIntervention)),
+        soft=tuple(i for i in interventions
+                   if isinstance(i, ab.SoftIntervention)))
+    setup = valuation._term_setup(model, t)
+    probs = {}
+    for idx, unit, w, choice in fraction_states(support, [t]):
+        env = valuation._world(model, idx, unit, setup, choice)
+        key = tuple(env[v] for v in variables)
+        probs[key] = probs.get(key, Fraction(0)) + w
+    return probs
+
+
+def reference_sigma_tables(model, cm, name, policy):
+    c = cm.cluster(name)
+    parents = (projection._parent_clusters(model, cm, c)
+               if policy != "agnostic" else ())
+    rho = (projection._rho_shared_reads(model, c.members)
+           if policy == "general" else None)
+    totals = {}
+    masses = {}
+    for _idx, unit, p in fraction_support(model):
+        env = model.solve(unit)
+        joint = tuple(env[m] for m in c.members)
+        ctx = (tuple(cm.by_name[pc].label_of(
+                   tuple(env[m] for m in cm.by_name[pc].members))
+                     for pc in parents),
+               None if rho is None else
+               rho.class_of[tuple(unit[k] for k in rho.member_keys)])
+        key = (c.label_of(joint), ctx)
+        totals[key] = totals.get(key, Fraction(0)) + p
+        masses[key + (joint,)] = masses.get(key + (joint,), Fraction(0)) + p
+    return {cv.label: {ctx: tuple(masses.get((label, ctx, t), Fraction(0))
+                                  / tot for t in cv.tuples)
+                       for (label, ctx), tot in totals.items()
+                       if label == cv.label}
+            for cv in c.values}
+
+
+def reference_bounds(model, cm, cluster, label, outcome):
+    c = cm.cluster(cluster)
+    lo = Fraction(0)
+    hi = Fraction(0)
+    for _idx, unit, p in fraction_support(model):
+        hits = [all(model.solve(unit, dict(zip(c.members, raw)))[v] == val
+                    for v, val in outcome.items())
+                for raw in c.fiber(label)]
+        lo += p if all(hits) else 0
+        hi += p if any(hits) else 0
+    return lo, hi
+
+
+# ---------------------------------------------------------------------------
+# comparisons
+
+
+def assert_prob_matches(model, q):
+    """Equal answers, or the same error (a zero-probability conditioning
+    event or an impossible reference context)."""
+    try:
+        want = reference_prob(model, q)
+    except ab.AbstraktError as err:
+        with pytest.raises(type(err)):
+            ab.prob_query(model, q)
+        return
+    assert ab.prob_query(model, q) == want
+
+
+def assert_cluster_query_matches(low, cm, high, q):
+    """A cluster-level query, on the low model and on the projected one."""
+    assert_prob_matches(low, ab.resolve_sigma(low, cm, ab.lower_query(cm, q)))
+    assert_prob_matches(high.scm, ab.resolve_sigma_high(high, q))
+
+
+def assert_sigma_matches(model, cm, name, policy):
+    want = reference_sigma_tables(model, cm, name, policy)
+    machinery = projection.sigma_machinery(model, cm, name, policy)
+    assert machinery.tables == want
+    rho = machinery.rho
+    for label, ctxs in want.items():
+        for (pa, cls), probs in ctxs.items():
+            shared = {}
+            if rho is not None:
+                joint = next(j for j, k in rho.class_of.items() if k == cls)
+                shared = dict(zip(rho.member_keys, joint))
+            got = ab.sigma_distribution(
+                model, cm, name, label, policy=policy,
+                context=(dict(zip(machinery.parents, pa)), shared))
+            assert got == dict(zip(cm.cluster(name).fiber(label), probs))
+
+
+def cluster_atom(c, label):
+    return ab.OutcomeAtom(variables=(c.name,), accepted=frozenset({(label,)}))
+
+
+def cluster_queries(cm):
+    """Single-term cluster queries: every outcome label of one cluster
+    under a tilde (and, for one-tuple labels, a hard) setting of another,
+    alone and conditioned on the first label of each remaining cluster."""
+    out = []
+    for o, i in itertools.permutations(cm.clusters, 2):
+        rest = [c for c in cm.clusters if c.name not in (o.name, i.name)]
+        for ol, cv in itertools.product(o.labels(), i.values):
+            ivs = [ab.QueryTerm(outcomes=(cluster_atom(o, ol),),
+                                soft=(ab.SigmaMarker(i.name, cv.label),))]
+            if len(cv.tuples) == 1:
+                ivs.append(ab.QueryTerm(
+                    outcomes=(cluster_atom(o, ol),),
+                    hard=(ab.HardIntervention(i.name, cv.label),)))
+            for t in ivs:
+                out.append(query([t]))
+                out.extend(query([t], [ab.QueryTerm(
+                    outcomes=(cluster_atom(c, c.labels()[0]),))])
+                    for c in rest)
+    return out
+
+
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module", params=FIXTURES)
+def fixture_model(request):
+    low = ab.load_scm(fixture_path(request.param + ".json"))
+    cm = ab.load_clusters(low, fixture_path(request.param + "_clusters.json"))
+    return low, cm, ab.construct_projected_abstraction(low, cm)
+
+
+class TestSupportContract:
+    def test_weights_over_common_denominator(self, fixture_model):
+        low, _cm, high = fixture_model
+        for model in (low, high.scm):
+            den = model.exogenous_denominator()
+            got = [(idx, unit, Fraction(w, den))
+                   for idx, unit, w in model.exogenous_support()]
+            assert got == list(fraction_support(model))
+            assert all(isinstance(w, int) and w > 0
+                       for _i, _u, w in model.exogenous_support())
+            assert sum(w for _i, _u, w in model.exogenous_support()) == den
+            assert len(got) == model.exogenous_support_size()
+
+    def test_interleaved_passes_agree(self, insurance):
+        model = fresh(insurance)
+        pairs = list(zip(model.exogenous_support(),
+                         model.exogenous_support()))
+        assert all(a == b for a, b in pairs)
+        assert [a for a, _b in pairs] == list(model.exogenous_support())
+        assert len(pairs) == 144
+
+    def test_memo_limit(self, insurance, monkeypatch):
+        """A complete pass is replayed later unless the support is larger
+        than the cache limit, in which case every pass builds anew."""
+        model = fresh(insurance)
+        first = list(model.exogenous_support())
+        again = list(model.exogenous_support())
+        assert all(a[1] is b[1] for a, b in zip(first, again))
+        monkeypatch.setattr(scm_module, "CACHE_LIMIT", 100)
+        model = fresh(insurance)
+        first = list(model.exogenous_support())
+        again = list(model.exogenous_support())
+        assert first == again
+        assert all(a[1] is not b[1] for a, b in zip(first, again))
+
+
+class TestBudgetGate:
+    N_BLOCKS = 24
+
+    @pytest.fixture(scope="class")
+    def wide_doc(self):
+        """24 independent binary variables, each with its own noise block:
+        2**24 joint exogenous states."""
+        names = ["V%d" % i for i in range(self.N_BLOCKS)]
+        return {
+            "endogenous": [{"name": n, "domain": [0, 1]} for n in names],
+            "blocks": [binary_block("U" + n, Fraction(1, 3)) for n in names],
+            "mechanisms": [
+                {"variable": n, "endo_parents": [],
+                 "exo_parents": [{"block": "U" + n, "member": "u"}],
+                 "table": [{"parents": [u], "out": u} for u in (0, 1)]}
+                for n in names],
+        }
+
+    def test_prob_query_refused_before_enumeration(self, wide_doc):
+        model = ab.validate_scm(wide_doc)
+        assert model.exogenous_support_size() == 2 ** self.N_BLOCKS
+        start = time.perf_counter()
+        with pytest.raises(ab.SizeExceeded) as err:
+            ab.prob_query(model, query([term([("V0", 1)])]), budget=1000)
+        assert time.perf_counter() - start < 1.0
+        assert err.value.details["required"] == 2 ** self.N_BLOCKS
+        assert err.value.details["budget"] == 1000
+
+    def test_eval_exits_4(self, wide_doc, tmp_path):
+        path = str(tmp_path / "wide.json")
+        with open(path, "w") as fh:
+            json.dump(wide_doc, fh)
+        r = run(["eval", "--scm", path, "--query", "P(V0=1)",
+                 "--budget", "1000"])
+        assert r.exit_code == 4
+        assert r.payload["error"]["details"]["required"] == \
+            2 ** self.N_BLOCKS
+
+
+class TestFixturesMatchReference:
+    def test_cluster_queries(self, fixture_model):
+        low, cm, high = fixture_model
+        for q in cluster_queries(cm):
+            assert_cluster_query_matches(low, cm, high, q)
+
+    def test_two_term_query(self, insurance, insurance_cm, insurance_high):
+        q = query([ab.QueryTerm(outcomes=(cluster_atom(
+                       insurance_cm.cluster("Y"), 1),),
+                       soft=(ab.SigmaMarker("XH", "xC"),)),
+                   ab.QueryTerm(outcomes=(cluster_atom(
+                       insurance_cm.cluster("Y"), 0),),
+                       hard=(ab.HardIntervention("XH", "xE"),))])
+        assert_cluster_query_matches(insurance, insurance_cm,
+                                     insurance_high, q)
+
+    def test_joint_distribution(self, fixture_model):
+        low, cm, _high = fixture_model
+        names = low.variable_names()
+        assert ab.joint_distribution(low, names).probs == \
+            reference_joint(low, names)
+        first = low.endogenous[0]
+        hard = (ab.HardIntervention(first.name, first.domain[-1]),)
+        assert ab.joint_distribution(low, names, hard).probs == \
+            reference_joint(low, names, hard)
+        for c in cm.clusters:
+            for cv in c.values:
+                if len(cv.tuples) > 1:
+                    marked = ab.resolve_sigma(low, cm, query([ab.QueryTerm(
+                        soft=(ab.SigmaMarker(c.name, cv.label),))]))
+                    soft = marked.terms[0].soft
+                    assert ab.joint_distribution(low, names, soft).probs == \
+                        reference_joint(low, names, soft)
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_sigma_distribution(self, fixture_model, policy):
+        low, cm, _high = fixture_model
+        for c in cm.clusters:
+            assert_sigma_matches(low, cm, c.name, policy)
+
+    def test_disambiguation_bounds(self, fixture_model):
+        low, cm, _high = fixture_model
+        for c in cm.clusters:
+            others = [v for v in low.variable_names() if v not in c.members]
+            for label in c.labels():
+                for v in others:
+                    for val in low.domain(v):
+                        assert ab.disambiguation_bounds(
+                            low, cm, c.name, label, {v: val}) == \
+                            reference_bounds(low, cm, c.name, label, {v: val})
+
+
+# ---------------------------------------------------------------------------
+# generated models
+
+BITS = st.integers(0, 1)
+
+
+@st.composite
+def dag_models(draw):
+    n = draw(st.integers(1, 4))
+    nodes = ["V%d" % (i + 1) for i in range(n)]
+    slots = [(a, b) for i, a in enumerate(nodes) for b in nodes[i + 1:]]
+    edges = [e for e in slots if draw(st.booleans())]
+    return build_dag_model(nodes, edges,
+                           random.Random(draw(st.integers(0, 2 ** 32))))
+
+
+@st.composite
+def dag_terms(draw, nodes, outcome=True):
+    """A term over a binary DAG model: an outcome on one variable (unless
+    ``outcome`` is False), hard settings of some others and at most one
+    constant stochastic setting with a drawn rational weight."""
+    target = draw(st.sampled_from(nodes)) if outcome else None
+    free = [v for v in nodes if v != target]
+    pinned = draw(st.lists(st.sampled_from(free), unique=True)) if free else []
+    hard = tuple(ab.HardIntervention(v, draw(BITS)) for v in pinned)
+    soft = ()
+    loose = [v for v in free if v not in pinned]
+    if loose and draw(st.booleans()):
+        v = draw(st.sampled_from(loose))
+        den = draw(st.integers(1, 12))
+        p = Fraction(draw(st.integers(0, den)), den)
+        soft = (ab.constant_soft_intervention(
+            (v,), [(0,), (1,)], (p, 1 - p), share_key=("soft", v, p)),)
+    outcomes = () if target is None else (
+        ab.OutcomeAtom(variables=(target,),
+                       accepted=frozenset({(draw(BITS),)})),)
+    return ab.QueryTerm(outcomes=outcomes, hard=hard, soft=soft)
+
+
+@st.composite
+def dag_cases(draw):
+    model = draw(dag_models())
+    nodes = list(model.variable_names())
+    terms = draw(st.lists(dag_terms(nodes), min_size=1, max_size=2))
+    cond = draw(st.lists(dag_terms(nodes), max_size=1))
+    extra = draw(dag_terms(nodes, outcome=False))
+    return model, query(terms, cond), extra
+
+
+class TestGeneratedModelsMatchReference:
+    @settings(max_examples=40, deadline=None)
+    @given(dag_cases())
+    def test_dag_models(self, case):
+        model, q, extra = case
+        assert_prob_matches(model, q)
+        names = model.variable_names()
+        ivs = extra.hard + extra.soft
+        assert ab.joint_distribution(model, names, ivs).probs == \
+            reference_joint(model, names, ivs)
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32), confounded=st.booleans(),
+           policy=st.sampled_from(POLICIES), a=BITS, c=BITS)
+    def test_lossy_chains(self, seed, confounded, policy, a, c):
+        low, cm = build_lossy_chain(random.Random(seed), confounded)
+        high = ab.construct_projected_abstraction(low, cm, policy=policy)
+        marked = ab.QueryTerm(
+            outcomes=(cluster_atom(cm.cluster("C"), c),),
+            soft=(ab.SigmaMarker("BH", "lo"),))
+        observed = ab.QueryTerm(outcomes=(cluster_atom(cm.cluster("A"), a),))
+        for q in (query([marked]), query([marked], [observed]),
+                  query([marked, observed])):
+            assert_prob_matches(
+                low, ab.resolve_sigma(low, cm, ab.lower_query(cm, q),
+                                      policy=policy))
+            assert_prob_matches(high.scm, ab.resolve_sigma_high(high, q))
+        assert_sigma_matches(low, cm, "BH", policy)
+        assert ab.disambiguation_bounds(low, cm, "BH", "lo", {"C": c}) == \
+            reference_bounds(low, cm, "BH", "lo", {"C": c})
