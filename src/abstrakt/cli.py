@@ -537,6 +537,7 @@ def cmd_verify(args):
     payload = {
         "checked": result.checked,
         "passed": result.passed,
+        "mismatch_count": result.mismatch_count,
         "mismatches": result.mismatches,
     }
     return CommandResult(0 if result.passed else 3, payload)

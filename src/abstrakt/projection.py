@@ -51,6 +51,7 @@ from .valuation import (
     SoftIntervention,
     _cell_grid,
     _cell_map,
+    _relevance,
     _uniform,
 )
 
@@ -258,10 +259,15 @@ def sigma_machinery(scm, cm, cluster_name, policy, budget=None):
     check_budget(scm.exogenous_support_size(), budget,
                  "sigma computation needs %d states")
     parent_clusters = [cm.by_name[p] for p in parents]
+    # the shared blocks rho classifies are read by the cluster's members
+    needed, blocks = _relevance(
+        scm, list(c.members) + [m for pc in parent_clusters
+                                for m in pc.members])
+    order = [v for v in scm.topological_order_names() if v in needed]
     totals = {}
     masses = {}
-    for _idx, unit, w in scm.exogenous_support():
-        env = scm.solve(unit)
+    for _idx, unit, w in scm.exogenous_support(blocks):
+        env = scm.solve(unit, order=order)
         joint = tuple(env[m] for m in c.members)
         label = c.label_of(joint)
         pa = tuple(pc.label_of(tuple(env[m] for m in pc.members))
@@ -691,14 +697,21 @@ def construct_projected_abstraction(scm, cm, policy="general", budget=None,
 # unit-level replay of the construction
 
 
+MISMATCHES_SHOWN = 10
+
+
 @dataclass
 class ProjectionCheck:
+    """The outcome of a replay: units checked, how many of them mismatched,
+    and the first few mismatches in full."""
+
     checked: int
-    mismatches: list
+    mismatch_count: int
+    mismatches: list  # at most MISMATCHES_SHOWN dicts
 
     @property
     def passed(self):
-        return not self.mismatches
+        return self.mismatch_count == 0
 
 
 def verify_partial_projection(low, high, budget=None):
@@ -736,6 +749,7 @@ def verify_partial_projection(low, high, budget=None):
                  "replay needs %d evaluations")
 
     checked = 0
+    mismatch_count = 0
     mismatches = []
     for _idx, unit, _p in working.exogenous_support():
         for chosen, x in subsets:
@@ -773,7 +787,8 @@ def verify_partial_projection(low, high, budget=None):
             checked += 1
             bad = [name for name in names if env_h[name] != want[name]]
             if bad or trouble:
-                if len(mismatches) < 10:
+                mismatch_count += 1
+                if len(mismatches) < MISMATCHES_SHOWN:
                     mismatches.append({
                         "clusters": bad, "intervention": dict(x),
                         "unit": {"%s.%s" % k: v for k, v in unit.items()},
@@ -781,9 +796,8 @@ def verify_partial_projection(low, high, budget=None):
                         "want": {n: want[n] for n in bad},
                         "note": trouble,
                     })
-                elif not isinstance(mismatches[-1], str):
-                    mismatches.append("further mismatches suppressed")
-    return ProjectionCheck(checked=checked, mismatches=mismatches)
+    return ProjectionCheck(checked=checked, mismatch_count=mismatch_count,
+                           mismatches=mismatches)
 
 
 def resolve_sigma_high(high, query):

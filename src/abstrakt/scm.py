@@ -30,7 +30,7 @@ from .errors import (
 DEFAULT_BUDGET = 10_000_000
 BUDGET_ENV = "ABSTRAKT_BUDGET"
 # Entries a per-model cache (solved worlds, enumerated exogenous states)
-# holds at most; a model beyond it is enumerated afresh on every call.
+# holds at most; a pass beyond it is enumerated afresh on every call.
 CACHE_LIMIT = 1_000_000
 
 
@@ -175,8 +175,10 @@ class DiscreteScm:
             for m in b.members:
                 self.member_index[(b.name, m.name)] = m
         self._topo = None
+        self.block_position = {b.name: i for i, b in enumerate(self.blocks)}
         self._rows = None
-        self._states = None
+        self._states = {}   # block positions -> kept states
+        self._held = 0      # states kept over all block subsets
         self._world_cache = {}
         self._world_terms = {}
 
@@ -232,11 +234,11 @@ class DiscreteScm:
 
     def _block_rows(self):
         """Per block, its positive rows as (member items, integer weight)
-        pairs, the weights taken over the lcm of the rows' denominators;
-        and the product of those lcms."""
+        pairs, the weights taken over the block's lcm of the rows'
+        denominators; and per block that lcm."""
         if self._rows is None:
             rows = []
-            den = 1
+            lcms = []
             for b in self.blocks:
                 support = b.support()
                 lcm = math.lcm(*(p.denominator for _values, p in support))
@@ -244,30 +246,46 @@ class DiscreteScm:
                 rows.append([(tuple(zip(keys, values)),
                               p.numerator * (lcm // p.denominator))
                              for values, p in support])
-                den *= lcm
-            self._rows = (rows, den)
+                lcms.append(lcm)
+            self._rows = (rows, lcms)
         return self._rows
 
-    def exogenous_support_size(self):
-        return math.prod(len(rows) for rows in self._block_rows()[0])
+    def _positions(self, blocks):
+        if blocks is None:
+            return tuple(range(len(self.blocks)))
+        return tuple(sorted(set(blocks)))
 
-    def exogenous_denominator(self):
-        """The common denominator of the weights exogenous_support yields:
-        they sum to it, and a state's probability is its weight over it."""
-        return self._block_rows()[1]
-
-    def exogenous_support(self):
-        """Iterate (index_tuple, assignment, weight) over joint noise values
-        with positive probability, in block-row product order. The
-        assignment maps (block, member) pairs to values and must not be
-        changed; the weight is an integer, the state's probability times
-        exogenous_denominator(). A complete pass over a support of at most
-        CACHE_LIMIT states is kept, and later passes replay it."""
-        if self._states is not None:
-            yield from self._states
-            return
+    def exogenous_support_size(self, blocks=None):
+        """The number of states exogenous_support(blocks) yields."""
         rows = self._block_rows()[0]
-        keep = [] if self.exogenous_support_size() <= CACHE_LIMIT else None
+        return math.prod(len(rows[i]) for i in self._positions(blocks))
+
+    def exogenous_denominator(self, blocks=None):
+        """The common denominator of the weights exogenous_support(blocks)
+        yields: they sum to it, and a state's probability is its weight
+        over it."""
+        lcms = self._block_rows()[1]
+        return math.prod(lcms[i] for i in self._positions(blocks))
+
+    def exogenous_support(self, blocks=None):
+        """Iterate (index_tuple, assignment, weight) over the joint values
+        with positive probability of the blocks at positions ``blocks``
+        (default: every block), in block-row product order with blocks in
+        ascending position. The index tuple holds one row index per chosen
+        block; the assignment maps those blocks' (block, member) pairs to
+        values and must not be changed; the weight is an integer, the
+        state's probability times exogenous_denominator(blocks). Complete
+        passes are kept per block subset while the states kept over all
+        subsets number at most CACHE_LIMIT, and later passes replay them."""
+        key = self._positions(blocks)
+        kept = self._states.get(key)
+        if kept is not None:
+            yield from kept
+            return
+        all_rows = self._block_rows()[0]
+        rows = [all_rows[i] for i in key]
+        size = self.exogenous_support_size(key)
+        keep = [] if self._held + size <= CACHE_LIMIT else None
         for combo in product(*(range(len(r)) for r in rows)):
             unit = {}
             weight = 1
@@ -278,8 +296,10 @@ class DiscreteScm:
             if keep is not None:
                 keep.append((combo, unit, weight))
             yield combo, unit, weight
-        if keep is not None:
-            self._states = keep
+        if (keep is not None and key not in self._states
+                and self._held + size <= CACHE_LIMIT):
+            self._states[key] = keep
+            self._held += size
 
 
 @dataclass

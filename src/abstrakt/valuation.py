@@ -17,7 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, product
+from itertools import accumulate
+from operator import itemgetter
 
 from .errors import (
     DomainMismatch,
@@ -268,12 +269,47 @@ def _fingerprint(atom):
             (rho.member_keys, frozenset(rho.class_of.items())))
 
 
-def _world(scm, u_idx, unit, setup, cell_choice):
-    """Solve one world. Worlds are cached per term content, exogenous state
-    and cell draws, so repeated terms are free."""
+def _relevance(scm, reads, hard=(), atoms=()):
+    """The variables a world must solve to know ``reads``, and the sorted
+    positions of the exogenous blocks those variables read: the ancestors
+    of ``reads`` in the graph where the variables of ``hard`` are pinned
+    and each atom of ``atoms`` sets its targets from its context. The walk
+    stops at a pinned variable, follows an atom's target into the members
+    of its parent contexts and the blocks of its shared-noise members, and
+    follows any other variable into its mechanism's parents and the blocks
+    of its noise members, except members an atom redraws from its cell.
+    Every other block sums to its own denominator and cancels from every
+    answer (the barren-node reduction), so it need not be enumerated."""
+    setter = {t: a for a in atoms for t in a.targets}
+    redrawn = {k for a in atoms for k in a.exo_cells}
+    needed = set()
+    blocks = set()
+    stack = list(reads)
+    while stack:
+        v = stack.pop()
+        if v in needed or v in hard:
+            continue
+        needed.add(v)
+        atom = setter.get(v)
+        if atom is None:
+            mech = scm.mechanisms[v]
+            stack.extend(mech.endo_parents)
+            blocks.update(k[0] for k in mech.exo_parents
+                          if k not in redrawn)
+            continue
+        stack.extend(m for pc in atom.parents for m in pc.members)
+        if atom.rho is not None:
+            blocks.update(b for b, _m in atom.rho.member_keys)
+    return needed, tuple(sorted(scm.block_position[b] for b in blocks))
+
+
+def _world(scm, sub_idx, unit, setup, cell_choice):
+    """Solve the variables one term needs in one world. Worlds are cached
+    per term content, the state's row indices over the term's own blocks
+    and the cell draws, so repeated terms are free."""
     hard_map, atoms, segments, term_no = setup
     cells = tuple(cell_choice[a.share_key] for a in atoms)
-    sig = (term_no, u_idx, cells)
+    sig = (term_no, sub_idx, cells)
     cached = scm._world_cache.get(sig)
     if cached is not None:
         return cached
@@ -291,7 +327,12 @@ def _world(scm, u_idx, unit, setup, cell_choice):
     return env
 
 
-def _term_setup(scm, term):
+def _term_setup(scm, term, reads=()):
+    """Check a term and plan its world. Returns the world's setup (the hard
+    settings, the distinct atoms in the order they are resolved, the
+    solve-order segments between them and the term's number) and the
+    positions of the blocks the world reads. Only the variables that the
+    outcomes, ``reads`` and the atoms' targets depend on are solved."""
     hard_map = _check_hard(scm, term.hard)
     atoms = []
     seen = set()
@@ -323,6 +364,13 @@ def _term_setup(scm, term):
                 raise DomainMismatch(
                     "variable %r is both intervened and constrained in one term"
                     % v)
+    for v in reads:
+        if v not in scm.var_index:
+            raise UnknownVariable("unknown variable %r" % v, variable=v)
+    needed, blocks = _relevance(
+        scm, [v for oc in term.outcomes for v in oc.variables]
+        + list(reads) + [t for a in atoms for t in a.targets],
+        hard_map, atoms)
     order = scm.topological_order_names()
     if any(a.parents for a in atoms):
         # An atom reads its context before it sets its targets, so the
@@ -335,6 +383,7 @@ def _term_setup(scm, term):
         order = topological_order(Diagram(
             nodes=scm.variable_names(), directed=tuple(directed),
             bidirected=()))
+    order = [v for v in order if v in needed]
     # Each atom is resolved just before its first target; the segments of
     # the order between those stops are solved from the mechanisms.
     stops = sorted((min((order.index(t) for t in a.targets),
@@ -344,16 +393,32 @@ def _term_setup(scm, term):
     bounds = [0] + [pos for pos, _n in stops] + [len(order)]
     segments = [order[i:j] for i, j in zip(bounds, bounds[1:])]
     content = (tuple(sorted(hard_map.items(), key=lambda kv: kv[0])),
-               tuple(_fingerprint(a) for a in atoms))
+               tuple(_fingerprint(a) for a in atoms), tuple(order))
     term_no = scm._world_terms.setdefault(content, len(scm._world_terms))
-    return hard_map, atoms, segments, term_no
+    return (hard_map, atoms, segments, term_no), blocks
 
 
-def _term_holds(scm, u_idx, unit, term, setup, cell_choice):
-    env = _world(scm, u_idx, unit, setup, cell_choice)
-    for oc in term.outcomes:
-        if tuple(env[v] for v in oc.variables) not in oc.accepted:
-            return False
+def _plan(term_blocks):
+    """The union of the terms' block positions, and per term a function
+    from a state's row indices over that union to its row indices over the
+    term's own blocks."""
+    blocks = sorted(set().union(*term_blocks))
+    at = {b: i for i, b in enumerate(blocks)}
+    picks = []
+    for own in term_blocks:
+        own = [at[b] for b in own]
+        picks.append(itemgetter(*own) if own else (lambda _idx: ()))
+    return blocks, picks
+
+
+def _all_hold(scm, checks, u_idx, unit, cell_choice):
+    """Whether every (term, setup, pick) of ``checks`` meets its outcome
+    constraints in its world."""
+    for term, setup, pick in checks:
+        env = _world(scm, pick(u_idx), unit, setup, cell_choice)
+        for oc in term.outcomes:
+            if tuple(env[v] for v in oc.variables) not in oc.accepted:
+                return False
     return True
 
 
@@ -371,11 +436,12 @@ def _collect_atoms(terms):
     return atoms
 
 
-def _enumerate(scm, terms, budget):
-    """Check the budget, then return the common denominator and an iterator
-    of (u_idx, unit, weight, cell_choice) over the joint exogenous state and
-    all shared cell draws. Weights are integers that sum to the
-    denominator."""
+def _enumerate(scm, terms, budget, blocks):
+    """Check the budget against the full exogenous support, then return the
+    common denominator and an iterator of (u_idx, unit, weight,
+    cell_choice) over the joint values of the blocks at positions
+    ``blocks`` and all shared cell draws. Weights are integers that sum to
+    the denominator."""
     atoms = list(_collect_atoms(terms).values())
     total = scm.exogenous_support_size()
     widths = []
@@ -389,7 +455,7 @@ def _enumerate(scm, terms, budget):
     check_budget(total, budget, "enumeration needs %d states")
     # one entry per joint cell draw: the cell index per share key and the
     # draw's integer weight over each atom's lcm of cell denominators
-    den = scm.exogenous_denominator()
+    den = scm.exogenous_denominator(blocks)
     draws = [({}, 1)]
     for a, cells in zip(atoms, widths):
         lcm = math.lcm(*(x.denominator for _i, x in cells))
@@ -399,7 +465,7 @@ def _enumerate(scm, terms, budget):
         den *= lcm
 
     def states():
-        for u_idx, unit, pu in scm.exogenous_support():
+        for u_idx, unit, pu in scm.exogenous_support(blocks):
             for choice, w in draws:
                 yield u_idx, unit, pu * w, choice
     return den, states()
@@ -408,35 +474,28 @@ def _enumerate(scm, terms, budget):
 def prob_query(scm, query, budget=None):
     """Exact probability of a counterfactual conjunction, optionally
     conditioned on another conjunction. All terms share the exogenous draw
-    and all shared stochastic-intervention cells. Integer weights are
-    added up and divided once."""
+    and all shared stochastic-intervention cells. Only the blocks some
+    term's world reads are enumerated; integer weights are added up and
+    divided once."""
     if not query.terms:
         raise DomainMismatch("query has no terms")
     all_terms = list(query.terms) + list(query.conditioning or ())
-    setups = [_term_setup(scm, t) for t in all_terms]
+    setups, term_blocks = zip(*(_term_setup(scm, t) for t in all_terms))
+    blocks, picks = _plan(term_blocks)
+    checks = list(zip(all_terms, setups, picks))
     n_main = len(query.terms)
-    conditioned = bool(query.conditioning)
-    den, states = _enumerate(scm, all_terms, budget)
+    main, given = checks[:n_main], checks[n_main:]
+    den, states = _enumerate(scm, all_terms, budget, blocks)
     num = 0
     cond = 0
     for u_idx, unit, weight, choice in states:
-        ok_cond = True
-        if conditioned:
-            for term, setup in zip(all_terms[n_main:], setups[n_main:]):
-                if not _term_holds(scm, u_idx, unit, term, setup, choice):
-                    ok_cond = False
-                    break
-            if not ok_cond:
+        if given:
+            if not _all_hold(scm, given, u_idx, unit, choice):
                 continue
             cond += weight
-        ok = True
-        for term, setup in zip(all_terms[:n_main], setups[:n_main]):
-            if not _term_holds(scm, u_idx, unit, term, setup, choice):
-                ok = False
-                break
-        if ok:
+        if _all_hold(scm, main, u_idx, unit, choice):
             num += weight
-    if conditioned:
+    if given:
         if cond == 0:
             raise ZeroConditioning("conditioning event has probability zero")
         return Fraction(num, cond)
@@ -452,14 +511,12 @@ def joint_distribution(scm, variables, interventions=(), budget=None):
         raise DomainMismatch(
             "interventions must be hard or resolved stochastic interventions")
     term = QueryTerm(outcomes=(), hard=hard, soft=soft)
-    setup = _term_setup(scm, term)
-    for v in variables:
-        if v not in scm.var_index:
-            raise UnknownVariable("unknown variable %r" % v, variable=v)
-    den, states = _enumerate(scm, [term], budget)
+    setup, own = _term_setup(scm, term, tuple(variables))
+    blocks, (pick,) = _plan([own])
+    den, states = _enumerate(scm, [term], budget, blocks)
     weights = {}
     for u_idx, unit, weight, choice in states:
-        env = _world(scm, u_idx, unit, setup, choice)
+        env = _world(scm, pick(u_idx), unit, setup, choice)
         key = tuple(env[v] for v in variables)
         weights[key] = weights.get(key, 0) + weight
     domains = tuple(scm.domain(v) for v in variables)

@@ -210,6 +210,26 @@ class TestAbstractAndDownstream:
         assert r.payload["passed"] is False
         assert r.payload["mismatches"]
 
+    def test_verify_counts_mismatches(self, high_path, tmp_path):
+        with open(high_path) as fh:
+            doc = json.load(fh)
+        for mech in doc["mechanisms"]:
+            if mech["variable"] == "Y":
+                for row in mech["table"]:
+                    row["out"] = 1 - row["out"]
+        bad = str(tmp_path / "bad.json")
+        with open(bad, "w") as fh:
+            json.dump(doc, fh)
+        r = run(["verify", "--scm", INS, "--high", bad])
+        assert list(r.payload) == ["checked", "passed", "mismatch_count",
+                                   "mismatches"]
+        assert r.payload["mismatch_count"] == 1728
+        assert len(r.payload["mismatches"]) == 10
+        assert all(isinstance(m, dict) for m in r.payload["mismatches"])
+        r = run(["verify", "--scm", INS, "--high", high_path])
+        assert r.payload["mismatch_count"] == 0
+        assert r.payload["mismatches"] == []
+
     def test_sample(self, high_path):
         args = ["sample", "--high", high_path, "--value", "XH=xC",
                 "--context", '{"parents": {"Z": "z1"}}',

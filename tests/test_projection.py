@@ -256,6 +256,25 @@ class TestReplayVerification:
         assert not res.passed
         assert res.mismatches
 
+    def test_mismatch_count(self, insurance, insurance_cm):
+        """Every mismatch is counted; the first ten are shown in full."""
+        high = ab.construct_projected_abstraction(insurance, insurance_cm)
+        mech = high.scm.mechanisms["Y"]
+        for k, v in list(mech.table.items()):
+            mech.table[k] = 1 - v
+        res = ab.verify_partial_projection(insurance, high)
+        # every unit under the 12 settings that leave Y free
+        assert res.mismatch_count == 144 * 12
+        assert len(res.mismatches) == 10
+        assert all(isinstance(m, dict) and m["clusters"] == ["Y"]
+                   for m in res.mismatches)
+        assert not res.passed
+        res = ab.verify_partial_projection(
+            insurance, ab.construct_projected_abstraction(insurance,
+                                                          insurance_cm))
+        assert res.passed and res.mismatch_count == 0 and \
+            res.mismatches == []
+
     def test_random_chains_replay(self):
         for seed in range(6):
             scm, cm = build_lossy_chain(random.Random(100 + seed))

@@ -1,10 +1,15 @@
-"""The integer-weight exogenous support: its contract, the budget gate in
-front of it, and exact agreement with a Fraction-product reference.
+"""The integer-weight exogenous support: its contract over any subset of
+blocks, the budget gate in front of it, relevance pruning (a query
+enumerates only the blocks its worlds read) and exact agreement with a
+Fraction-product reference.
 
-The reference below enumerates the joint exogenous state with each
-probability built as a product of block Fractions and adds Fractions
-state by state. Every answer the package computes from integer weights
-over a common denominator must equal it exactly.
+The reference below enumerates the full joint exogenous state with each
+probability built as a product of block Fractions, solves every variable
+of every world with its own loop and adds Fractions state by state. It
+shares no enumeration, world solving or relevance pruning with the
+package, only the leaf that maps a drawn cell to a stochastic
+intervention's value. Every answer the package computes from integer
+weights over the blocks a query reads must equal it exactly.
 """
 
 import itertools
@@ -35,17 +40,14 @@ def fresh(model):
     return ab.DiscreteScm(model.endogenous, model.blocks, model.mechanisms)
 
 
-_twins = {}
+_supports = {}
 
 
-def twin(model):
-    """One fresh copy per model and its Fraction-product support, so the
-    reference solves its worlds apart from the package's caches but
-    reuses them across reference queries."""
-    if id(model) not in _twins:
-        copy = fresh(model)
-        _twins[id(model)] = (model, copy, list(fraction_support(copy)))
-    return _twins[id(model)][1:]
+def support_of(model):
+    """The model's Fraction-product support, listed once per model."""
+    if id(model) not in _supports:
+        _supports[id(model)] = (model, list(fraction_support(model)))
+    return _supports[id(model)][1]
 
 
 def fraction_support(model):
@@ -62,10 +64,19 @@ def fraction_support(model):
         yield combo, unit, p
 
 
+def distinct_atoms(terms):
+    """The stochastic interventions of ``terms``, one per share key."""
+    atoms = {}
+    for t in terms:
+        for a in t.soft:
+            atoms.setdefault(a.share_key, a)
+    return list(atoms.values())
+
+
 def fraction_states(support, terms):
     """A Fraction-product support times every joint draw of the shared
     cells."""
-    atoms = list(valuation._collect_atoms(terms).values())
+    atoms = distinct_atoms(terms)
     widths = [[(i, w) for i, w in enumerate(a.cell_widths()) if w > 0]
               for a in atoms]
     for idx, unit, p in support:
@@ -77,22 +88,56 @@ def fraction_states(support, terms):
             yield idx, unit, weight, choice
 
 
+def reference_world(model, t, unit, choice):
+    """Every variable of term ``t``'s world for one exogenous state and cell
+    draw. Variables are swept in declaration order until none is left: a
+    hard setting is fixed up front, an atom sets its targets once its
+    context members are known, and any other variable is read off its
+    mechanism once its parents are known."""
+    atoms = distinct_atoms([t])
+    unit = dict(unit)
+    for a in atoms:
+        for key, mapping in a.exo_cells.items():
+            unit[key] = mapping[choice[a.share_key]]
+    env = {h.variable: h.value for h in t.hard}
+    set_by_atom = {v for a in atoms for v in a.targets}
+    while atoms or len(env) < len(model.endogenous):
+        before = len(env)
+        for a in list(atoms):
+            if all(m in env for pc in a.parents for m in pc.members):
+                valuation._resolve_soft(a, env, unit, choice[a.share_key])
+                atoms.remove(a)
+        for v in model.variable_names():
+            mech = model.mechanisms[v]
+            if v not in env and v not in set_by_atom and \
+                    all(p in env for p in mech.endo_parents):
+                env[v] = mech.table[tuple(env[p] for p in mech.endo_parents)
+                                    + tuple(unit[k] for k in mech.exo_parents)]
+        assert len(env) > before, "the term's world has a cycle"
+    return env
+
+
+def reference_holds(model, terms, unit, choice):
+    """Whether every term meets its outcomes; stops at the first that
+    does not, as the package does."""
+    for t in terms:
+        env = reference_world(model, t, unit, choice)
+        if not all(tuple(env[v] for v in oc.variables) in oc.accepted
+                   for oc in t.outcomes):
+            return False
+    return True
+
+
 def reference_prob(model, q):
-    model, support = twin(model)
     terms = list(q.terms)
     cond = list(q.conditioning or ())
-    setups = {id(t): valuation._term_setup(model, t) for t in terms + cond}
-
-    def holds(ts, idx, unit, choice):
-        return all(valuation._term_holds(model, idx, unit, t, setups[id(t)],
-                                         choice) for t in ts)
-
     num = Fraction(0)
     den = Fraction(0)
-    for idx, unit, w, choice in fraction_states(support, terms + cond):
-        if holds(cond, idx, unit, choice):
+    for _idx, unit, w, choice in fraction_states(support_of(model),
+                                                 terms + cond):
+        if reference_holds(model, cond, unit, choice):
             den += w
-            if holds(terms, idx, unit, choice):
+            if reference_holds(model, terms, unit, choice):
                 num += w
     if cond and den == 0:
         raise ab.ZeroConditioning("conditioning event has probability zero")
@@ -100,16 +145,14 @@ def reference_prob(model, q):
 
 
 def reference_joint(model, variables, interventions=()):
-    model, support = twin(model)
     t = ab.QueryTerm(
         hard=tuple(i for i in interventions
                    if isinstance(i, ab.HardIntervention)),
         soft=tuple(i for i in interventions
                    if isinstance(i, ab.SoftIntervention)))
-    setup = valuation._term_setup(model, t)
     probs = {}
-    for idx, unit, w, choice in fraction_states(support, [t]):
-        env = valuation._world(model, idx, unit, setup, choice)
+    for _idx, unit, w, choice in fraction_states(support_of(model), [t]):
+        env = reference_world(model, t, unit, choice)
         key = tuple(env[v] for v in variables)
         probs[key] = probs.get(key, Fraction(0)) + w
     return probs
@@ -435,3 +478,240 @@ class TestGeneratedModelsMatchReference:
         assert_sigma_matches(low, cm, "BH", policy)
         assert ab.disambiguation_bounds(low, cm, "BH", "lo", {"C": c}) == \
             reference_bounds(low, cm, "BH", "lo", {"C": c})
+
+
+@st.composite
+def padded_cases(draw):
+    """A DAG model with disconnected extra variables and extra blocks no
+    mechanism reads, a query over all its variables and the variables of
+    one joint table."""
+    n = draw(st.integers(1, 3))
+    extra = draw(st.integers(1, 2))
+    nodes = ["V%d" % (i + 1) for i in range(n)]
+    loose = ["W%d" % (i + 1) for i in range(extra)]
+    slots = [(a, b) for i, a in enumerate(nodes) for b in nodes[i + 1:]]
+    edges = [e for e in slots if draw(st.booleans())]
+    model = build_dag_model(nodes + loose, edges,
+                            random.Random(draw(st.integers(0, 2 ** 32))))
+    doc = scm_module.scm_to_doc(model)
+    for i in range(draw(st.integers(0, 2))):
+        weights = draw(st.lists(st.integers(1, 9), min_size=2, max_size=3))
+        doc["blocks"].append({
+            "name": "N%d" % i,
+            "members": [{"name": "n", "domain": list(range(len(weights)))}],
+            "table": [{"values": [j], "p": str(Fraction(w, sum(weights)))}
+                      for j, w in enumerate(weights)]})
+    model = ab.validate_scm(doc)
+    names = list(model.variable_names())
+    terms = draw(st.lists(dag_terms(names), min_size=1, max_size=2))
+    cond = draw(st.lists(dag_terms(names), max_size=1))
+    table = draw(st.lists(st.sampled_from(names), min_size=1, unique=True))
+    return model, query(terms, cond), table
+
+
+def count_states(monkeypatch):
+    """A list that gets one entry per state any exogenous_support pass
+    yields from now on."""
+    visited = []
+    real = ab.DiscreteScm.exogenous_support
+
+    def counted(self, blocks=None):
+        for state in real(self, blocks):
+            visited.append(state)
+            yield state
+    monkeypatch.setattr(ab.DiscreteScm, "exogenous_support", counted)
+    return visited
+
+
+def unreachable_context_model():
+    """Z -> X with Z never z2, and Y on its own noise. Clusters Z, XH (X's
+    values 0 and 1 merged into 'lo') and YC."""
+    doc = {
+        "endogenous": [{"name": "Z", "domain": ["z1", "z2"]},
+                       {"name": "X", "domain": [0, 1, 2]},
+                       {"name": "Y", "domain": [0, 1]}],
+        "blocks": [
+            {"name": "UZ", "members": [{"name": "u", "domain": ["z1", "z2"]}],
+             "table": [{"values": ["z1"], "p": "1"},
+                       {"values": ["z2"], "p": "0"}]},
+            {"name": "UX", "members": [{"name": "u", "domain": [0, 1, 2]}],
+             "table": [{"values": [0], "p": "1/2"},
+                       {"values": [1], "p": "1/4"},
+                       {"values": [2], "p": "1/4"}]},
+            binary_block("UY", Fraction(1, 3)),
+        ],
+        "mechanisms": [
+            {"variable": "Z", "endo_parents": [],
+             "exo_parents": [{"block": "UZ", "member": "u"}],
+             "table": [{"parents": [z], "out": z} for z in ("z1", "z2")]},
+            {"variable": "X", "endo_parents": ["Z"],
+             "exo_parents": [{"block": "UX", "member": "u"}],
+             "table": [{"parents": [z, u], "out": u}
+                       for z in ("z1", "z2") for u in (0, 1, 2)]},
+            {"variable": "Y", "endo_parents": [],
+             "exo_parents": [{"block": "UY", "member": "u"}],
+             "table": [{"parents": [u], "out": u} for u in (0, 1)]},
+        ],
+    }
+    model = ab.validate_scm(doc)
+    cm = ab.validate_clusters(model, {"clusters": [
+        {"name": "Z", "members": ["Z"], "values": [
+            {"label": "z1", "tuples": [["z1"]]},
+            {"label": "z2", "tuples": [["z2"]]}]},
+        {"name": "XH", "members": ["X"], "values": [
+            {"label": "lo", "tuples": [[0], [1]]},
+            {"label": "hi", "tuples": [[2]]}]},
+        {"name": "YC", "members": ["Y"], "values": [
+            {"label": 0, "tuples": [[0]]},
+            {"label": 1, "tuples": [[1]]}]},
+    ]})
+    return model, cm
+
+
+class TestRelevancePruning:
+    def test_prob_query_visits_its_blocks_only(self, insurance, monkeypatch):
+        """Y[X=x1] reads Y's three binary blocks: 8 of 144 states."""
+        model = fresh(insurance)
+        visited = count_states(monkeypatch)
+        q = query([term([("Y", 1)], [("X", "x1")])])
+        assert ab.prob_query(model, q) == Fraction(9, 10)
+        assert len(visited) == 8
+        assert all(len(idx) == 3 for idx, _u, _w in visited)
+
+    def test_redrawn_members_are_not_enumerated(self, insurance_cm,
+                                                insurance_high, monkeypatch):
+        """On the projected model, ~XH=xC redraws both members of XH's cell
+        block from its own cell, so Y's world reads UZ and UY1-3 only: 16
+        of 576 states. The hard setting XH=xC reads the cell block too."""
+        model = fresh(insurance_high.scm)
+        visited = count_states(monkeypatch)
+        y1 = (cluster_atom(insurance_cm.cluster("Y"), 1),)
+        tilde = query([ab.QueryTerm(outcomes=y1,
+                                    soft=(ab.SigmaMarker("XH", "xC"),))])
+        assert ab.prob_query(
+            model, ab.resolve_sigma_high(insurance_high, tilde)) == \
+            Fraction(149, 250)
+        assert len(visited) == 16
+        del visited[:]
+        hard = query([ab.QueryTerm(outcomes=y1, hard=(
+            ab.HardIntervention("XH", "xC"),))])
+        assert ab.prob_query(model, hard) == reference_prob(model, hard)
+        assert len(visited) == 64
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_sigma_machinery_visits_its_blocks_only(
+            self, insurance, insurance_cm, monkeypatch, policy):
+        """XH and its parent cluster Z read UZ, UX1 and UX2: 18 states."""
+        model = fresh(insurance)
+        visited = count_states(monkeypatch)
+        machinery = projection.sigma_machinery(model, insurance_cm, "XH",
+                                               policy)
+        assert len(visited) == 18
+        assert machinery.tables == reference_sigma_tables(
+            model, insurance_cm, "XH", policy)
+
+    def test_joint_distribution_visits_its_blocks_only(self, insurance,
+                                                       monkeypatch):
+        model = fresh(insurance)
+        visited = count_states(monkeypatch)
+        assert ab.joint_distribution(model, ("X",)).probs == \
+            reference_joint(model, ("X",))
+        assert len(visited) == 18
+
+    def test_budget_counts_full_support(self, insurance):
+        q = query([term([("Y", 1)], [("X", "x1")])])
+        with pytest.raises(ab.SizeExceeded) as err:
+            ab.prob_query(fresh(insurance), q, budget=143)
+        assert err.value.details["required"] == 144
+        assert ab.prob_query(fresh(insurance), q, budget=144) == \
+            Fraction(9, 10)
+
+    def test_worlds_reused_across_block_unions(self, insurance):
+        """A term's cached worlds are keyed by its own blocks, so they stay
+        right when a later query enumerates a wider union."""
+        model = fresh(insurance)
+        alone = query([term([("Y", 1)], [("X", "x1")])])
+        paired = query([term([("Y", 1)], [("X", "x1")]),
+                        term([("Z", "z1"), ("X", "x2")])])
+        given = query([term([("Y", 1)], [("X", "x1")])],
+                      [term([("X", "x1")])])
+        for q in (alone, paired, given, alone, paired):
+            assert ab.prob_query(model, q) == ab.prob_query(fresh(model), q) \
+                == reference_prob(model, q)
+
+    def test_unread_atom_still_checks_its_context(self, monkeypatch):
+        """~XH=lo under Z=z2 has no reference mass; Y reads neither X nor
+        Z, yet the query still raises ImpossibleContext."""
+        model, cm = unreachable_context_model()
+        t = ab.QueryTerm(outcomes=(cluster_atom(cm.cluster("YC"), 1),),
+                         hard=(ab.HardIntervention("Z", "z2"),),
+                         soft=(ab.SigmaMarker("XH", "lo"),))
+        low = ab.lower_query(cm, query([t]))
+        visited = count_states(monkeypatch)
+        with pytest.raises(ab.ImpossibleContext):
+            ab.prob_query(model, ab.resolve_sigma(model, cm, low,
+                                                  policy="markovian"))
+        uniform = ab.resolve_sigma(model, cm, low, policy="markovian",
+                                   fallback="uniform")
+        del visited[:]
+        assert ab.prob_query(model, uniform) == Fraction(1, 3)
+        assert len(visited) == 2  # UY only
+
+    @settings(max_examples=40, deadline=None)
+    @given(padded_cases())
+    def test_padded_models(self, case):
+        model, q, table = case
+        assert_prob_matches(model, q)
+        for t in q.terms:
+            ivs = t.hard + t.soft
+            assert ab.joint_distribution(model, table, ivs).probs == \
+                reference_joint(model, table, ivs)
+
+
+class TestSubsetMemo:
+    SUBSETS = ((1, 2), (0, 3, 5), (4,), (), (0, 1, 2, 3, 4, 5))
+
+    def test_sub_supports_marginalise_the_full_support(self, insurance):
+        model = fresh(insurance)
+        full = list(fraction_support(model))
+        for blocks in self.SUBSETS:
+            den = model.exogenous_denominator(blocks)
+            got = {}
+            for idx, unit, w in model.exogenous_support(blocks):
+                assert len(idx) == len(blocks)
+                got[tuple(sorted(unit.items()))] = Fraction(w, den)
+            names = {model.blocks[i].name for i in blocks}
+            want = {}
+            for _idx, unit, p in full:
+                key = tuple(sorted(kv for kv in unit.items()
+                                   if kv[0][0] in names))
+                want[key] = want.get(key, 0) + p
+            assert got == want
+            assert len(got) == model.exogenous_support_size(blocks)
+
+    def test_interleaved_sub_support_passes_agree(self, insurance):
+        model = fresh(insurance)
+        for blocks in self.SUBSETS:
+            pairs = list(zip(model.exogenous_support(blocks),
+                             model.exogenous_support(blocks)))
+            assert all(a == b for a, b in pairs)
+            assert [a for a, _b in pairs] == \
+                list(model.exogenous_support(blocks)) == \
+                list(fresh(insurance).exogenous_support(blocks))
+        mixed = list(zip(model.exogenous_support((1, 2)),
+                         fresh(insurance).exogenous_support((1, 2))))
+        assert all(a == b for a, b in mixed) and len(mixed) == 9
+
+    def test_states_held_stay_within_limit(self, insurance, monkeypatch):
+        monkeypatch.setattr(scm_module, "CACHE_LIMIT", 30)
+        model = fresh(insurance)
+        for blocks in self.SUBSETS * 2:
+            passes = [list(model.exogenous_support(blocks)),
+                      list(model.exogenous_support(blocks))]
+            assert passes[0] == passes[1]
+            held = sum(map(len, model._states.values()))
+            assert held == model._held <= 30
+        # (1, 2): 9, (0, 3, 5): 8, (4,): 2 and (): 1 state fit; the
+        # 144-state full support does not
+        assert sorted(model._states) == [(), (0, 3, 5), (1, 2), (4,)]
+        assert model._held == 20
