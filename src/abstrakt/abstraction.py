@@ -363,8 +363,7 @@ def check_aic(scm, cm, budget=None):
         working.solve(unit, env, member_order[cj.name])
         return cj.label_of(tuple(env[m] for m in cj.members))
 
-    for ci in cm.clusters:
-        found = None
+    def first_witness(ci):
         for cj in cm.clusters:
             if ci.name not in child_parents[cj.name]:
                 continue
@@ -394,20 +393,15 @@ def check_aic(scm, cm, budget=None):
                             out_l = child_label(cj, envl, unit)
                             out_r = child_label(cj, envr, unit)
                             if out_l != out_r:
-                                found = AicWitness(
+                                return AicWitness(
                                     parent=ci.name, child=cj.name,
                                     label=cv.label, left=left, right=right,
                                     others=base, unit=unit,
                                     outputs=(out_l, out_r))
-                                break
-                        if found:
-                            break
-                    if found:
-                        break
-                if found:
-                    break
-            if found:
-                break
+        return None
+
+    for ci in cm.clusters:
+        found = first_witness(ci)
         if found:
             violators.append(ci.name)
             witnesses[ci.name] = found

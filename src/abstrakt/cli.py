@@ -14,7 +14,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 
 from .errors import (
     AbstraktError,
@@ -39,7 +39,13 @@ from .valuation import (
     marginal_pushforward,
     prob_query,
 )
-from .abstraction import SigmaMarker, check_aic, load_clusters, lower_query
+from .abstraction import (
+    SigmaMarker,
+    _working_model,
+    check_aic,
+    load_clusters,
+    lower_query,
+)
 from .projection import (
     _context_parts,
     construct_projected_abstraction,
@@ -96,12 +102,6 @@ class _Scanner:
     def skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
             self.pos += 1
-
-    def peek(self):
-        self.skip_ws()
-        if self.pos >= len(self.text):
-            return None
-        return self.text[self.pos]
 
     def take(self, char):
         self.skip_ws()
@@ -234,6 +234,7 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError("bad invocation: %s" % message)
 
 
+@cache
 def _build_parser():
     parser = _Parser(prog="abstrakt", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -421,7 +422,8 @@ def cmd_cdag(args):
         payload = graph_to_doc(g)
         payload["violators"] = list(report.violators)
     else:
-        g = build_cdag(induce_diagram(scm), cm)
+        working = _working_model(scm, cm, args.budget)
+        g = build_cdag(induce_diagram(working), cm)
         payload = graph_to_doc(g)
     payload["dot"] = to_dot(g)
     return CommandResult(0, payload)

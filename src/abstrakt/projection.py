@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -69,6 +70,20 @@ def validate_policy(policy):
 # full projection of a model onto a variable subset
 
 
+def _solved_rows(scm, endo, exo, steps, fixed=None):
+    """Solve ``steps`` once per joint value of the endogenous inputs
+    ``endo`` and the exogenous members ``exo``, in product order, with the
+    members in ``fixed`` pinned. Yields each joint value with the value of
+    the last step."""
+    unit = dict(fixed or {})
+    n = len(endo)
+    for combo in product(*[scm.domain(p) for p in endo],
+                         *[scm.member_index[k].domain for k in exo]):
+        unit.update(zip(exo, combo[n:]))
+        env = scm.solve(unit, dict(zip(endo, combo[:n])), steps)
+        yield combo, env[steps[-1]]
+
+
 def project_full(scm, keep, budget=None):
     """Marginalize the variables outside ``keep`` out of the model.
 
@@ -83,72 +98,40 @@ def project_full(scm, keep, budget=None):
             raise UnknownVariable("cannot keep unknown variable %r" % v,
                                   variable=v)
     order = scm.topological_order_names()
+    topo_pos = {v: i for i, v in enumerate(order)}
     decl_pos = {v: i for i, v in enumerate(scm.variable_names())}
-    block_pos = {b.name: i for i, b in enumerate(scm.blocks)}
-    member_pos = {}
-    for b in scm.blocks:
-        for i, m in enumerate(b.members):
-            member_pos[(b.name, m.name)] = (block_pos[b.name], i)
+    member_pos = {(b.name, m.name): (scm.block_position[b.name], i)
+                  for b in scm.blocks for i, m in enumerate(b.members)}
 
-    expr = {}  # var -> (endo_inputs, exo_inputs, table)
+    inputs = {}  # var -> (endo inputs, exo inputs, dropped ancestors)
     for v in order:
         mech = scm.mechanisms[v]
-        endo_inputs = []
-        exo_inputs = []
+        endo, exo, dropped = set(), set(mech.exo_parents), set()
         for p in mech.endo_parents:
             if p in keep_set:
-                if p not in endo_inputs:
-                    endo_inputs.append(p)
+                endo.add(p)
             else:
-                pe, px, _t = expr[p]
-                for q in pe:
-                    if q not in endo_inputs:
-                        endo_inputs.append(q)
-                for k in px:
-                    if k not in exo_inputs:
-                        exo_inputs.append(k)
-        for k in mech.exo_parents:
-            if k not in exo_inputs:
-                exo_inputs.append(k)
-        endo_inputs.sort(key=decl_pos.get)
-        exo_inputs.sort(key=member_pos.get)
-        domains = [scm.domain(p) for p in endo_inputs]
-        domains += [scm.member_index[k].domain for k in exo_inputs]
-        size = 1
-        for d in domains:
-            size *= len(d)
+                pe, px, pd = inputs[p]
+                endo.update(pe)
+                exo.update(px)
+                dropped.update(pd)
+                dropped.add(p)
+        endo = sorted(endo, key=decl_pos.get)
+        exo = sorted(exo, key=member_pos.get)
+        inputs[v] = (endo, exo, sorted(dropped, key=topo_pos.get))
+        size = math.prod(len(scm.domain(p)) for p in endo)
+        size *= math.prod(len(scm.member_index[k].domain) for k in exo)
         check_budget(size, budget, "projected mechanism for %r needs %d rows",
                      v, variable=v)
-        table = {}
-        for combo in product(*domains):
-            env = dict(zip(endo_inputs, combo[:len(endo_inputs)]))
-            env_exo = dict(zip(exo_inputs, combo[len(endo_inputs):]))
-
-            def value_of(name):
-                if name in env:
-                    return env[name]
-                pe, px, tbl = expr[name]
-                key = tuple(env[q] for q in pe) + tuple(env_exo[k] for k in px)
-                return tbl[key]
-
-            parents_vals = []
-            for p in mech.endo_parents:
-                if p in keep_set:
-                    parents_vals.append(env[p])
-                else:
-                    parents_vals.append(value_of(p))
-            row_key = tuple(parents_vals) + tuple(env_exo[k]
-                                                  for k in mech.exo_parents)
-            table[combo] = mech.table[row_key]
-        expr[v] = (tuple(endo_inputs), tuple(exo_inputs), table)
 
     kept_decls = tuple(d for d in scm.endogenous if d.name in keep_set)
     mechanisms = {}
     for d in kept_decls:
-        endo_inputs, exo_inputs, table = expr[d.name]
+        endo, exo, dropped = inputs[d.name]
+        table = dict(_solved_rows(scm, endo, exo, dropped + [d.name]))
         mechanisms[d.name] = Mechanism(variable=d.name,
-                                       endo_parents=endo_inputs,
-                                       exo_parents=exo_inputs, table=table)
+                                       endo_parents=tuple(endo),
+                                       exo_parents=tuple(exo), table=table)
     return DiscreteScm(endogenous=kept_decls, blocks=scm.blocks,
                        mechanisms=mechanisms)
 
@@ -181,17 +164,8 @@ def _signature(scm, variable, fixed):
     members in ``fixed`` pinned."""
     mech = scm.mechanisms[variable]
     free_exo = [k for k in mech.exo_parents if k not in fixed]
-    domains = [scm.domain(p) for p in mech.endo_parents]
-    domains += [scm.member_index[k].domain for k in free_exo]
-    rows = []
-    for combo in product(*domains):
-        env = dict(zip(mech.endo_parents, combo[:len(mech.endo_parents)]))
-        free = dict(zip(free_exo, combo[len(mech.endo_parents):]))
-        key = tuple(env[p] for p in mech.endo_parents)
-        key += tuple(fixed[k] if k in fixed else free[k]
-                     for k in mech.exo_parents)
-        rows.append(mech.table[key])
-    return tuple(rows)
+    return tuple(out for _combo, out in _solved_rows(
+        scm, mech.endo_parents, free_exo, (variable,), fixed))
 
 
 def _rho_shared_reads(scm, members):
@@ -363,15 +337,23 @@ def sigma_distribution(scm, cm, cluster, label, policy="general",
                        rho.class_of if rho else {})
     for p, parent_label in zip(machinery.parents, ctx[0]):
         cm.cluster(p).fiber(parent_label)  # validates the label
-    probs = machinery.tables[label].get(ctx)
-    if probs is None:
-        if fallback == "uniform":
-            probs = _uniform(len(fiber))
-        else:
-            raise ImpossibleContext(
-                "context %r has probability zero together with %s=%s"
-                % (ctx, cluster, label), cluster=cluster, label=label)
+    probs = _context_probs(machinery.tables[label], ctx, len(fiber),
+                           fallback, cluster, label)
     return {t: p for t, p in zip(fiber, probs)}
+
+
+def _context_probs(tables, ctx, size, fallback, cluster, label):
+    """The reference probabilities a cluster value's tables give one
+    context: uniform over the ``size`` member tuples when the context has
+    no mass and ``fallback='uniform'``, otherwise ImpossibleContext."""
+    probs = tables.get(ctx)
+    if probs is not None:
+        return probs
+    if fallback == "uniform":
+        return _uniform(size)
+    raise ImpossibleContext(
+        "context %r has probability zero together with %s=%s"
+        % (ctx, cluster, label), cluster=cluster, label=label)
 
 
 # ---------------------------------------------------------------------------
@@ -491,6 +473,15 @@ class DeltaSplit:
 
     def lossy_labels(self):
         return tuple(l for l in self.labels if len(self.fibers[l]) > 1)
+
+    def context(self, labels, unit):
+        """The (parent labels, response class) key of this cluster's
+        reference tables, read off the parent clusters' ``labels`` and the
+        shared noise members of ``unit``."""
+        cls = None
+        if self.rho_members:
+            cls = self.rho_classes[tuple(unit[k] for k in self.rho_members)]
+        return tuple(labels[g] for g in self.parents), cls
 
     def n_cells(self, label):
         return len(self.breaks[label]) - 1 + len(self.fill_targets[label])
@@ -664,11 +655,8 @@ def construct_projected_abstraction(scm, cm, policy="general", budget=None,
                 label = high_env[p]
                 fiber = ps.fibers[label]
                 if p in reconstructed and len(fiber) > 1:
-                    ctx = (tuple(high_env[g] for g in ps.parents), None)
-                    if ps.rho_members:
-                        joint = tuple(exo_env[k] for k in ps.rho_members)
-                        ctx = (ctx[0], ps.rho_classes[joint])
-                    name = ps.component[label].get(ctx)
+                    name = ps.component[label].get(
+                        ps.context(high_env, exo_env))
                     if name is None:
                         raw = fiber[0]
                     else:
@@ -747,6 +735,12 @@ def verify_partial_projection(low, high, budget=None):
 
     check_budget(working.exogenous_support_size() * len(subsets), budget,
                  "replay needs %d evaluations")
+    # every cell starts at 0; the replay sets the ones the unit needs
+    zero_cells = {(split.block, mname): 0
+                  for split in (splits[name] for name in names)
+                  if split.block is not None
+                  for label in split.lossy_labels()
+                  for mname in split.component[label].values()}
 
     checked = 0
     mismatch_count = 0
@@ -758,13 +752,7 @@ def verify_partial_projection(low, high, budget=None):
                 tuple(env[m] for m in splits[name].members))
                 for name in names}
 
-            unit_h = dict(unit)
-            for name in names:
-                split = splits[name]
-                if split.block is not None:
-                    for label in split.lossy_labels():
-                        for mname in split.component[label].values():
-                            unit_h[(split.block, mname)] = 0
+            unit_h = {**unit, **zero_cells}
             env_h = {name: want[name] for name in chosen}
             trouble = None
             for before, split in stops:
@@ -773,10 +761,7 @@ def verify_partial_projection(low, high, budget=None):
                 if len(split.fibers[actual]) > 1:
                     idx = list(split.fibers[actual]).index(raw)
                     high.scm.solve(unit_h, env_h, before)
-                    ctx = (tuple(env_h[g] for g in split.parents), None)
-                    if split.rho_members:
-                        joint = tuple(unit[k] for k in split.rho_members)
-                        ctx = (ctx[0], split.rho_classes[joint])
+                    ctx = split.context(env_h, unit)
                     mname = split.component[actual].get(ctx)
                     if mname is None:
                         trouble = ("context %r absent for %s=%s"
@@ -842,7 +827,7 @@ def resolve_sigma_high(high, query):
 
 
 # ---------------------------------------------------------------------------
-# disambiguation bounds and response profiles
+# disambiguation bounds
 
 
 def disambiguation_bounds(scm, cm, cluster, label, outcome, budget=None):
@@ -874,75 +859,6 @@ def disambiguation_bounds(scm, cm, cluster, label, outcome, budget=None):
     return Fraction(lo, den), Fraction(hi, den)
 
 
-@dataclass(frozen=True)
-class CanonicalResponse:
-    """A variable's mechanism with some noise members pinned: a pure
-    function from endogenous parent values to an output."""
-
-    variable: str
-    inputs: tuple
-    outputs: tuple  # one output per parent combination, in domain order
-
-
-def canonical_response_profile(scm, variable, shared):
-    """Distribution over the response functions of one variable when the
-    given shared noise members are pinned; the remaining noise is drawn from
-    its conditional distribution given the pinned members."""
-    if variable not in scm.var_index:
-        raise UnknownVariable("unknown variable %r" % variable,
-                              variable=variable)
-    mech = scm.mechanisms[variable]
-    fixed = {}
-    for key, value in shared.items():
-        k = scm.resolve_exo_key(key)
-        if value not in scm.member_index[k].domain:
-            raise DomainMismatch(
-                "value %r is outside the domain of %s.%s" % ((value,) + k))
-        fixed[k] = value
-    private = [k for k in mech.exo_parents if k not in fixed]
-    factors = []  # list of (keys, [(values, prob)])
-    for b in scm.blocks:
-        keys_here = [k for k in private if k[0] == b.name]
-        if not keys_here:
-            continue
-        fixed_here = {k: v for k, v in fixed.items() if k[0] == b.name}
-        rows = {}
-        total = Fraction(0)
-        for values, p in b.support():
-            assign = dict(zip(((b.name, m) for m in b.member_names()), values))
-            if any(assign[k] != v for k, v in fixed_here.items()):
-                continue
-            total += p
-            key = tuple(assign[k] for k in keys_here)
-            rows[key] = rows.get(key, Fraction(0)) + p
-        if total == 0:
-            raise ImpossibleContext(
-                "pinned values of block %r have probability zero" % b.name,
-                block=b.name)
-        factors.append((keys_here, [(vals, p / total)
-                                    for vals, p in sorted(rows.items(), key=repr)]))
-    endo_domains = [scm.domain(p) for p in mech.endo_parents]
-    profile = {}
-    keys_flat = [k for keys, _rows in factors for k in keys]
-    for combo in product(*(rows for _keys, rows in factors)) if factors else [()]:
-        p = Fraction(1)
-        values = []
-        for vals, rp in combo:
-            p *= rp
-            values.extend(vals)
-        assign = dict(fixed)
-        assign.update(zip(keys_flat, values))
-        outputs = []
-        for parents in product(*endo_domains):
-            key = tuple(parents) + tuple(assign[k] for k in mech.exo_parents)
-            outputs.append(mech.table[key])
-        resp = CanonicalResponse(variable=variable,
-                                 inputs=tuple(mech.endo_parents),
-                                 outputs=tuple(outputs))
-        profile[resp] = profile.get(resp, Fraction(0)) + p
-    return profile
-
-
 # ---------------------------------------------------------------------------
 # sampling from the stored reference tables
 
@@ -964,14 +880,8 @@ def projected_sample(high, cluster, label, context=None, seed=0, n=None):
     else:
         ctx = _context_key(context, split.parents, split.rho_members,
                            split.rho_classes)
-        probs = split.sigma.get(label, {}).get(ctx)
-        if probs is None:
-            if high.fallback == "uniform":
-                probs = _uniform(len(fiber))
-            else:
-                raise ImpossibleContext(
-                    "context %r has probability zero together with %s=%s"
-                    % (ctx, cluster, label), cluster=cluster, label=label)
+        probs = _context_probs(split.sigma.get(label, {}), ctx, len(fiber),
+                               high.fallback, cluster, label)
     cum = []
     acc = Fraction(0)
     for p in probs:

@@ -77,33 +77,51 @@ def binary_block(name, p_one):
     }
 
 
-def build_dag_model(nodes, edges, rng):
+def build_dag_model(nodes, edges, rng, shared=(), quiet=()):
     """A binary-variable model over the given DAG.
 
     Every variable has a private binary noise member and a mechanism of the
     form (base(parents) + u) mod 2, so each value keeps positive probability
     under every parent combination and the observational joint has full
-    support.
+    support. Each variable in ``shared`` also adds one member of a block
+    ``S`` (one binary member per variable, correlated) to its sum; each
+    variable in ``quiet`` has neither noise nor a private block, so its
+    mechanism is base(parents) alone.
     """
     endo = []
     blocks = []
     mechanisms = []
     for name in nodes:
         endo.append({"name": name, "domain": [0, 1]})
-        blocks.append(binary_block("U%s" % name,
-                                   Fraction(rng.randint(1, 9), 10)))
+        exo = []
+        if name not in quiet:
+            blocks.append(binary_block("U%s" % name,
+                                       Fraction(rng.randint(1, 9), 10)))
+            exo.append({"block": "U%s" % name, "member": "u"})
+        if name in shared:
+            exo.append({"block": "S", "member": "s%d" % shared.index(name)})
         parents = [a for a, b in edges if b == name]
         rows = []
         for combo in product([0, 1], repeat=len(parents)):
             base = rng.randrange(2)
-            for u in (0, 1):
-                rows.append({"parents": list(combo) + [u],
-                             "out": (base + u) % 2})
+            for noise in product([0, 1], repeat=len(exo)):
+                rows.append({"parents": list(combo) + list(noise),
+                             "out": (base + sum(noise)) % 2})
         mechanisms.append({
             "variable": name,
             "endo_parents": parents,
-            "exo_parents": [{"block": "U%s" % name, "member": "u"}],
+            "exo_parents": exo,
             "table": rows,
+        })
+    if shared:
+        joint = list(product([0, 1], repeat=len(shared)))
+        weights = [rng.randint(1, 5) for _ in joint]
+        blocks.append({
+            "name": "S",
+            "members": [{"name": "s%d" % i, "domain": [0, 1]}
+                        for i in range(len(shared))],
+            "table": [{"values": list(vals), "p": str(Fraction(w, sum(weights)))}
+                      for vals, w in zip(joint, weights)],
         })
     return ab.validate_scm({"endogenous": endo, "blocks": blocks,
                             "mechanisms": mechanisms})

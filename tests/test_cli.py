@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 import abstrakt as ab
-from abstrakt.cli import parse_query, run
+from abstrakt.cli import _build_parser, parse_query, run
 from conftest import binary_block, context_after_target_docs, fixture_path
 
 INS = fixture_path("insurance.json")
@@ -392,12 +392,37 @@ class TestProjectedGraphAgreement:
         assert ident.payload["estimand"] == est.payload["estimand"]
         assert est.payload["rational"] == value.payload["rational"] == "1/2"
 
-    def test_cdag_has_no_spurious_confounding(self, paths):
+    @pytest.mark.parametrize("flags", [[], ["--project"]],
+                             ids=["plain", "project"])
+    def test_cdag_has_no_spurious_confounding(self, paths, flags):
         scm_path, cm_path = paths
-        r = run(["cdag", "--project", "--scm", scm_path,
-                 "--clusters", cm_path])
+        r = run(["cdag", *flags, "--scm", scm_path, "--clusters", cm_path])
         assert r.exit_code == 0
         assert r.payload["bidirected"] == []
+
+
+class TestParserReuse:
+    CALLS = [
+        ["eval", "--scm", INS, "--query", "P(Y[X=x1]=1)"],
+        ["eval", "--scm", INS],
+        ["cdag", "--project", "--scm", INS, "--clusters", INS_CM],
+        ["eval", "--scm", INS, "--query", "P(Y[X=x2]=1)", "--budget", "5"],
+        ["validate", "--scm", INS],
+        ["eval", "--scm", INS, "--query", "P(Y[X=x1]=1)"],
+    ]
+
+    def test_one_parser_per_process(self):
+        assert _build_parser() is _build_parser()
+
+    def test_cached_parser_keeps_no_state(self):
+        cached = [run(list(argv)) for argv in self.CALLS]
+        fresh = []
+        for argv in self.CALLS:
+            _build_parser.cache_clear()
+            fresh.append(run(list(argv)))
+        assert [r.exit_code for r in cached] == [0, 2, 0, 4, 0, 0]
+        assert [(r.exit_code, r.payload) for r in cached] == \
+            [(r.exit_code, r.payload) for r in fresh]
 
 
 class TestEntryPoint:

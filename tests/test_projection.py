@@ -3,12 +3,14 @@ interventions, the constructed high-level model, and its replay check."""
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import abstrakt as ab
-from conftest import (atom, build_lossy_chain, context_after_target_docs,
-                      term, query)
+from conftest import (atom, build_dag_model, build_lossy_chain,
+                      context_after_target_docs, term, query)
 
 
 def sigma_marker_query(outcome_pairs, cluster, label, conditioning=()):
@@ -42,6 +44,73 @@ class TestFullProjection:
         small = ab.project_full(insurance, ("X", "Y"))
         assert [b.name for b in small.blocks] == \
             [b.name for b in insurance.blocks]
+
+
+@st.composite
+def projection_cases(draw):
+    """A binary DAG model in which two variables read one shared noise
+    block and a third reads no noise, and at least two variables to keep."""
+    n = draw(st.integers(3, 5))
+    nodes = ["V%d" % (i + 1) for i in range(n)]
+    slots = [(a, b) for i, a in enumerate(nodes) for b in nodes[i + 1:]]
+    edges = [e for e in slots if draw(st.booleans())]
+    roles = draw(st.permutations(nodes))
+    model = build_dag_model(nodes, edges,
+                            random.Random(draw(st.integers(0, 2 ** 32))),
+                            shared=tuple(roles[:2]), quiet=(roles[2],))
+    keep = draw(st.lists(st.sampled_from(nodes), min_size=2, unique=True))
+    return model, keep
+
+
+def projected_rows(scm, keep):
+    """Per variable, the rows of its projected table: two per kept
+    endogenous input and per noise member it reads, itself or through the
+    dropped variables above it."""
+    reach = {}  # var -> (kept inputs, noise members)
+    for v in scm.topological_order_names():
+        mech = scm.mechanisms[v]
+        endo, exo = set(), set(mech.exo_parents)
+        for p in mech.endo_parents:
+            if p in keep:
+                endo.add(p)
+            else:
+                endo |= reach[p][0]
+                exo |= reach[p][1]
+        reach[v] = (endo, exo)
+    return {v: 2 ** (len(e) + len(x)) for v, (e, x) in reach.items()}
+
+
+class TestProjectionProperties:
+    @settings(max_examples=30, deadline=None)
+    @given(projection_cases())
+    def test_kept_distributions_match(self, case):
+        model, keep = case
+        small = ab.project_full(model, keep)
+        for v in [None] + keep:
+            for val in (0, 1):
+                ivs = () if v is None else (ab.HardIntervention(v, val),)
+                assert ab.joint_distribution(small, keep, ivs).probs == \
+                    ab.joint_distribution(model, keep, ivs).probs
+        y, x = keep[0], keep[1]
+        for y0, y1, x1 in product((0, 1), repeat=3):
+            q = query([term([(y, y0)]), term([(y, y1)], [(x, x1)])])
+            assert ab.prob_query(small, q) == ab.prob_query(model, q)
+
+    @settings(max_examples=40, deadline=None)
+    @given(projection_cases(), st.integers(1, 32))
+    def test_budget_names_first_oversized_table(self, case, budget):
+        model, keep = case
+        rows = projected_rows(model, set(keep))
+        over = [v for v in model.topological_order_names()
+                if rows[v] > budget]
+        if not over:
+            ab.project_full(model, keep, budget)
+            return
+        with pytest.raises(ab.SizeExceeded) as err:
+            ab.project_full(model, keep, budget)
+        assert err.value.details == {"variable": over[0],
+                                     "required": rows[over[0]],
+                                     "budget": budget}
 
 
 class TestSigmaDistribution:
@@ -232,6 +301,47 @@ class TestConstruction:
                                              ("XH", "Y")}
 
 
+def unreachable_context_model():
+    """Z -> X -> Y with P(Z=z2) = 0, X uniform over {0, 1, 2} in either
+    context and Y = [X == 1]; cluster XH lumps X in {0, 1} as 'lo'."""
+    scm = ab.validate_scm({
+        "endogenous": [{"name": "Z", "domain": ["z1", "z2"]},
+                       {"name": "X", "domain": [0, 1, 2]},
+                       {"name": "Y", "domain": [0, 1]}],
+        "blocks": [
+            {"name": "UZ", "members": [{"name": "u", "domain": ["z1", "z2"]}],
+             "table": [{"values": ["z1"], "p": "1"},
+                       {"values": ["z2"], "p": "0"}]},
+            {"name": "UX", "members": [{"name": "u", "domain": [0, 1, 2]}],
+             "table": [{"values": [u], "p": "1/3"} for u in (0, 1, 2)]},
+        ],
+        "mechanisms": [
+            {"variable": "Z", "endo_parents": [],
+             "exo_parents": [{"block": "UZ", "member": "u"}],
+             "table": [{"parents": [z], "out": z} for z in ("z1", "z2")]},
+            {"variable": "X", "endo_parents": ["Z"],
+             "exo_parents": [{"block": "UX", "member": "u"}],
+             "table": [{"parents": [z, u], "out": u}
+                       for z in ("z1", "z2") for u in (0, 1, 2)]},
+            {"variable": "Y", "endo_parents": ["X"], "exo_parents": [],
+             "table": [{"parents": [x], "out": int(x == 1)}
+                       for x in (0, 1, 2)]},
+        ],
+    })
+    cm = ab.validate_clusters(scm, {"clusters": [
+        {"name": "Z", "members": ["Z"], "values": [
+            {"label": "z1", "tuples": [["z1"]]},
+            {"label": "z2", "tuples": [["z2"]]}]},
+        {"name": "XH", "members": ["X"], "values": [
+            {"label": "lo", "tuples": [[0], [1]]},
+            {"label": "hi", "tuples": [[2]]}]},
+        {"name": "Y", "members": ["Y"], "values": [
+            {"label": 0, "tuples": [[0]]},
+            {"label": 1, "tuples": [[1]]}]},
+    ]})
+    return scm, cm
+
+
 class TestReplayVerification:
     def test_fixture_models_replay(self, insurance, insurance_high,
                                    cholesterol, cholesterol_cm,
@@ -287,8 +397,25 @@ class TestReplayVerification:
             scm, cm = build_lossy_chain(random.Random(200 + seed),
                                         confounded=True)
             high = ab.construct_projected_abstraction(scm, cm)
+            # BH's contexts carry a response class of the shared block
+            assert high.splits["BH"].rho_members
             res = ab.verify_partial_projection(scm, high)
             assert res.passed, "seed %d: %s" % (seed, res.mismatches[:2])
+
+    def test_absent_context_is_reported(self):
+        """Z = z2 has no mass, so XH = lo has no reference table in the
+        context Z = z2: every case that intervenes Z to z2 and leaves X in
+        lo reconstructs X from an absent context."""
+        scm, cm = unreachable_context_model()
+        res = ab.verify_partial_projection(
+            scm, ab.construct_projected_abstraction(scm, cm))
+        assert (res.checked, res.mismatch_count) == (108, 24)
+        assert {m["note"] for m in res.mismatches} == {
+            "context (('z2',), None) absent for XH=lo"}
+        res = ab.verify_partial_projection(
+            scm, ab.construct_projected_abstraction(scm, cm,
+                                                    fallback="uniform"))
+        assert res.passed and res.checked == 108
 
     def test_random_chains_query_agreement(self):
         for seed in (301, 302, 303):
@@ -321,21 +448,6 @@ class TestBounds:
         lo, hi = ab.disambiguation_bounds(insurance, insurance_cm,
                                           "XH", "xE", {"Y": 1})
         assert lo == hi == Fraction(9, 10)
-
-
-class TestResponseProfiles:
-    def test_pinned_profile(self, hospital):
-        prof = ab.canonical_response_profile(hospital, "X",
-                                             {("UZ", "UZ"): "z1"})
-        by_out = {r.outputs: p for r, p in prof.items()}
-        assert by_out == {("x1",): Fraction(2, 5), ("x2",): Fraction(1, 10),
-                          ("x3",): Fraction(1, 2)}
-
-    def test_profile_is_a_distribution(self, insurance):
-        prof = ab.canonical_response_profile(insurance, "X", {})
-        assert sum(prof.values()) == 1
-        # X has an endogenous parent, so responses are functions of Z
-        assert all(r.inputs == ("Z",) for r in prof)
 
 
 class TestSampling:
