@@ -721,6 +721,11 @@ def verify_partial_projection(low, high, budget=None):
              for i, name in enumerate(high_topo)
              if splits[name].block is not None]
 
+    # the interventions are every subset of clusters, each with every joint
+    # value of its members; they are counted before they are listed
+    check_budget(working.exogenous_support_size() * math.prod(
+        1 + math.prod(len(working.domain(m)) for m in splits[name].members)
+        for name in names), budget, "replay needs %d evaluations")
     subsets = []
     for mask in range(1 << len(names)):
         chosen = [names[i] for i in range(len(names)) if mask >> i & 1]
@@ -733,8 +738,6 @@ def verify_partial_projection(low, high, budget=None):
         for combo in product(*domains):
             subsets.append((tuple(chosen), dict(zip(var_list, combo))))
 
-    check_budget(working.exogenous_support_size() * len(subsets), budget,
-                 "replay needs %d evaluations")
     # every cell starts at 0; the replay sets the ones the unit needs
     zero_cells = {(split.block, mname): 0
                   for split in (splits[name] for name in names)

@@ -303,16 +303,9 @@ def _relevance(scm, reads, hard=(), atoms=()):
     return needed, tuple(sorted(scm.block_position[b] for b in blocks))
 
 
-def _world(scm, sub_idx, unit, setup, cell_choice):
-    """Solve the variables one term needs in one world. Worlds are cached
-    per term content, the state's row indices over the term's own blocks
-    and the cell draws, so repeated terms are free."""
-    hard_map, atoms, segments, term_no = setup
-    cells = tuple(cell_choice[a.share_key] for a in atoms)
-    sig = (term_no, sub_idx, cells)
-    cached = scm._world_cache.get(sig)
-    if cached is not None:
-        return cached
+def _solve_world(scm, unit, setup, cells):
+    """Solve the variables one term needs in one world, uncached."""
+    hard_map, atoms, segments, _term_no = setup
     override = {mk: mapping[cell] for a, cell in zip(atoms, cells)
                 for mk, mapping in a.exo_cells.items()}
     if override:
@@ -321,18 +314,30 @@ def _world(scm, sub_idx, unit, setup, cell_choice):
     for segment, atom, cell in zip(segments, atoms, cells):
         scm.solve(unit, env, segment)
         _resolve_soft(atom, env, unit, cell)
-    scm.solve(unit, env, segments[-1])
-    if len(scm._world_cache) < CACHE_LIMIT:
-        scm._world_cache[sig] = env
+    return scm.solve(unit, env, segments[-1])
+
+
+def _world(scm, sub_idx, unit, setup, cell_choice):
+    """Solve the variables one term needs in one world. Worlds are cached
+    per term number, the state's row indices over the term's own blocks
+    and the cell draws, so repeated terms are free."""
+    cells = tuple(cell_choice[a.share_key] for a in setup[1])
+    sig = (setup[3], sub_idx, cells)
+    env = scm._world_cache.get(sig)
+    if env is None:
+        env = _solve_world(scm, unit, setup, cells)
+        if setup[3] is not None and len(scm._world_cache) < CACHE_LIMIT:
+            scm._world_cache[sig] = env
     return env
 
 
 def _term_setup(scm, term, reads=()):
     """Check a term and plan its world. Returns the world's setup (the hard
     settings, the distinct atoms in the order they are resolved, the
-    solve-order segments between them and the term's number) and the
-    positions of the blocks the world reads. Only the variables that the
-    outcomes, ``reads`` and the atoms' targets depend on are solved."""
+    solve-order segments between them and the term's number, None once the
+    model has numbered CACHE_LIMIT term contents) and the positions of the
+    blocks the world reads. Only the variables that the outcomes, ``reads``
+    and the atoms' targets depend on are solved."""
     hard_map = _check_hard(scm, term.hard)
     atoms = []
     seen = set()
@@ -394,7 +399,9 @@ def _term_setup(scm, term, reads=()):
     segments = [order[i:j] for i, j in zip(bounds, bounds[1:])]
     content = (tuple(sorted(hard_map.items(), key=lambda kv: kv[0])),
                tuple(_fingerprint(a) for a in atoms), tuple(order))
-    term_no = scm._world_terms.setdefault(content, len(scm._world_terms))
+    term_no = scm._world_terms.get(content)
+    if term_no is None and len(scm._world_terms) < CACHE_LIMIT:
+        term_no = scm._world_terms[content] = len(scm._world_terms)
     return (hard_map, atoms, segments, term_no), blocks
 
 
@@ -502,6 +509,40 @@ def prob_query(scm, query, budget=None):
     return Fraction(num, den)
 
 
+def counterfactual_table(scm, terms, reads=None, budget=None):
+    """Joint integer weights of what the worlds of ``terms`` show, from one
+    enumeration of the shared exogenous draw and cells: the common
+    denominator and a dict from per-term tuples of ``reads`` (default: each
+    term's outcome variables; accepted sets are not applied) to weights.
+    Worlds are memoised for this call only, keyed per term by its row
+    indices over its own blocks and its cell draws."""
+    if not terms:
+        raise DomainMismatch("query has no terms")
+    if reads is None:
+        reads = [[v for oc in t.outcomes for v in oc.variables]
+                 for t in terms]
+    setups, term_blocks = zip(*(_term_setup(scm, t, r)
+                                for t, r in zip(terms, reads)))
+    blocks, picks = _plan(term_blocks)
+    den, states = _enumerate(scm, terms, budget, blocks)
+    plans = [(pick, [a.share_key for a in setup[1]], setup, tuple(r), {})
+             for pick, setup, r in zip(picks, setups, reads)]
+    weights = {}
+    for u_idx, unit, weight, choice in states:
+        key = []
+        for pick, shares, setup, read, memo in plans:
+            cells = tuple([choice[k] for k in shares])
+            sig = (pick(u_idx), cells)
+            seen = memo.get(sig)
+            if seen is None:
+                env = _solve_world(scm, unit, setup, cells)
+                seen = memo[sig] = tuple([env[v] for v in read])
+            key.append(seen)
+        key = tuple(key)
+        weights[key] = weights.get(key, 0) + weight
+    return den, weights
+
+
 def joint_distribution(scm, variables, interventions=(), budget=None):
     """Exact joint table over ``variables`` in the single world produced by
     ``interventions`` (hard and soft mixed)."""
@@ -510,19 +551,12 @@ def joint_distribution(scm, variables, interventions=(), budget=None):
     if len(hard) + len(soft) != len(tuple(interventions)):
         raise DomainMismatch(
             "interventions must be hard or resolved stochastic interventions")
-    term = QueryTerm(outcomes=(), hard=hard, soft=soft)
-    setup, own = _term_setup(scm, term, tuple(variables))
-    blocks, (pick,) = _plan([own])
-    den, states = _enumerate(scm, [term], budget, blocks)
-    weights = {}
-    for u_idx, unit, weight, choice in states:
-        env = _world(scm, pick(u_idx), unit, setup, choice)
-        key = tuple(env[v] for v in variables)
-        weights[key] = weights.get(key, 0) + weight
-    domains = tuple(scm.domain(v) for v in variables)
+    variables = tuple(variables)
+    den, weights = counterfactual_table(
+        scm, [QueryTerm(hard=hard, soft=soft)], [variables], budget)
     return DistributionTable(
-        variables=tuple(variables), domains=domains,
-        probs={key: Fraction(w, den) for key, w in weights.items()})
+        variables=variables, domains=tuple(map(scm.domain, variables)),
+        probs={key: Fraction(w, den) for (key,), w in weights.items()})
 
 
 def marginal_pushforward(table, cm):

@@ -1,6 +1,7 @@
 """Mixed graphs: construction, separation, components, the rewrite rules,
 and the graph-vs-model consistency check."""
 
+import math
 import random
 from fractions import Fraction
 from itertools import combinations, product
@@ -8,6 +9,7 @@ from itertools import combinations, product
 import pytest
 
 import abstrakt as ab
+from abstrakt import graphs
 from conftest import (build_dag_model, identity_clusters, term, query)
 
 
@@ -263,6 +265,50 @@ class TestModelConsistencyCheck:
         projected = ab.build_projected_cdag(cdag, rep.violators)
         out = ab.ctfbn_check(projected, insurance_high.scm)
         assert out.passed
+
+    def test_tables_give_the_prob_query_report(self, insurance, insurance_cm,
+                                               insurance_high, monkeypatch):
+        """ctfbn_check reads each probability off one table per signature
+        and keeps nothing in the model's world cache; answering every
+        table entry with prob_query instead gives the same report."""
+        cdag = ab.build_cdag(ab.induce_diagram(insurance), insurance_cm)
+        projected = ab.build_projected_cdag(
+            cdag, ab.check_aic(insurance, insurance_cm).violators)
+        added = sorted(set(projected.directed) - set(cdag.directed))
+        pruned = ab.make_graph(
+            projected.nodes, [e for e in projected.directed if e != added[0]],
+            projected.bidirected, projected=True)
+        high = insurance_high.scm
+
+        def fresh():
+            return ab.DiscreteScm(high.endogenous, high.blocks,
+                                  high.mechanisms)
+
+        reports = []
+        for g in (cdag, projected, pruned):
+            model = fresh()
+            reports.append(ab.ctfbn_check(g, model, max_terms=3))
+            assert model._world_cache == {}
+        assert [r.passed for r in reports] == [False, True, False]
+
+        def table_by_prob_query(scm, terms, budget=None):
+            reads = [[v for oc in t.outcomes for v in oc.variables]
+                     for t in terms]
+            probs = {}
+            for key in product(*(product(*map(scm.domain, r))
+                                 for r in reads)):
+                asked = [ab.QueryTerm(
+                    outcomes=tuple(ab.OutcomeAtom((v,), frozenset({(x,)}))
+                                   for v, x in zip(r, values)),
+                    hard=t.hard) for t, r, values in zip(terms, reads, key)]
+                probs[key] = ab.prob_query(scm, query(asked), budget)
+            den = math.lcm(*(p.denominator for p in probs.values()))
+            return den, {k: int(p * den) for k, p in probs.items() if p}
+
+        monkeypatch.setattr(graphs, "counterfactual_table",
+                            table_by_prob_query)
+        assert [ab.ctfbn_check(g, fresh(), max_terms=3)
+                for g in (cdag, projected, pruned)] == reports
 
 
 class TestSerialization:

@@ -1,4 +1,5 @@
-"""Source hygiene: no module of the package imports a name it never uses."""
+"""Source hygiene: no module of the package imports a name it never uses,
+and no module-level private name of the package goes unread."""
 
 import ast
 import os
@@ -37,3 +38,46 @@ def test_detects_unused_import():
 def test_no_unused_imports(module):
     with open(os.path.join(PACKAGE, module), encoding="utf-8") as fh:
         assert unused_imports(fh.read()) == []
+
+
+def orphaned_private_names(sources):
+    """Module-level ``_private`` names (functions, classes, assignments)
+    that no module of ``sources`` reads besides defining them."""
+    defined = []
+    read = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                defined.append((module, node.name))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                defined.extend((module, t.id) for t in targets
+                               if isinstance(t, ast.Name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return sorted((module, name) for module, name in defined
+                  if name.startswith("_") and not name.startswith("__")
+                  and name not in read)
+
+
+def test_detects_orphaned_private_name():
+    sources = {"a.py": "def _used():\n    pass\n\ndef _gone():\n    pass\n"
+                       "_LIMIT = 3\n",
+               "b.py": "from a import _used\n_used()\n"}
+    assert orphaned_private_names(sources) == [("a.py", "_LIMIT"),
+                                               ("a.py", "_gone")]
+
+
+def test_no_orphaned_private_names():
+    sources = {}
+    for module in sorted(os.listdir(PACKAGE)):
+        if module.endswith(".py"):
+            with open(os.path.join(PACKAGE, module), encoding="utf-8") as fh:
+                sources[module] = fh.read()
+    assert orphaned_private_names(sources) == []

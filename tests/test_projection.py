@@ -1,7 +1,9 @@
 """Projected abstractions: mechanism inlining, context-sensitive
 interventions, the constructed high-level model, and its replay check."""
 
+import json
 import random
+import time
 from fractions import Fraction
 from itertools import product
 
@@ -9,8 +11,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import abstrakt as ab
+from abstrakt.cli import run
 from conftest import (atom, build_dag_model, build_lossy_chain,
-                      context_after_target_docs, term, query)
+                      context_after_target_docs, identity_clusters, term,
+                      query)
 
 
 def sigma_marker_query(outcome_pairs, cluster, label, conditioning=()):
@@ -416,6 +420,28 @@ class TestReplayVerification:
             scm, ab.construct_projected_abstraction(scm, cm,
                                                     fallback="uniform"))
         assert res.passed and res.checked == 108
+
+    def test_budget_gate_precedes_the_interventions(self, tmp_path):
+        """A 20-node binary chain with one cluster per node needs
+        2**20 states times 3**20 whole-cluster interventions; the gate
+        counts them without listing them, so the refusal is immediate."""
+        nodes = ["V%d" % i for i in range(20)]
+        low = build_dag_model(nodes, list(zip(nodes, nodes[1:])),
+                              random.Random(20))
+        high = ab.construct_projected_abstraction(low, identity_clusters(low))
+        start = time.perf_counter()
+        with pytest.raises(ab.SizeExceeded) as err:
+            ab.verify_partial_projection(low, high)
+        assert time.perf_counter() - start < 1.0
+        assert err.value.details["required"] == 2 ** 20 * 3 ** 20
+        scm_path, high_path = tmp_path / "low.json", tmp_path / "high.json"
+        scm_path.write_text(json.dumps(ab.scm_to_doc(low)))
+        ab.save_high(high, str(high_path))
+        r = run(["verify", "--scm", str(scm_path), "--high", str(high_path),
+                 "--budget", "1000"])
+        assert r.exit_code == 4
+        assert r.payload["error"]["details"] == {
+            "required": 2 ** 20 * 3 ** 20, "budget": 1000}
 
     def test_random_chains_query_agreement(self):
         for seed in (301, 302, 303):

@@ -24,8 +24,8 @@ from hypothesis import given, settings, strategies as st
 import abstrakt as ab
 from abstrakt import projection, scm as scm_module, valuation
 from abstrakt.cli import run
-from conftest import (binary_block, build_dag_model, build_lossy_chain,
-                      fixture_path, query, term)
+from conftest import (atom, binary_block, build_dag_model,
+                      build_lossy_chain, fixture_path, query, term)
 
 FIXTURES = ("insurance", "cholesterol", "hospital")
 POLICIES = ("agnostic", "markovian", "general")
@@ -715,3 +715,101 @@ class TestSubsetMemo:
         # 144-state full support does not
         assert sorted(model._states) == [(), (0, 3, 5), (1, 2), (4,)]
         assert model._held == 20
+
+
+# ---------------------------------------------------------------------------
+# one counterfactual table per signature
+
+
+@st.composite
+def table_cases(draw):
+    """A DAG model whose variables share one correlated block, and one to
+    three terms over it, each with hard and at most one stochastic setting
+    and one or two variables to read."""
+    n = draw(st.integers(2, 4))
+    nodes = ["V%d" % (i + 1) for i in range(n)]
+    slots = [(a, b) for i, a in enumerate(nodes) for b in nodes[i + 1:]]
+    edges = [e for e in slots if draw(st.booleans())]
+    shared = draw(st.lists(st.sampled_from(nodes), min_size=2, unique=True))
+    model = build_dag_model(nodes, edges,
+                            random.Random(draw(st.integers(0, 2 ** 32))),
+                            shared=tuple(shared))
+    terms, reads = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        t = draw(dag_terms(nodes))
+        target = t.outcomes[0].variables[0]
+        taken = {h.variable for h in t.hard} | {
+            v for a in t.soft for v in a.targets} | {target}
+        free = [v for v in nodes if v not in taken]
+        extra = draw(st.lists(st.sampled_from(free), max_size=1)) \
+            if free else []
+        terms.append(t)
+        reads.append((target, *extra))
+    return model, terms, reads
+
+
+def with_outcomes(t, read, values):
+    """Term ``t`` with one outcome atom per variable of ``read``."""
+    return ab.QueryTerm(
+        outcomes=tuple(ab.OutcomeAtom(variables=(v,),
+                                      accepted=frozenset({(x,)}))
+                       for v, x in zip(read, values)),
+        hard=t.hard, soft=t.soft)
+
+
+class TestCounterfactualTable:
+    @settings(max_examples=40, deadline=None)
+    @given(table_cases())
+    def test_every_entry_is_its_prob_query(self, case):
+        model, terms, reads = case
+        den, table = ab.counterfactual_table(fresh(model), terms, reads)
+        assert sum(table.values()) == den
+        assert all(w > 0 for w in table.values())
+        keys = list(itertools.product(*(
+            itertools.product(*(model.domain(v) for v in read))
+            for read in reads)))
+        assert set(table) <= set(keys)
+        for key in keys:
+            q = query([with_outcomes(t, read, values)
+                       for t, read, values in zip(terms, reads, key)])
+            assert Fraction(table.get(key, 0), den) == \
+                ab.prob_query(model, q)
+        # by default a term reads its outcome variables
+        asked = [with_outcomes(t, read, key)
+                 for t, read, key in zip(terms, reads, keys[0])]
+        assert ab.counterfactual_table(model, asked) == (den, table)
+
+    def test_tables_leave_the_world_cache_alone(self, insurance):
+        model = fresh(insurance)
+        terms = [term([("Y", 1)], [("X", "x1")]), term([("X", "x2")])]
+        den, table = ab.counterfactual_table(model, terms)
+        assert model._world_cache == {}
+        assert Fraction(table[((1,), ("x2",))], den) == \
+            ab.prob_query(model, query(terms))
+
+    def test_term_numbers_stop_at_the_cache_limit(self, insurance,
+                                                  monkeypatch):
+        """Past CACHE_LIMIT term contents a model numbers no new term and
+        solves its worlds uncached, with the same answers."""
+        monkeypatch.setattr(valuation, "CACHE_LIMIT", 3)
+        model = fresh(insurance)
+        soft = ab.constant_soft_intervention(
+            ("X",), [("x1",), ("x2",), ("x3",)],
+            (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)),
+            share_key=("soft", "X"))
+        numbered = [query([term([("Y", y)], [("X", x)])])
+                    for x in ("x1", "x2", "x3") for y in (0, 1)]
+        unnumbered = [query([term([("Y", 1)], [("Z", z)])])
+                      for z in ("z1", "z2")]
+        unnumbered.append(query([ab.QueryTerm(outcomes=(atom("Y", 1),),
+                                              soft=(soft,))]))
+        for q in numbered:
+            assert ab.prob_query(model, q) == ab.prob_query(fresh(model), q)
+        assert len(model._world_terms) == 3
+        # with room in the world cache, a world kept for one unnumbered
+        # term would be read back for the next
+        model._world_cache.clear()
+        for q in unnumbered * 2:
+            assert ab.prob_query(model, q) == ab.prob_query(fresh(model), q)
+            assert len(model._world_terms) == 3
+            assert len(model._world_cache) == 0
