@@ -576,8 +576,7 @@ def load_graph(path):
 
 def save_graph(g, path):
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(graph_to_doc(g), fh, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(graph_to_doc(g), indent=2) + "\n")
 
 
 def to_dot(g):

@@ -17,7 +17,6 @@ the model).
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import random
@@ -360,12 +359,6 @@ def _context_probs(tables, ctx, size, fallback, cluster, label):
 # resolving stochastic interventions for the valuation engine
 
 
-def _machinery_fingerprint(machinery, label):
-    blob = repr((machinery.cluster, label, machinery.parents,
-                 sorted(machinery.tables.get(label, {}).items(), key=repr)))
-    return hashlib.md5(blob.encode("utf-8")).hexdigest()[:12]
-
-
 def _resolve_markers(query, resolve):
     """Replace every SigmaMarker of a query with ``resolve(marker)``, called
     once per (cluster, label), so markers with the same cluster and label
@@ -421,8 +414,11 @@ def resolve_sigma(scm, cm, query, policy="general", budget=None,
         if mach.rho is not None:
             rho = RhoContext(member_keys=mach.rho.member_keys,
                              class_of=mach.rho.class_of)
+        # the machinery content the cells are drawn from, so atoms from
+        # different models or policies never share a draw by accident; a
+        # frozenset keeps its hash, so the key stays cheap to look up
         share_key = ("sigma", policy, marker.cluster, str(marker.label),
-                     fallback, _machinery_fingerprint(mach, marker.label))
+                     fallback, mach.parents, frozenset(ctx_tables.items()))
         return SoftIntervention(
             targets=tuple(c.members), share_key=share_key,
             candidates=tuple(fiber), tables=dict(ctx_tables), breaks=breaks,
@@ -1009,5 +1005,4 @@ def load_high(path):
 
 def save_high(high, path):
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(high_to_doc(high), fh, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(high_to_doc(high), indent=2) + "\n")

@@ -177,10 +177,11 @@ class DiscreteScm:
         self._topo = None
         self.block_position = {b.name: i for i, b in enumerate(self.blocks)}
         self._rows = None
-        self._states = {}   # block positions -> kept states
+        self._states = {}   # block positions -> kept (index, weight) pairs
         self._held = 0      # states kept over all block subsets
         self._world_cache = {}
         self._world_terms = {}
+        self._live = {}     # (variable, pinned parents) -> live noise
 
     def domain(self, name):
         if name not in self.var_index:
@@ -235,10 +236,12 @@ class DiscreteScm:
     def _block_rows(self):
         """Per block, its positive rows as (member items, integer weight)
         pairs, the weights taken over the block's lcm of the rows'
-        denominators; and per block that lcm."""
+        denominators; per block that lcm; and the reference assignment,
+        every block at its first positive row."""
         if self._rows is None:
             rows = []
             lcms = []
+            reference = {}
             for b in self.blocks:
                 support = b.support()
                 lcm = math.lcm(*(p.denominator for _values, p in support))
@@ -247,7 +250,8 @@ class DiscreteScm:
                               p.numerator * (lcm // p.denominator))
                              for values, p in support])
                 lcms.append(lcm)
-            self._rows = (rows, lcms)
+                reference.update(rows[-1][0][0])
+            self._rows = (rows, lcms, reference)
         return self._rows
 
     def _positions(self, blocks):
@@ -267,39 +271,57 @@ class DiscreteScm:
         lcms = self._block_rows()[1]
         return math.prod(lcms[i] for i in self._positions(blocks))
 
-    def exogenous_support(self, blocks=None):
-        """Iterate (index_tuple, assignment, weight) over the joint values
-        with positive probability of the blocks at positions ``blocks``
-        (default: every block), in block-row product order with blocks in
-        ascending position. The index tuple holds one row index per chosen
-        block; the assignment maps those blocks' (block, member) pairs to
-        values and must not be changed; the weight is an integer, the
-        state's probability times exogenous_denominator(blocks). Complete
-        passes are kept per block subset while the states kept over all
-        subsets number at most CACHE_LIMIT, and later passes replay them."""
+    def exogenous_states(self, blocks=None):
+        """Iterate (index_tuple, weight) over the joint values with positive
+        probability of the blocks at positions ``blocks`` (default: every
+        block), in block-row product order with blocks in ascending
+        position. The index tuple holds one row index per chosen block; the
+        weight is an integer, the state's probability times
+        exogenous_denominator(blocks). Complete passes are kept per block
+        subset while the states kept over all subsets number at most
+        CACHE_LIMIT, and later passes replay them."""
         key = self._positions(blocks)
         kept = self._states.get(key)
         if kept is not None:
-            yield from kept
-            return
+            return iter(kept)
+        return self._walk(key)
+
+    def _walk(self, key):
         all_rows = self._block_rows()[0]
         rows = [all_rows[i] for i in key]
         size = self.exogenous_support_size(key)
         keep = [] if self._held + size <= CACHE_LIMIT else None
-        for combo in product(*(range(len(r)) for r in rows)):
-            unit = {}
-            weight = 1
-            for block_rows, ri in zip(rows, combo):
-                items, w = block_rows[ri]
-                unit.update(items)
-                weight *= w
+        for state in zip(
+                product(*(range(len(r)) for r in rows)),
+                map(math.prod,
+                    product(*([w for _items, w in r] for r in rows)))):
             if keep is not None:
-                keep.append((combo, unit, weight))
-            yield combo, unit, weight
+                keep.append(state)
+            yield state
         if (keep is not None and key not in self._states
                 and self._held + size <= CACHE_LIMIT):
             self._states[key] = keep
             self._held += size
+
+    def exogenous_assignment(self, blocks, idx, complete=False):
+        """The (block, member) -> value assignment of the state whose row
+        indices over the sorted block positions ``blocks`` are ``idx``.
+        With ``complete`` every other block is at its reference row, its
+        first positive one, so the assignment covers every member."""
+        rows, _lcms, reference = self._block_rows()
+        unit = dict(reference) if complete else {}
+        for b, ri in zip(blocks, idx):
+            unit.update(rows[b][ri][0])
+        return unit
+
+    def exogenous_support(self, blocks=None):
+        """Iterate (index_tuple, assignment, weight) over the states of
+        exogenous_states(blocks), each with its assignment of the chosen
+        blocks' (block, member) pairs, built afresh from the state's
+        indices."""
+        key = self._positions(blocks)
+        for idx, weight in self.exogenous_states(key):
+            yield idx, self.exogenous_assignment(key, idx), weight
 
 
 @dataclass
@@ -561,5 +583,4 @@ def load_scm(path):
 
 def save_scm(scm, path):
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(scm_to_doc(scm), fh, indent=2, sort_keys=False)
-        fh.write("\n")
+        fh.write(json.dumps(scm_to_doc(scm), indent=2) + "\n")

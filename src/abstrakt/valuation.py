@@ -269,17 +269,51 @@ def _fingerprint(atom):
             (rho.member_keys, frozenset(rho.class_of.items())))
 
 
-def _relevance(scm, reads, hard=(), atoms=()):
+def _live_members(scm, variable, pinned):
+    """The noise members of ``variable``'s mechanism that its table still
+    varies with once the endogenous parents of ``pinned`` ((parent, value)
+    pairs) are fixed: a member is dead when changing it alone never
+    changes the output, whatever the free parents and the other members
+    are. Kept per (variable, pinned) on the model while it holds fewer
+    than CACHE_LIMIT entries."""
+    key = (variable, pinned)
+    live = scm._live.get(key)
+    if live is not None:
+        return live
+    mech = scm.mechanisms[variable]
+    at = dict(pinned)
+    fixed = [(i, at[p]) for i, p in enumerate(mech.endo_parents) if p in at]
+    rows = [(k, out) for k, out in mech.table.items()
+            if all(k[i] == x for i, x in fixed)]
+    live = []
+    for j, member in enumerate(mech.exo_parents, len(mech.endo_parents)):
+        outs = {}
+        for k, out in rows:
+            if outs.setdefault(k[:j] + k[j + 1:], out) != out:
+                live.append(member)
+                break
+    live = tuple(live)
+    if len(scm._live) < CACHE_LIMIT:
+        scm._live[key] = live
+    return live
+
+
+def _relevance(scm, reads, hard=None, atoms=()):
     """The variables a world must solve to know ``reads``, and the sorted
     positions of the exogenous blocks those variables read: the ancestors
-    of ``reads`` in the graph where the variables of ``hard`` are pinned
-    and each atom of ``atoms`` sets its targets from its context. The walk
-    stops at a pinned variable, follows an atom's target into the members
-    of its parent contexts and the blocks of its shared-noise members, and
-    follows any other variable into its mechanism's parents and the blocks
-    of its noise members, except members an atom redraws from its cell.
-    Every other block sums to its own denominator and cancels from every
-    answer (the barren-node reduction), so it need not be enumerated."""
+    of ``reads`` in the graph where the variables of ``hard`` (a mapping
+    to their values) are pinned and each atom of ``atoms`` sets its
+    targets from its context. The walk stops at a pinned variable, follows
+    an atom's target into the members of its parent contexts and the
+    blocks of its shared-noise members, and follows any other variable
+    into its mechanism's parents and the blocks of its noise members,
+    except members an atom redraws from its cell. When ``hard`` pins some
+    of a mechanism's endogenous parents, only its live members at those
+    values count (context-specific independence): a dead member cannot
+    change the output, so the world is solved with it at any value. Every
+    other block sums to its own denominator and cancels from every answer
+    (the barren-node reduction), so it need not be enumerated."""
+    hard = hard or {}
     setter = {t: a for a in atoms for t in a.targets}
     redrawn = {k for a in atoms for k in a.exo_cells}
     needed = set()
@@ -294,8 +328,12 @@ def _relevance(scm, reads, hard=(), atoms=()):
         if atom is None:
             mech = scm.mechanisms[v]
             stack.extend(mech.endo_parents)
-            blocks.update(k[0] for k in mech.exo_parents
-                          if k not in redrawn)
+            members = mech.exo_parents
+            pinned = tuple((p, hard[p]) for p in mech.endo_parents
+                           if p in hard)
+            if pinned:
+                members = _live_members(scm, v, pinned)
+            blocks.update(k[0] for k in members if k not in redrawn)
             continue
         stack.extend(m for pc in atom.parents for m in pc.members)
         if atom.rho is not None:
@@ -303,13 +341,17 @@ def _relevance(scm, reads, hard=(), atoms=()):
     return needed, tuple(sorted(scm.block_position[b] for b in blocks))
 
 
-def _solve_world(scm, unit, setup, cells):
-    """Solve the variables one term needs in one world, uncached."""
-    hard_map, atoms, segments, _term_no = setup
-    override = {mk: mapping[cell] for a, cell in zip(atoms, cells)
-                for mk, mapping in a.exo_cells.items()}
-    if override:
-        unit = {**unit, **override}
+def _solve_world(scm, sub_idx, setup, cells):
+    """Solve the variables one term needs in one world, uncached, from the
+    term's rows ``sub_idx`` over its own blocks and every other block at
+    its reference row: the variables the term solves read no member of
+    those blocks, or only members their tables do not vary with under the
+    term's hard settings."""
+    hard_map, atoms, segments, _term_no, blocks, _at = setup
+    unit = scm.exogenous_assignment(blocks, sub_idx, complete=True)
+    for a, cell in zip(atoms, cells):
+        for mk, mapping in a.exo_cells.items():
+            unit[mk] = mapping[cell]
     env = dict(hard_map)
     for segment, atom, cell in zip(segments, atoms, cells):
         scm.solve(unit, env, segment)
@@ -317,27 +359,30 @@ def _solve_world(scm, unit, setup, cells):
     return scm.solve(unit, env, segments[-1])
 
 
-def _world(scm, sub_idx, unit, setup, cell_choice):
-    """Solve the variables one term needs in one world. Worlds are cached
-    per term number, the state's row indices over the term's own blocks
-    and the cell draws, so repeated terms are free."""
+def _world(scm, sub_idx, setup, cell_choice):
+    """The values of the variables one term solves in one world, in the
+    term's solve order. Worlds are cached per term number, the state's row
+    indices over the term's own blocks and the cell draws, so repeated
+    terms are free."""
     cells = tuple(cell_choice[a.share_key] for a in setup[1])
     sig = (setup[3], sub_idx, cells)
-    env = scm._world_cache.get(sig)
-    if env is None:
-        env = _solve_world(scm, unit, setup, cells)
+    values = scm._world_cache.get(sig)
+    if values is None:
+        env = _solve_world(scm, sub_idx, setup, cells)
+        values = tuple([env[v] for v in setup[5]])
         if setup[3] is not None and len(scm._world_cache) < CACHE_LIMIT:
-            scm._world_cache[sig] = env
-    return env
+            scm._world_cache[sig] = values
+    return values
 
 
 def _term_setup(scm, term, reads=()):
-    """Check a term and plan its world. Returns the world's setup (the hard
+    """Check a term and plan its world. Returns the world's setup: the hard
     settings, the distinct atoms in the order they are resolved, the
-    solve-order segments between them and the term's number, None once the
-    model has numbered CACHE_LIMIT term contents) and the positions of the
-    blocks the world reads. Only the variables that the outcomes, ``reads``
-    and the atoms' targets depend on are solved."""
+    solve-order segments between them, the term's number (None once the
+    model has numbered CACHE_LIMIT term contents), the positions of the
+    blocks the world reads and each solved variable's position in the
+    solve order. Only the variables that the outcomes, ``reads`` and the
+    atoms' targets depend on are solved."""
     hard_map = _check_hard(scm, term.hard)
     atoms = []
     seen = set()
@@ -402,29 +447,35 @@ def _term_setup(scm, term, reads=()):
     term_no = scm._world_terms.get(content)
     if term_no is None and len(scm._world_terms) < CACHE_LIMIT:
         term_no = scm._world_terms[content] = len(scm._world_terms)
-    return (hard_map, atoms, segments, term_no), blocks
+    return (hard_map, atoms, segments, term_no, blocks,
+            {v: i for i, v in enumerate(order)})
 
 
-def _plan(term_blocks):
+def _plan(setups):
     """The union of the terms' block positions, and per term a function
-    from a state's row indices over that union to its row indices over the
-    term's own blocks."""
-    blocks = sorted(set().union(*term_blocks))
+    from a state's row indices over that union to the tuple of its row
+    indices over the term's own blocks."""
+    blocks = sorted(set().union(*(s[4] for s in setups)))
     at = {b: i for i, b in enumerate(blocks)}
     picks = []
-    for own in term_blocks:
-        own = [at[b] for b in own]
-        picks.append(itemgetter(*own) if own else (lambda _idx: ()))
+    for setup in setups:
+        own = [at[b] for b in setup[4]]
+        if len(own) == 1:
+            # itemgetter of one position returns the item, not a tuple
+            picks.append(lambda idx, i=own[0]: (idx[i],))
+        else:
+            picks.append(itemgetter(*own) if own else (lambda _idx: ()))
     return blocks, picks
 
 
-def _all_hold(scm, checks, u_idx, unit, cell_choice):
+def _all_hold(scm, checks, u_idx, cell_choice):
     """Whether every (term, setup, pick) of ``checks`` meets its outcome
     constraints in its world."""
     for term, setup, pick in checks:
-        env = _world(scm, pick(u_idx), unit, setup, cell_choice)
+        values = _world(scm, pick(u_idx), setup, cell_choice)
+        at = setup[5]
         for oc in term.outcomes:
-            if tuple(env[v] for v in oc.variables) not in oc.accepted:
+            if tuple(values[at[v]] for v in oc.variables) not in oc.accepted:
                 return False
     return True
 
@@ -445,10 +496,9 @@ def _collect_atoms(terms):
 
 def _enumerate(scm, terms, budget, blocks):
     """Check the budget against the full exogenous support, then return the
-    common denominator and an iterator of (u_idx, unit, weight,
-    cell_choice) over the joint values of the blocks at positions
-    ``blocks`` and all shared cell draws. Weights are integers that sum to
-    the denominator."""
+    common denominator and an iterator of (u_idx, weight, cell_choice) over
+    the joint values of the blocks at positions ``blocks`` and all shared
+    cell draws. Weights are integers that sum to the denominator."""
     atoms = list(_collect_atoms(terms).values())
     total = scm.exogenous_support_size()
     widths = []
@@ -472,9 +522,9 @@ def _enumerate(scm, terms, budget, blocks):
         den *= lcm
 
     def states():
-        for u_idx, unit, pu in scm.exogenous_support(blocks):
+        for u_idx, pu in scm.exogenous_states(blocks):
             for choice, w in draws:
-                yield u_idx, unit, pu * w, choice
+                yield u_idx, pu * w, choice
     return den, states()
 
 
@@ -487,20 +537,20 @@ def prob_query(scm, query, budget=None):
     if not query.terms:
         raise DomainMismatch("query has no terms")
     all_terms = list(query.terms) + list(query.conditioning or ())
-    setups, term_blocks = zip(*(_term_setup(scm, t) for t in all_terms))
-    blocks, picks = _plan(term_blocks)
+    setups = [_term_setup(scm, t) for t in all_terms]
+    blocks, picks = _plan(setups)
     checks = list(zip(all_terms, setups, picks))
     n_main = len(query.terms)
     main, given = checks[:n_main], checks[n_main:]
     den, states = _enumerate(scm, all_terms, budget, blocks)
     num = 0
     cond = 0
-    for u_idx, unit, weight, choice in states:
+    for u_idx, weight, choice in states:
         if given:
-            if not _all_hold(scm, given, u_idx, unit, choice):
+            if not _all_hold(scm, given, u_idx, choice):
                 continue
             cond += weight
-        if _all_hold(scm, main, u_idx, unit, choice):
+        if _all_hold(scm, main, u_idx, choice):
             num += weight
     if given:
         if cond == 0:
@@ -521,21 +571,21 @@ def counterfactual_table(scm, terms, reads=None, budget=None):
     if reads is None:
         reads = [[v for oc in t.outcomes for v in oc.variables]
                  for t in terms]
-    setups, term_blocks = zip(*(_term_setup(scm, t, r)
-                                for t, r in zip(terms, reads)))
-    blocks, picks = _plan(term_blocks)
+    setups = [_term_setup(scm, t, r) for t, r in zip(terms, reads)]
+    blocks, picks = _plan(setups)
     den, states = _enumerate(scm, terms, budget, blocks)
     plans = [(pick, [a.share_key for a in setup[1]], setup, tuple(r), {})
              for pick, setup, r in zip(picks, setups, reads)]
     weights = {}
-    for u_idx, unit, weight, choice in states:
+    for u_idx, weight, choice in states:
         key = []
         for pick, shares, setup, read, memo in plans:
             cells = tuple([choice[k] for k in shares])
-            sig = (pick(u_idx), cells)
+            sub_idx = pick(u_idx)
+            sig = (sub_idx, cells)
             seen = memo.get(sig)
             if seen is None:
-                env = _solve_world(scm, unit, setup, cells)
+                env = _solve_world(scm, sub_idx, setup, cells)
                 seen = memo[sig] = tuple([env[v] for v in read])
             key.append(seen)
         key = tuple(key)
@@ -545,10 +595,11 @@ def counterfactual_table(scm, terms, reads=None, budget=None):
 
 def joint_distribution(scm, variables, interventions=(), budget=None):
     """Exact joint table over ``variables`` in the single world produced by
-    ``interventions`` (hard and soft mixed)."""
+    ``interventions`` (any iterable of hard and soft ones, mixed)."""
+    interventions = tuple(interventions)
     hard = tuple(i for i in interventions if isinstance(i, HardIntervention))
     soft = tuple(i for i in interventions if isinstance(i, SoftIntervention))
-    if len(hard) + len(soft) != len(tuple(interventions)):
+    if len(hard) + len(soft) != len(interventions):
         raise DomainMismatch(
             "interventions must be hard or resolved stochastic interventions")
     variables = tuple(variables)

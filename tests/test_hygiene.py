@@ -1,8 +1,12 @@
 """Source hygiene: no module of the package imports a name it never uses,
-and no module-level private name of the package goes unread."""
+no module-level private name of the package goes unread, and importing the
+package loads nothing outside the standard library."""
 
 import ast
+import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -81,3 +85,23 @@ def test_no_orphaned_private_names():
             with open(os.path.join(PACKAGE, module), encoding="utf-8") as fh:
                 sources[module] = fh.read()
     assert orphaned_private_names(sources) == []
+
+
+def test_cold_import_loads_the_standard_library_only():
+    """A fresh interpreter without site packages (-S) that imports abstrakt
+    and abstrakt.cli loads only standard-library modules besides the
+    package, and not the OpenSSL-backed _hashlib: the package has no
+    runtime dependencies."""
+    src = os.path.dirname(PACKAGE)
+    code = ("import sys, json; sys.path.insert(0, %r); "
+            "import abstrakt, abstrakt.cli; "
+            "print(json.dumps(sorted(sys.modules)))" % src)
+    out = subprocess.run([sys.executable, "-S", "-c", code], check=True,
+                         capture_output=True, text=True).stdout
+    loaded = json.loads(out)
+    outside = [m for m in loaded
+               if m.split(".")[0] not in sys.stdlib_module_names
+               and m.split(".")[0] not in ("abstrakt", "__main__")]
+    assert outside == []
+    assert "abstrakt.cli" in loaded
+    assert "_hashlib" not in loaded

@@ -1,6 +1,7 @@
 """Model documents: parsing, validation, round trips, unit evaluation."""
 
 import copy
+import io
 import json
 from fractions import Fraction
 
@@ -109,6 +110,27 @@ class TestRoundTrip:
         ab.save_scm(insurance, path)
         again = ab.load_scm(path)
         assert [v.name for v in again.endogenous] == ["Z", "X", "Y"]
+
+
+class TestSavedFiles:
+    @pytest.mark.parametrize("name", ["insurance", "cholesterol", "hospital"])
+    def test_bytes_match_streamed_dump(self, name, tmp_path):
+        """Each saver writes exactly what json.dump with indent 2 and a
+        trailing newline streams."""
+        low = ab.load_scm(fixture_path(name + ".json"))
+        cm = ab.load_clusters(low, fixture_path(name + "_clusters.json"))
+        high = ab.construct_projected_abstraction(low, cm)
+        cdag = ab.build_cdag(ab.induce_diagram(low), cm)
+        for save, obj, doc in (
+                (ab.save_scm, low, ab.scm_to_doc(low)),
+                (ab.save_high, high, ab.high_to_doc(high)),
+                (ab.save_graph, cdag, ab.graph_to_doc(cdag))):
+            path = tmp_path / (save.__name__ + ".json")
+            save(obj, str(path))
+            streamed = io.StringIO()
+            json.dump(doc, streamed, indent=2)
+            streamed.write("\n")
+            assert path.read_text(encoding="utf-8") == streamed.getvalue()
 
 
 class TestUnitEvaluation:

@@ -295,17 +295,23 @@ class TestSupportContract:
 
     def test_memo_limit(self, insurance, monkeypatch):
         """A complete pass is replayed later unless the support is larger
-        than the cache limit, in which case every pass builds anew."""
+        than the cache limit, in which case every pass builds anew. The
+        memo keeps index tuples and weights; assignments are built on every
+        pass."""
         model = fresh(insurance)
         first = list(model.exogenous_support())
+        assert model._states == {tuple(range(6)): [(i, w) for i, _u, w in first]}
         again = list(model.exogenous_support())
-        assert all(a[1] is b[1] for a, b in zip(first, again))
+        assert first == again
+        assert all(a[0] is b[0] for a, b in zip(first, again))
+        assert all(a[1] is not b[1] for a, b in zip(first, again))
         monkeypatch.setattr(scm_module, "CACHE_LIMIT", 100)
         model = fresh(insurance)
         first = list(model.exogenous_support())
         again = list(model.exogenous_support())
         assert first == again
-        assert all(a[1] is not b[1] for a, b in zip(first, again))
+        assert all(a[0] is not b[0] for a, b in zip(first, again))
+        assert model._states == {}
 
 
 class TestBudgetGate:
@@ -510,16 +516,17 @@ def padded_cases(draw):
 
 
 def count_states(monkeypatch):
-    """A list that gets one entry per state any exogenous_support pass
-    yields from now on."""
+    """A list that gets one (index tuple, weight) entry per state any
+    enumeration of the exogenous states (exogenous_states, and with it
+    exogenous_support) yields from now on."""
     visited = []
-    real = ab.DiscreteScm.exogenous_support
+    real = ab.DiscreteScm.exogenous_states
 
     def counted(self, blocks=None):
         for state in real(self, blocks):
             visited.append(state)
             yield state
-    monkeypatch.setattr(ab.DiscreteScm, "exogenous_support", counted)
+    monkeypatch.setattr(ab.DiscreteScm, "exogenous_states", counted)
     return visited
 
 
@@ -570,19 +577,21 @@ def unreachable_context_model():
 
 class TestRelevancePruning:
     def test_prob_query_visits_its_blocks_only(self, insurance, monkeypatch):
-        """Y[X=x1] reads Y's three binary blocks: 8 of 144 states."""
+        """Y[X=x1] reads Y's three binary blocks, but under X=x1 its table
+        varies with UY1 only: 2 of 144 states."""
         model = fresh(insurance)
         visited = count_states(monkeypatch)
         q = query([term([("Y", 1)], [("X", "x1")])])
         assert ab.prob_query(model, q) == Fraction(9, 10)
-        assert len(visited) == 8
-        assert all(len(idx) == 3 for idx, _u, _w in visited)
+        assert len(visited) == 2
+        assert all(len(idx) == 1 for idx, _w in visited)
 
     def test_redrawn_members_are_not_enumerated(self, insurance_cm,
                                                 insurance_high, monkeypatch):
         """On the projected model, ~XH=xC redraws both members of XH's cell
         block from its own cell, so Y's world reads UZ and UY1-3 only: 16
-        of 576 states. The hard setting XH=xC reads the cell block too."""
+        of 576 states. The hard setting XH=xC reads the cell block too,
+        but Y's table no longer varies with one of UY1-3: 32 states."""
         model = fresh(insurance_high.scm)
         visited = count_states(monkeypatch)
         y1 = (cluster_atom(insurance_cm.cluster("Y"), 1),)
@@ -596,7 +605,7 @@ class TestRelevancePruning:
         hard = query([ab.QueryTerm(outcomes=y1, hard=(
             ab.HardIntervention("XH", "xC"),))])
         assert ab.prob_query(model, hard) == reference_prob(model, hard)
-        assert len(visited) == 64
+        assert len(visited) == 32
 
     @pytest.mark.parametrize("policy", POLICIES)
     def test_sigma_machinery_visits_its_blocks_only(
@@ -666,6 +675,169 @@ class TestRelevancePruning:
             ivs = t.hard + t.soft
             assert ab.joint_distribution(model, table, ivs).probs == \
                 reference_joint(model, table, ivs)
+
+
+@st.composite
+def gated_models(draw):
+    """A binary DAG model with gated mechanisms: every variable has one or
+    two private noise blocks, and at times a member of a block ``S`` shared
+    with other variables, and at each joint parent value its mechanism adds
+    a drawn subset of those members (possibly none) to a drawn base, mod 2.
+    A hard setting of a variable's parents can so leave some of its
+    members dead."""
+    n = draw(st.integers(2, 4))
+    nodes = ["V%d" % (i + 1) for i in range(n)]
+    parents = {v: [a for a in nodes[:i] if draw(st.booleans())]
+               for i, v in enumerate(nodes)}
+    shared = draw(st.lists(st.sampled_from(nodes), unique=True, max_size=3))
+    blocks, mechanisms = [], []
+    for v in nodes:
+        exo = []
+        for j in range(draw(st.integers(1, 2))):
+            name = "U%s_%d" % (v, j)
+            blocks.append(binary_block(name, Fraction(draw(st.integers(1, 9)),
+                                                      10)))
+            exo.append({"block": name, "member": "u"})
+        if v in shared:
+            exo.append({"block": "S", "member": "s%d" % shared.index(v)})
+        rows = []
+        for combo in itertools.product([0, 1], repeat=len(parents[v])):
+            base = draw(BITS)
+            gate = draw(st.lists(st.sampled_from(range(len(exo))),
+                                 unique=True))
+            for noise in itertools.product([0, 1], repeat=len(exo)):
+                rows.append({"parents": list(combo) + list(noise),
+                             "out": (base + sum(noise[i] for i in gate)) % 2})
+        mechanisms.append({"variable": v, "endo_parents": parents[v],
+                           "exo_parents": exo, "table": rows})
+    if shared:
+        joint = list(itertools.product([0, 1], repeat=len(shared)))
+        weights = [draw(st.integers(1, 5)) for _ in joint]
+        blocks.append({
+            "name": "S",
+            "members": [{"name": "s%d" % i, "domain": [0, 1]}
+                        for i in range(len(shared))],
+            "table": [{"values": list(vals),
+                       "p": str(Fraction(w, sum(weights)))}
+                      for vals, w in zip(joint, weights)]})
+    return ab.validate_scm({
+        "endogenous": [{"name": v, "domain": [0, 1]} for v in nodes],
+        "blocks": blocks, "mechanisms": mechanisms})
+
+
+@st.composite
+def gating_terms(draw, model):
+    """A term whose hard settings pin some parents of its outcome variable
+    (all or at least one), so that the members the variable's table no
+    longer varies with go unread, plus settings of other variables."""
+    nodes = list(model.variable_names())
+    # most parents first, which is also where hypothesis shrinks to
+    target = draw(st.sampled_from(sorted(
+        nodes, key=lambda v: -len(model.mechanisms[v].endo_parents))))
+    pa = model.mechanisms[target].endo_parents
+    others = [v for v in nodes if v != target and v not in pa]
+    pinned = []
+    if pa:
+        pinned = draw(st.one_of(st.just(list(pa)), st.lists(
+            st.sampled_from(pa), unique=True, min_size=1)))
+    if others:
+        pinned += draw(st.lists(st.sampled_from(others), unique=True))
+    return ab.QueryTerm(
+        outcomes=(ab.OutcomeAtom(variables=(target,),
+                                 accepted=frozenset({(draw(BITS),)})),),
+        hard=tuple(ab.HardIntervention(v, draw(BITS)) for v in pinned))
+
+
+@st.composite
+def gated_cases(draw):
+    model = draw(gated_models())
+    nodes = list(model.variable_names())
+    mixed = st.one_of(gating_terms(model), dag_terms(nodes))
+    terms = [draw(gating_terms(model))] + draw(st.lists(mixed, max_size=1))
+    cond = draw(st.lists(mixed, max_size=1))
+    return model, query(draw(st.permutations(terms)), cond)
+
+
+def reference_table(model, terms):
+    """Per-term tuples of each term's outcome variables, with their joint
+    Fraction probability."""
+    probs = {}
+    for _idx, unit, w, choice in fraction_states(support_of(model), terms):
+        key = tuple(tuple(reference_world(model, t, unit, choice)[v]
+                          for oc in t.outcomes for v in oc.variables)
+                    for t in terms)
+        probs[key] = probs.get(key, Fraction(0)) + w
+    return probs
+
+
+class TestContextSpecificPruning:
+    @settings(max_examples=60, deadline=None)
+    @given(gated_cases())
+    def test_gated_models_match_reference(self, case):
+        model, q = case
+        assert_prob_matches(fresh(model), q)
+        assert_prob_matches(model, q)
+        for terms in (q.terms, q.terms + q.conditioning):
+            den, table = ab.counterfactual_table(fresh(model), list(terms))
+            assert {k: Fraction(w, den) for k, w in table.items()} == \
+                {k: p for k, p in reference_table(model, terms).items() if p}
+
+    def test_dead_members_at_pinned_values(self, insurance, insurance_high):
+        """Y under X=x1 varies with UY1 only, and under X=x3 with UY3 only;
+        on the projected model Y under XH=xE reads none of XH's cell block,
+        whatever Z is."""
+        live = valuation._live_members
+        y = [("UY1", "UY1"), ("UY2", "UY2"), ("UY3", "UY3")]
+        model = fresh(insurance)
+        assert live(model, "Y", (("X", "x1"),)) == (y[0],)
+        assert live(model, "Y", (("X", "x3"),)) == (y[2],)
+        assert model._live == {("Y", (("X", "x1"),)): (y[0],),
+                               ("Y", (("X", "x3"),)): (y[2],)}
+        high = fresh(insurance_high.scm)
+        assert not {b for b, _m in live(high, "Y", (("XH", "xE"),))} & \
+            {"XH__u"}
+
+    def test_free_parents_keep_members_live(self):
+        """Y = U when B = 1 and 0 when B = 0, whatever A is. Pinning A
+        alone leaves U live (B is free), pinning B = 0 too leaves it dead:
+        2 states, then 1."""
+        doc = {
+            "endogenous": [{"name": v, "domain": [0, 1]}
+                           for v in ("A", "B", "Y")],
+            "blocks": [binary_block("UA", Fraction(1, 2)),
+                       binary_block("UB", Fraction(1, 3)),
+                       binary_block("UY", Fraction(1, 5))],
+            "mechanisms": [
+                {"variable": v, "endo_parents": [],
+                 "exo_parents": [{"block": "U" + v, "member": "u"}],
+                 "table": [{"parents": [u], "out": u} for u in (0, 1)]}
+                for v in ("A", "B")] + [
+                {"variable": "Y", "endo_parents": ["A", "B"],
+                 "exo_parents": [{"block": "UY", "member": "u"}],
+                 "table": [{"parents": [a, b, u], "out": u * b}
+                           for a in (0, 1) for b in (0, 1) for u in (0, 1)]}],
+        }
+        model = ab.validate_scm(doc)
+        cases = ((term([("Y", 1)], [("A", 0)]), Fraction(1, 15), 4),
+                 (term([("Y", 1)], [("A", 0), ("B", 1)]), Fraction(1, 5), 2),
+                 (term([("Y", 1)], [("A", 0), ("B", 0)]), 0, 1))
+        for t, want, states in cases:
+            q = query([t])
+            assert reference_prob(model, q) == want
+            assert ab.prob_query(fresh(model), q) == want
+            den, table = ab.counterfactual_table(fresh(model), [t])
+            assert Fraction(table.get(((1,),), 0), den) == want
+            assert fresh(model).exogenous_support_size(
+                ab.valuation._term_setup(model, t)[4]) == states
+
+    def test_live_sets_stop_at_the_cache_limit(self, insurance,
+                                               monkeypatch):
+        monkeypatch.setattr(valuation, "CACHE_LIMIT", 1)
+        model = fresh(insurance)
+        for x in ("x1", "x2", "x3"):
+            q = query([term([("Y", 1)], [("X", x)])])
+            assert ab.prob_query(model, q) == reference_prob(model, q)
+        assert len(model._live) == 1
 
 
 class TestSubsetMemo:

@@ -163,6 +163,17 @@ class TestJointTables:
         assert t.prob(("z1", 1)) == Fraction(7, 10) * Fraction(9, 10)
         assert sum(t.probs.values()) == 1
 
+    def test_interventions_from_a_generator(self, insurance):
+        listed = [ab.HardIntervention("X", "x1"), ab.HardIntervention("Z", "z2")]
+        t = ab.joint_distribution(insurance, ("Z", "Y"),
+                                  (i for i in listed))
+        assert t.probs == ab.joint_distribution(insurance, ("Z", "Y"),
+                                                listed).probs
+        assert t.prob(("z2", 1)) == Fraction(9, 10)
+        with pytest.raises(ab.DomainMismatch):
+            ab.joint_distribution(insurance, ("Y",),
+                                  (i for i in ["X=x1"]))
+
     def test_pushforward(self, insurance, insurance_cm):
         t = ab.joint_distribution(insurance, ("Z", "X", "Y"))
         pushed = ab.marginal_pushforward(t, insurance_cm)
