@@ -19,7 +19,7 @@ from .errors import (
     FixpointMismatch,
     UnknownVariable,
 )
-from .scm import topological_order
+from .scm import topological_order, write_json
 from .valuation import (
     HardIntervention,
     OutcomeAtom,
@@ -575,8 +575,7 @@ def load_graph(path):
 
 
 def save_graph(g, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(graph_to_doc(g), indent=2) + "\n")
+    write_json(graph_to_doc(g), path)
 
 
 def to_dot(g):

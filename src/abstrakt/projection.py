@@ -41,6 +41,7 @@ from .scm import (
     parse_probability,
     scm_to_doc,
     validate_scm,
+    write_json,
 )
 from .abstraction import SigmaMarker, check_aic
 from .valuation import (
@@ -867,6 +868,8 @@ def projected_sample(high, cluster, label, context=None, seed=0, n=None):
     table of the matching context. With ``n=None`` a single tuple is
     returned, otherwise a list of ``n`` tuples. Draws are reproducible for
     a fixed seed."""
+    if n is not None and int(n) < 0:
+        raise DomainMismatch("sample size must not be negative, got %d" % n)
     if cluster not in high.splits:
         raise UnknownVariable("unknown cluster %r" % cluster, cluster=cluster)
     split = high.splits[cluster]
@@ -1004,5 +1007,4 @@ def load_high(path):
 
 
 def save_high(high, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(high_to_doc(high), indent=2) + "\n")
+    write_json(high_to_doc(high), path)

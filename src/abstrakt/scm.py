@@ -38,15 +38,20 @@ def enumeration_budget(budget=None):
     """Resolve the enumeration budget: explicit argument, else the
     ABSTRAKT_BUDGET environment variable, else the built-in default."""
     if budget is not None:
-        return int(budget)
-    raw = os.environ.get(BUDGET_ENV, "").strip()
-    if raw:
+        limit = int(budget)
+    else:
+        raw = os.environ.get(BUDGET_ENV, "").strip()
+        if not raw:
+            return DEFAULT_BUDGET
         try:
-            return int(raw)
+            limit = int(raw)
         except ValueError:
             raise DomainMismatch(
                 "ABSTRAKT_BUDGET must be an integer, got %r" % raw)
-    return DEFAULT_BUDGET
+    if limit < 0:
+        raise DomainMismatch(
+            "enumeration budget must not be negative, got %d" % limit)
+    return limit
 
 
 def check_budget(required, budget, what, *args, **details):
@@ -221,7 +226,12 @@ class DiscreteScm:
         order) that ``env`` does not already pin is looked up in its
         mechanism table, reading parent values from ``env`` and noise values
         from ``unit``. Pinned entries act as hard interventions. Returns
-        ``env``, filled in place."""
+        ``env``, filled in place.
+
+        This is the dict solver for one-off worlds (verification, sigma
+        tables, single units) and the reference for the query worlds of
+        ``valuation``, which compile each term's world once into a slot
+        program and run it per exogenous state."""
         if env is None:
             env = {}
         mechanisms = self.mechanisms
@@ -234,24 +244,21 @@ class DiscreteScm:
         return env
 
     def _block_rows(self):
-        """Per block, its positive rows as (member items, integer weight)
-        pairs, the weights taken over the block's lcm of the rows'
-        denominators; per block that lcm; and the reference assignment,
-        every block at its first positive row."""
+        """Per block: the member-value tuples of its positive rows, in
+        member-domain product order; their integer weights, taken over the
+        block's lcm of the rows' denominators; that lcm; and the block's
+        (block, member) keys."""
         if self._rows is None:
-            rows = []
-            lcms = []
-            reference = {}
+            values, weights, lcms, keys = [], [], [], []
             for b in self.blocks:
                 support = b.support()
                 lcm = math.lcm(*(p.denominator for _values, p in support))
-                keys = [(b.name, mn) for mn in b.member_names()]
-                rows.append([(tuple(zip(keys, values)),
-                              p.numerator * (lcm // p.denominator))
-                             for values, p in support])
+                values.append([row for row, _p in support])
+                weights.append([p.numerator * (lcm // p.denominator)
+                                for _row, p in support])
                 lcms.append(lcm)
-                reference.update(rows[-1][0][0])
-            self._rows = (rows, lcms, reference)
+                keys.append(tuple((b.name, mn) for mn in b.member_names()))
+            self._rows = (values, weights, lcms, keys)
         return self._rows
 
     def _positions(self, blocks):
@@ -261,14 +268,14 @@ class DiscreteScm:
 
     def exogenous_support_size(self, blocks=None):
         """The number of states exogenous_support(blocks) yields."""
-        rows = self._block_rows()[0]
-        return math.prod(len(rows[i]) for i in self._positions(blocks))
+        values = self._block_rows()[0]
+        return math.prod(len(values[i]) for i in self._positions(blocks))
 
     def exogenous_denominator(self, blocks=None):
         """The common denominator of the weights exogenous_support(blocks)
         yields: they sum to it, and a state's probability is its weight
         over it."""
-        lcms = self._block_rows()[1]
+        lcms = self._block_rows()[2]
         return math.prod(lcms[i] for i in self._positions(blocks))
 
     def exogenous_states(self, blocks=None):
@@ -287,14 +294,12 @@ class DiscreteScm:
         return self._walk(key)
 
     def _walk(self, key):
-        all_rows = self._block_rows()[0]
-        rows = [all_rows[i] for i in key]
+        all_weights = self._block_rows()[1]
+        weights = [all_weights[i] for i in key]
         size = self.exogenous_support_size(key)
         keep = [] if self._held + size <= CACHE_LIMIT else None
-        for state in zip(
-                product(*(range(len(r)) for r in rows)),
-                map(math.prod,
-                    product(*([w for _items, w in r] for r in rows)))):
+        for state in zip(product(*(range(len(w)) for w in weights)),
+                         map(math.prod, product(*weights))):
             if keep is not None:
                 keep.append(state)
             yield state
@@ -303,15 +308,13 @@ class DiscreteScm:
             self._states[key] = keep
             self._held += size
 
-    def exogenous_assignment(self, blocks, idx, complete=False):
+    def exogenous_assignment(self, blocks, idx):
         """The (block, member) -> value assignment of the state whose row
-        indices over the sorted block positions ``blocks`` are ``idx``.
-        With ``complete`` every other block is at its reference row, its
-        first positive one, so the assignment covers every member."""
-        rows, _lcms, reference = self._block_rows()
-        unit = dict(reference) if complete else {}
+        indices over the sorted block positions ``blocks`` are ``idx``."""
+        values, _weights, _lcms, keys = self._block_rows()
+        unit = {}
         for b, ri in zip(blocks, idx):
-            unit.update(rows[b][ri][0])
+            unit.update(zip(keys[b], values[b][ri]))
         return unit
 
     def exogenous_support(self, blocks=None):
@@ -581,6 +584,14 @@ def load_scm(path):
         return validate_scm(json.load(fh))
 
 
-def save_scm(scm, path):
+def write_json(doc, path):
+    """Write ``doc`` to ``path`` as JSON indented by two spaces and a final
+    newline. json.dump writes the encoder's chunks as they come, so the
+    text is never held as one string."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(scm_to_doc(scm), indent=2) + "\n")
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
+
+
+def save_scm(scm, path):
+    write_json(scm_to_doc(scm), path)

@@ -238,24 +238,6 @@ def evaluate_unit(scm, u, hard=None):
     return scm.solve(unit, hard_map)
 
 
-def _resolve_soft(atom, env, unit, cell):
-    """Set an atom's targets in a world whose context members are solved."""
-    ctx = (tuple(pc.value_of[tuple(env[m] for m in pc.members)]
-                 for pc in atom.parents),
-           None if atom.rho is None else
-           atom.rho.class_of[tuple(unit[k] for k in atom.rho.member_keys)])
-    mapping = atom.cell_map.get(ctx)
-    if mapping is None:
-        if atom.fallback != "uniform":
-            raise ImpossibleContext(
-                "stochastic intervention %s hit context %r with zero "
-                "probability under the reference distribution" %
-                (atom.label or atom.share_key, ctx),
-                context=repr(ctx), target=atom.label)
-        mapping = _cell_map(atom.breaks, _uniform(len(atom.candidates)))
-    env.update(zip(atom.targets, atom.candidates[mapping[cell]]))
-
-
 def _fingerprint(atom):
     """Everything of a stochastic intervention that the worlds it acts on
     can read, as a hashable value."""
@@ -341,48 +323,163 @@ def _relevance(scm, reads, hard=None, atoms=()):
     return needed, tuple(sorted(scm.block_position[b] for b in blocks))
 
 
-def _solve_world(scm, sub_idx, setup, cells):
-    """Solve the variables one term needs in one world, uncached, from the
-    term's rows ``sub_idx`` over its own blocks and every other block at
-    its reference row: the variables the term solves read no member of
-    those blocks, or only members their tables do not vary with under the
-    term's hard settings."""
-    hard_map, atoms, segments, _term_no, blocks, _at = setup
-    unit = scm.exogenous_assignment(blocks, sub_idx, complete=True)
-    for a, cell in zip(atoms, cells):
-        for mk, mapping in a.exo_cells.items():
-            unit[mk] = mapping[cell]
-    env = dict(hard_map)
-    for segment, atom, cell in zip(segments, atoms, cells):
-        scm.solve(unit, env, segment)
-        _resolve_soft(atom, env, unit, cell)
-    return scm.solve(unit, env, segments[-1])
+def _reader(slots):
+    """A getter of the tuple of the values at positions ``slots`` of a
+    sequence (itemgetter of one position returns the item, not a tuple)."""
+    if len(slots) == 1:
+        i = slots[0]
+        return lambda seq: (seq[i],)
+    return itemgetter(*slots) if slots else (lambda _seq: ())
+
+
+def _resolve(step, slots, cell):
+    """Set one atom's targets in a slot list whose context slots are
+    solved, from its drawn ``cell``."""
+    atom, parents, rho, targets, uniform = step
+    ctx = (tuple([value_of[get(slots)] for value_of, get in parents]),
+           None if rho is None else atom.rho.class_of[rho(slots)])
+    mapping = atom.cell_map.get(ctx)
+    if mapping is None:
+        if uniform is None:
+            raise ImpossibleContext(
+                "stochastic intervention %s hit context %r with zero "
+                "probability under the reference distribution" %
+                (atom.label or atom.share_key, ctx),
+                context=repr(ctx), target=atom.label)
+        mapping = uniform
+    for i, value in zip(targets, atom.candidates[mapping[cell]]):
+        slots[i] = value
+
+
+def _compile(scm, setup, out):
+    """Compile a term's world into a slot program: a function from the
+    term's row indices over its own blocks and its cell draws (one per
+    atom, in resolution order) to the tuple of the values of ``out`` in
+    that world.
+
+    The program's slot list holds the members of the term's own blocks,
+    contiguous per block, so a state's row is one slice assignment; the
+    other noise members its mechanisms and atoms read, at their block's
+    reference row (the first positive one), which is safe because such a
+    member is dead under the term's hard settings or redrawn; the hard
+    values; and the variables the term solves, in solve order. Each
+    mechanism is a step (slot, table, getter of its key over input slots).
+    Each run applies the atoms' exo_cells redraws first, as the dict
+    solver does, then solves the mechanisms between the atoms and resolves
+    each atom from its context slots."""
+    values, _weights, _lcms, keys = scm._block_rows()
+    slot = {}
+    template = []
+
+    def place(name, value=None):
+        slot[name] = len(template)
+        template.append(value)
+
+    own = []
+    for b in setup.blocks:
+        start = len(template)
+        for k in keys[b]:
+            place(k)
+        own.append((start, len(template), values[b]))
+    targets = {t for a in setup.atoms for t in a.targets}
+    order = [v for segment in setup.segments for v in segment]
+    reads = [k for v in order if v not in targets
+             for k in scm.mechanisms[v].exo_parents]
+    reads += [k for a in setup.atoms if a.rho is not None
+              for k in a.rho.member_keys]
+    for k in reads:
+        if k not in slot:
+            b = scm.block_position[k[0]]
+            place(k, values[b][0][keys[b].index(k)])
+    redraws = [(slot[k], mapping, n) for n, a in enumerate(setup.atoms)
+               for k, mapping in a.exo_cells.items() if k in slot]
+    for v, value in setup.hard.items():
+        place(v, value)
+    for v in order:
+        place(v)
+
+    def steps(segment):
+        found = []
+        for v in segment:
+            if v in targets:
+                continue
+            mech = scm.mechanisms[v]
+            found.append((slot[v], mech.table, _reader(
+                [slot[p] for p in mech.endo_parents]
+                + [slot[k] for k in mech.exo_parents])))
+        return found
+
+    def atom_step(a):
+        return (a,
+                [(pc.value_of, _reader([slot[m] for m in pc.members]))
+                 for pc in a.parents],
+                None if a.rho is None else
+                _reader([slot[k] for k in a.rho.member_keys]),
+                [slot[t] for t in a.targets],
+                _cell_map(a.breaks, _uniform(len(a.candidates)))
+                if a.fallback == "uniform" else None)
+
+    runs = [steps(segment) for segment in setup.segments]
+    last = runs.pop()
+    atoms = list(zip(runs, map(atom_step, setup.atoms)))
+    get = _reader([slot[v] for v in out])
+
+    def run(sub_idx, cells):
+        slots = template[:]
+        for (start, end, rows), i in zip(own, sub_idx):
+            slots[start:end] = rows[i]
+        for i, mapping, n in redraws:
+            slots[i] = mapping[cells[n]]
+        for (found, step), cell in zip(atoms, cells):
+            for i, table, key in found:
+                slots[i] = table[key(slots)]
+            _resolve(step, slots, cell)
+        for i, table, key in last:
+            slots[i] = table[key(slots)]
+        return get(slots)
+    return run
 
 
 def _world(scm, sub_idx, setup, cell_choice):
     """The values of the variables one term solves in one world, in the
     term's solve order. Worlds are cached per term number, the state's row
     indices over the term's own blocks and the cell draws, so repeated
-    terms are free."""
-    cells = tuple(cell_choice[a.share_key] for a in setup[1])
-    sig = (setup[3], sub_idx, cells)
+    terms are free; the term's program is compiled on its first miss."""
+    cells = tuple([cell_choice[a.share_key] for a in setup.atoms])
+    sig = (setup.number, sub_idx, cells)
     values = scm._world_cache.get(sig)
     if values is None:
-        env = _solve_world(scm, sub_idx, setup, cells)
-        values = tuple([env[v] for v in setup[5]])
-        if setup[3] is not None and len(scm._world_cache) < CACHE_LIMIT:
+        if setup.program is None:
+            setup.program = _compile(scm, setup, list(setup.at))
+        values = setup.program(sub_idx, cells)
+        if setup.number is not None and len(scm._world_cache) < CACHE_LIMIT:
             scm._world_cache[sig] = values
     return values
 
 
+@dataclass(eq=False, slots=True)
+class _TermSetup:
+    """A checked term's world plan (see _term_setup), and its compiled
+    world once a world is solved."""
+
+    hard: dict
+    atoms: list
+    segments: list
+    number: object
+    blocks: tuple
+    at: dict
+    program: object = None
+
+
 def _term_setup(scm, term, reads=()):
-    """Check a term and plan its world. Returns the world's setup: the hard
-    settings, the distinct atoms in the order they are resolved, the
+    """Check a term and plan its world. Returns the world's _TermSetup: the
+    hard settings, the distinct atoms in the order they are resolved, the
     solve-order segments between them, the term's number (None once the
     model has numbered CACHE_LIMIT term contents), the positions of the
     blocks the world reads and each solved variable's position in the
-    solve order. Only the variables that the outcomes, ``reads`` and the
-    atoms' targets depend on are solved."""
+    solve order; its program is compiled when a world is first solved.
+    Only the variables that the outcomes, ``reads`` and the atoms' targets
+    depend on are solved."""
     hard_map = _check_hard(scm, term.hard)
     atoms = []
     seen = set()
@@ -447,25 +544,17 @@ def _term_setup(scm, term, reads=()):
     term_no = scm._world_terms.get(content)
     if term_no is None and len(scm._world_terms) < CACHE_LIMIT:
         term_no = scm._world_terms[content] = len(scm._world_terms)
-    return (hard_map, atoms, segments, term_no, blocks,
-            {v: i for i, v in enumerate(order)})
+    return _TermSetup(hard_map, atoms, segments, term_no, blocks,
+                      {v: i for i, v in enumerate(order)})
 
 
 def _plan(setups):
     """The union of the terms' block positions, and per term a function
     from a state's row indices over that union to the tuple of its row
     indices over the term's own blocks."""
-    blocks = sorted(set().union(*(s[4] for s in setups)))
+    blocks = sorted(set().union(*(s.blocks for s in setups)))
     at = {b: i for i, b in enumerate(blocks)}
-    picks = []
-    for setup in setups:
-        own = [at[b] for b in setup[4]]
-        if len(own) == 1:
-            # itemgetter of one position returns the item, not a tuple
-            picks.append(lambda idx, i=own[0]: (idx[i],))
-        else:
-            picks.append(itemgetter(*own) if own else (lambda _idx: ()))
-    return blocks, picks
+    return blocks, [_reader([at[b] for b in s.blocks]) for s in setups]
 
 
 def _all_hold(scm, checks, u_idx, cell_choice):
@@ -473,7 +562,7 @@ def _all_hold(scm, checks, u_idx, cell_choice):
     constraints in its world."""
     for term, setup, pick in checks:
         values = _world(scm, pick(u_idx), setup, cell_choice)
-        at = setup[5]
+        at = setup.at
         for oc in term.outcomes:
             if tuple(values[at[v]] for v in oc.variables) not in oc.accepted:
                 return False
@@ -574,19 +663,19 @@ def counterfactual_table(scm, terms, reads=None, budget=None):
     setups = [_term_setup(scm, t, r) for t, r in zip(terms, reads)]
     blocks, picks = _plan(setups)
     den, states = _enumerate(scm, terms, budget, blocks)
-    plans = [(pick, [a.share_key for a in setup[1]], setup, tuple(r), {})
+    plans = [(pick, [a.share_key for a in setup.atoms],
+              _compile(scm, setup, r), {})
              for pick, setup, r in zip(picks, setups, reads)]
     weights = {}
     for u_idx, weight, choice in states:
         key = []
-        for pick, shares, setup, read, memo in plans:
+        for pick, shares, program, memo in plans:
             cells = tuple([choice[k] for k in shares])
             sub_idx = pick(u_idx)
             sig = (sub_idx, cells)
             seen = memo.get(sig)
             if seen is None:
-                env = _solve_world(scm, sub_idx, setup, cells)
-                seen = memo[sig] = tuple([env[v] for v in read])
+                seen = memo[sig] = program(sub_idx, cells)
             key.append(seen)
         key = tuple(key)
         weights[key] = weights.get(key, 0) + weight

@@ -127,17 +127,20 @@ def build_dag_model(nodes, edges, rng, shared=(), quiet=()):
                             "mechanisms": mechanisms})
 
 
-def build_lossy_chain(rng, confounded=False):
+def build_lossy_chain(rng, confounded=False, p_a=None):
     """A three-variable chain A -> B -> C with a ternary middle variable.
 
     B's two lower values get merged by the bundled lossy clustering. With
     ``confounded`` the pair (A, B) additionally reads a correlated noise
-    block, which exercises the response-class machinery.
+    block, which exercises the response-class machinery. A's private noise
+    is 1 with probability ``p_a`` (default: drawn from tenths 1-9); with 0
+    or 1 some contexts of B have no mass.
     """
     endo = [{"name": "A", "domain": [0, 1]},
             {"name": "B", "domain": [0, 1, 2]},
             {"name": "C", "domain": [0, 1]}]
-    blocks = [binary_block("UA", Fraction(rng.randint(1, 9), 10))]
+    drawn = Fraction(rng.randint(1, 9), 10)
+    blocks = [binary_block("UA", drawn if p_a is None else p_a)]
     weights = [rng.randint(1, 5) for _ in range(3)]
     total = sum(weights)
     blocks.append({

@@ -128,6 +128,22 @@ class TestEval:
         assert r.exit_code == 4
         assert r.payload["error"]["kind"] == "SizeExceeded"
 
+    def test_negative_budget_exit(self, monkeypatch):
+        """A negative budget is bad input (exit 2), from the flag or from
+        ABSTRAKT_BUDGET; a budget of 0 is a limit no state fits (exit 4)."""
+        r = run(["eval", "--scm", INS, "--query", "P(Y=1)", "--budget", "-5"])
+        assert r.exit_code == 2
+        assert r.payload["error"]["kind"] == "DomainMismatch"
+        assert "-5" in r.payload["error"]["message"]
+        monkeypatch.setenv("ABSTRAKT_BUDGET", "-5")
+        r = run(["eval", "--scm", INS, "--query", "P(Y=1)"])
+        assert r.exit_code == 2
+        assert r.payload["error"]["kind"] == "DomainMismatch"
+        monkeypatch.setenv("ABSTRAKT_BUDGET", "0")
+        r = run(["eval", "--scm", INS, "--query", "P(Y=1)"])
+        assert r.exit_code == 4
+        assert r.payload["error"]["details"]["budget"] == 0
+
     def test_syntax_exit(self):
         r = run(["eval", "--scm", INS, "--query", "P(Y[=1)"])
         assert r.exit_code == 2
@@ -246,6 +262,17 @@ class TestAbstractAndDownstream:
                  "--context", context])
         assert r.exit_code == 2
         assert r.payload["error"]["kind"] == "DomainMismatch"
+
+    def test_sample_negative_n(self, high_path):
+        args = ["sample", "--high", high_path, "--value", "XH=xC",
+                "--context", '{"parents": {"Z": "z1"}}', "--n"]
+        r = run(args + ["-3"])
+        assert r.exit_code == 2
+        assert r.payload["error"]["kind"] == "DomainMismatch"
+        assert "-3" in r.payload["error"]["message"]
+        r = run(args + ["0"])
+        assert r.exit_code == 0
+        assert r.payload["n"] == 0 and r.payload["draws"] == []
 
     def test_sample_unknown_label(self, high_path):
         r = run(["sample", "--high", high_path, "--value", "XH=bogus"])

@@ -5,11 +5,11 @@ Fraction-product reference.
 
 The reference below enumerates the full joint exogenous state with each
 probability built as a product of block Fractions, solves every variable
-of every world with its own loop and adds Fractions state by state. It
-shares no enumeration, world solving or relevance pruning with the
-package, only the leaf that maps a drawn cell to a stochastic
-intervention's value. Every answer the package computes from integer
-weights over the blocks a query reads must equal it exactly.
+of every world with its own loop, resolves stochastic interventions
+itself and adds Fractions state by state. It shares no enumeration, world
+solving or relevance pruning with the package. Every answer the package
+computes from integer weights over the blocks a query reads must equal it
+exactly.
 """
 
 import itertools
@@ -25,7 +25,8 @@ import abstrakt as ab
 from abstrakt import projection, scm as scm_module, valuation
 from abstrakt.cli import run
 from conftest import (atom, binary_block, build_dag_model,
-                      build_lossy_chain, fixture_path, query, term)
+                      build_lossy_chain, fixture_path, identity_clusters,
+                      query, term)
 
 FIXTURES = ("insurance", "cholesterol", "hospital")
 POLICIES = ("agnostic", "markovian", "general")
@@ -88,6 +89,27 @@ def fraction_states(support, terms):
             yield idx, unit, weight, choice
 
 
+def reference_resolve(a, env, unit, cell):
+    """Set atom ``a``'s targets in a world whose context members are
+    solved: the context's cell map, or with ``fallback="uniform"`` and a
+    context the reference gives no mass, the uniform distribution's."""
+    ctx = (tuple(pc.value_of[tuple(env[m] for m in pc.members)]
+                 for pc in a.parents),
+           None if a.rho is None else
+           a.rho.class_of[tuple(unit[k] for k in a.rho.member_keys)])
+    mapping = a.cell_map.get(ctx)
+    if mapping is None:
+        if a.fallback != "uniform":
+            raise ab.ImpossibleContext(
+                "stochastic intervention %s hit context %r with zero "
+                "probability under the reference distribution" %
+                (a.label or a.share_key, ctx))
+        k = len(a.candidates)
+        mapping = [next(j for j in range(k) if left < Fraction(j + 1, k))
+                   for left in a.breaks[:-1]]
+    env.update(zip(a.targets, a.candidates[mapping[cell]]))
+
+
 def reference_world(model, t, unit, choice):
     """Every variable of term ``t``'s world for one exogenous state and cell
     draw. Variables are swept in declaration order until none is left: a
@@ -105,7 +127,7 @@ def reference_world(model, t, unit, choice):
         before = len(env)
         for a in list(atoms):
             if all(m in env for pc in a.parents for m in pc.members):
-                valuation._resolve_soft(a, env, unit, choice[a.share_key])
+                reference_resolve(a, env, unit, choice[a.share_key])
                 atoms.remove(a)
         for v in model.variable_names():
             mech = model.mechanisms[v]
@@ -828,7 +850,7 @@ class TestContextSpecificPruning:
             den, table = ab.counterfactual_table(fresh(model), [t])
             assert Fraction(table.get(((1,),), 0), den) == want
             assert fresh(model).exogenous_support_size(
-                ab.valuation._term_setup(model, t)[4]) == states
+                ab.valuation._term_setup(model, t).blocks) == states
 
     def test_live_sets_stop_at_the_cache_limit(self, insurance,
                                                monkeypatch):
@@ -838,6 +860,151 @@ class TestContextSpecificPruning:
             q = query([term([("Y", 1)], [("X", x)])])
             assert ab.prob_query(model, q) == reference_prob(model, q)
         assert len(model._live) == 1
+
+
+# ---------------------------------------------------------------------------
+# compiled worlds
+
+
+def assert_worlds_match(model, t):
+    """Term ``t``'s compiled world equals the reference world in every
+    exogenous state and cell draw, over the variables the term solves, and
+    for a hard-only term also DiscreteScm.solve's world. Where the
+    reference hits a context with no mass, the program raises the same
+    ImpossibleContext message. Returns the number of states raising."""
+    setup = valuation._term_setup(model, t)
+    program = valuation._compile(model, setup, list(setup.at))
+    hard = {h.variable: h.value for h in t.hard}
+    raised = 0
+    for idx, unit, _w, choice in fraction_states(support_of(model), [t]):
+        own = tuple(idx[b] for b in setup.blocks)
+        cells = tuple(choice[a.share_key] for a in setup.atoms)
+        try:
+            want = reference_world(model, t, unit, choice)
+        except ab.ImpossibleContext as err:
+            with pytest.raises(ab.ImpossibleContext) as got:
+                program(own, cells)
+            assert str(got.value) == str(err)
+            raised += 1
+            continue
+        world = program(own, cells)
+        assert world == tuple(want[v] for v in setup.at)
+        if not t.soft:
+            solved = model.solve(dict(unit), dict(hard))
+            assert world == tuple(solved[v] for v in setup.at)
+    return raised
+
+
+@st.composite
+def dag_world_cases(draw):
+    """A binary DAG model, at times with a shared block, and a term on one
+    variable with hard settings of some others, at times a constant
+    stochastic setting, and mostly a reference marker on a further
+    variable, resolved under a drawn policy against the identity clusters:
+    an atom with parent contexts, and with response classes where the
+    variable shares noise."""
+    n = draw(st.integers(2, 4))
+    nodes = ["V%d" % (i + 1) for i in range(n)]
+    slots = [(a, b) for i, a in enumerate(nodes) for b in nodes[i + 1:]]
+    edges = [e for e in slots if draw(st.booleans())]
+    shared = draw(st.one_of(st.just([]), st.lists(
+        st.sampled_from(nodes), min_size=2, unique=True)))
+    model = build_dag_model(nodes, edges,
+                            random.Random(draw(st.integers(0, 2 ** 32))),
+                            shared=tuple(shared))
+    target, marked, *rest = draw(st.permutations(nodes))
+    pinned = draw(st.lists(st.sampled_from(rest), unique=True)) if rest else []
+    soft = ()
+    loose = [v for v in rest if v not in pinned]
+    if loose and draw(st.booleans()):
+        v = draw(st.sampled_from(loose))
+        p = Fraction(draw(st.integers(0, 6)), 6)
+        soft = (ab.constant_soft_intervention(
+            (v,), [(0,), (1,)], (p, 1 - p), share_key=("soft", v, p)),)
+    if draw(st.sampled_from([True, True, True, False])):
+        soft += (ab.SigmaMarker(marked, draw(BITS)),)
+    q = query([ab.QueryTerm(
+        outcomes=(atom(target, draw(BITS)),),
+        hard=tuple(ab.HardIntervention(v, draw(BITS)) for v in pinned),
+        soft=soft)])
+    return model, ab.resolve_sigma(
+        model, identity_clusters(model), q,
+        policy=draw(st.sampled_from(POLICIES))).terms[0]
+
+
+@st.composite
+def chain_world_cases(draw):
+    """A lossy chain A -> B -> C (B's values 0 and 1 merged into 'lo'), at
+    times confounded, at times with A's noise fixed so that contexts of B
+    have no mass, and a term on C: mostly a tilde setting of BH, else a
+    hard one, with or without a hard setting of A, on the projected model
+    (where a tilde setting of a flagged cluster redraws its cell block's
+    members) or on the low model, resolved under a drawn policy and
+    fallback."""
+    p_a = draw(st.sampled_from([None, Fraction(0), Fraction(1)]))
+    low, cm = build_lossy_chain(random.Random(draw(st.integers(0, 2 ** 32))),
+                                draw(st.booleans()), p_a)
+    policy = draw(st.sampled_from(POLICIES))
+    fallback = draw(st.sampled_from([None, "uniform"]))
+    hard = ()
+    if draw(st.booleans()):
+        hard = (ab.HardIntervention("A", draw(BITS)),)
+    soft = ()
+    if draw(st.sampled_from(["tilde", "tilde", "hard"])) == "hard":
+        hard += (ab.HardIntervention("BH", "hi"),)
+    else:
+        soft = (ab.SigmaMarker("BH", draw(st.sampled_from(["lo", "hi"]))),)
+    q = query([ab.QueryTerm(outcomes=(cluster_atom(cm.cluster("C"),
+                                                   draw(BITS)),),
+                            hard=hard, soft=soft)])
+    if draw(st.sampled_from(["high", "low"])) == "high":
+        high = ab.construct_projected_abstraction(low, cm, policy=policy,
+                                                  fallback=fallback)
+        return high.scm, ab.resolve_sigma_high(high, q).terms[0]
+    try:
+        return low, ab.resolve_sigma(low, cm, ab.lower_query(cm, q),
+                                     policy=policy,
+                                     fallback=fallback).terms[0]
+    except ab.ImpossibleContext:
+        # the label has no mass in any context
+        return low, ab.QueryTerm(outcomes=q.terms[0].outcomes)
+
+
+class TestCompiledWorlds:
+    @settings(max_examples=60, deadline=None)
+    @given(dag_world_cases())
+    def test_dag_models(self, case):
+        assert_worlds_match(*case)
+
+    @settings(max_examples=60, deadline=None)
+    @given(chain_world_cases())
+    def test_lossy_chains(self, case):
+        assert_worlds_match(*case)
+
+    def test_absent_context(self):
+        """~XH=lo under Z=z2 has no reference mass: every world raises the
+        reference's ImpossibleContext, and with the uniform fallback every
+        world equals the reference's."""
+        model, cm = unreachable_context_model()
+        t = ab.lower_query(cm, query([ab.QueryTerm(
+            outcomes=(cluster_atom(cm.cluster("YC"), 1),),
+            hard=(ab.HardIntervention("Z", "z2"),),
+            soft=(ab.SigmaMarker("XH", "lo"),))]))
+        strict = ab.resolve_sigma(model, cm, t, policy="markovian")
+        states = len(list(fraction_states(support_of(model), strict.terms)))
+        assert assert_worlds_match(model, strict.terms[0]) == states
+        uniform = ab.resolve_sigma(model, cm, t, policy="markovian",
+                                   fallback="uniform")
+        assert assert_worlds_match(model, uniform.terms[0]) == 0
+
+    def test_redrawn_members(self, insurance_cm, insurance_high):
+        """On the projected insurance model, ~XH=xC redraws the members of
+        XH's cell block that Y reads."""
+        t = ab.resolve_sigma_high(insurance_high, query([ab.QueryTerm(
+            outcomes=(cluster_atom(insurance_cm.cluster("Y"), 1),),
+            soft=(ab.SigmaMarker("XH", "xC"),))])).terms[0]
+        assert t.soft[0].exo_cells
+        assert assert_worlds_match(insurance_high.scm, t) == 0
 
 
 class TestSubsetMemo:
