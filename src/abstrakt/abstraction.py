@@ -75,6 +75,10 @@ class Cluster:
                 % (joint, self.name), cluster=self.name)
         return self._label_of[joint]
 
+    def lossy_labels(self):
+        """The labels that cover more than one member tuple."""
+        return tuple(cv.label for cv in self.values if len(cv.tuples) > 1)
+
     def fiber(self, label):
         if label not in self._fiber:
             raise UnknownHighValue(
@@ -292,13 +296,26 @@ class AicReport:
     cm: object
 
 
-def _working_model(scm, cm, budget):
+def _working_model(scm, covered, budget=None):
     """The model a cluster map's checks and constructions run on: the
-    variables outside every cluster are projected away."""
-    if cm.excluded:
+    variables outside every cluster are projected away. ``covered`` is the
+    cluster map or its covered variables; a model with exactly those
+    variables is returned unchanged."""
+    if isinstance(covered, ClusterMap):
+        covered = covered.covered_variables()
+    if set(covered) != set(scm.var_index):
         from .projection import project_full
-        return project_full(scm, cm.covered_variables(), budget)
+        return project_full(scm, covered, budget)
     return scm
+
+
+def _parent_clusters(scm, cm, cluster):
+    """The other clusters, in declaration order, that hold an endogenous
+    parent of one of ``cluster``'s members in the working model ``scm``."""
+    hit = {cm.member_cluster[p] for m in cluster.members
+           for p in scm.mechanisms[m].endo_parents}
+    return tuple(c.name for c in cm.clusters
+                 if c.name in hit and c.name != cluster.name)
 
 
 def check_aic(scm, cm, budget=None):
@@ -313,22 +330,15 @@ def check_aic(scm, cm, budget=None):
     topo = working.topological_order_names()
     member_order = {c.name: [v for v in topo if v in c.members]
                     for c in cm.clusters}
-
-    child_parents = {}
+    child_parents = {c.name: _parent_clusters(working, cm, c)
+                     for c in cm.clusters}
     child_blocks = {}
     for cj in cm.clusters:
-        parents = set()
         blocks = []
         for m in cj.members:
-            mech = working.mechanisms[m]
-            for p in mech.endo_parents:
-                pc = cm.member_cluster[p]
-                if pc != cj.name:
-                    parents.add(pc)
-            for (b, _mem) in mech.exo_parents:
+            for (b, _mem) in working.mechanisms[m].exo_parents:
                 if b not in blocks:
                     blocks.append(b)
-        child_parents[cj.name] = parents
         child_blocks[cj.name] = blocks
 
     cost = 0
@@ -367,7 +377,7 @@ def check_aic(scm, cm, budget=None):
         for cj in cm.clusters:
             if ci.name not in child_parents[cj.name]:
                 continue
-            other_names = sorted(child_parents[cj.name] - {ci.name})
+            other_names = sorted(set(child_parents[cj.name]) - {ci.name})
             other_members = []
             other_domains = []
             for on in other_names:

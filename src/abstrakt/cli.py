@@ -491,7 +491,7 @@ def cmd_sample(args):
     if cname not in high.splits:
         raise UnknownVariable("unknown cluster %r" % cname, cluster=cname)
     split = high.splits[cname]
-    label = _match_value(token, split.labels, "value of cluster %s" % cname)
+    label = _match_value(token, split.labels(), "value of cluster %s" % cname)
     context = None
     if args.context:
         try:
@@ -504,7 +504,7 @@ def cmd_sample(args):
                 raise UnknownVariable("unknown cluster %r in context" % pname,
                                       cluster=pname)
             parents[pname] = _match_value(
-                str(ptoken), high.splits[pname].labels,
+                str(ptoken), high.splits[pname].labels(),
                 "value of cluster %s" % pname)
         for key, mtoken in shared.items():
             if key not in split.rho_members:

@@ -27,7 +27,6 @@ from itertools import product
 from .errors import (
     DomainMismatch,
     ImpossibleContext,
-    UnknownHighValue,
     UnknownVariable,
 )
 from .scm import (
@@ -43,7 +42,14 @@ from .scm import (
     validate_scm,
     write_json,
 )
-from .abstraction import SigmaMarker, check_aic
+from .abstraction import (
+    Cluster,
+    ClusterValue,
+    SigmaMarker,
+    _parent_clusters,
+    _working_model,
+    check_aic,
+)
 from .valuation import (
     HardIntervention,
     ParentContext,
@@ -140,25 +146,6 @@ def project_full(scm, keep, budget=None):
 # sigma distributions
 
 
-@dataclass
-class RhoSpec:
-    """Response classes of the noise blocks a cluster shares with the rest
-    of the model: two joint shared values are equivalent when every outside
-    consumer's mechanism, restricted to them, is the same function."""
-
-    blocks: tuple
-    member_keys: tuple
-    class_of: dict
-
-
-@dataclass
-class SigmaMachinery:
-    cluster: str
-    parents: tuple      # parent cluster names, declaration order
-    rho: object         # RhoSpec or None
-    tables: dict        # label -> {(parent labels, class) -> tuple[Fraction]}
-
-
 def _signature(scm, variable, fixed):
     """The mechanism of ``variable`` as a function table, with the exogenous
     members in ``fixed`` pinned."""
@@ -169,6 +156,11 @@ def _signature(scm, variable, fixed):
 
 
 def _rho_shared_reads(scm, members):
+    """The response classes of the noise blocks ``members`` share with the
+    rest of the model, as (member keys, class of each joint value): two
+    joint shared values are equivalent when every outside consumer's
+    mechanism, restricted to them, is the same function. Nothing shared
+    gives ((), {})."""
     inside = set(members)
     inside_blocks = []
     for m in members:
@@ -185,54 +177,37 @@ def _rho_shared_reads(scm, members):
                 outside_blocks.add(b)
                 if v not in outside_vars:
                     outside_vars.append(v)
-    shared = tuple(b for b in inside_blocks if b in outside_blocks)
-    if not shared:
-        return None
-    member_keys = []
-    for bname in shared:
-        for m in scm.block_index[bname].members:
-            member_keys.append((bname, m.name))
-    member_keys = tuple(member_keys)
+    member_keys = tuple((b, m.name) for b in inside_blocks
+                        if b in outside_blocks
+                        for m in scm.block_index[b].members)
+    if not member_keys:
+        return (), {}
     class_of = {}
     signatures = {}
     for joint in product(*(scm.member_index[k].domain for k in member_keys)):
         fixed = dict(zip(member_keys, joint))
         sig = tuple(_signature(scm, w, fixed) for w in outside_vars)
-        if sig not in signatures:
-            signatures[sig] = len(signatures)
-        class_of[joint] = signatures[sig]
-    return RhoSpec(blocks=shared, member_keys=member_keys, class_of=class_of)
-
-
-def _parent_clusters(scm, cm, cluster):
-    inside = set(cluster.members)
-    parents = []
-    for c in cm.clusters:
-        if c.name == cluster.name:
-            continue
-        cmembers = set(c.members)
-        hit = False
-        for m in cluster.members:
-            for p in scm.mechanisms[m].endo_parents:
-                if p in cmembers:
-                    hit = True
-                    break
-            if hit:
-                break
-        if hit:
-            parents.append(c.name)
-    return tuple(parents)
+        class_of[joint] = signatures.setdefault(sig, len(signatures))
+    return member_keys, class_of
 
 
 def sigma_machinery(scm, cm, cluster_name, policy, budget=None):
-    """Reference tables for every value of one cluster, per context."""
+    """The cluster's DeltaSplit with its reference tables: for every value,
+    the distribution over its member tuples per context. The tables are
+    computed on the working model, where the variables outside every
+    cluster are projected away."""
     validate_policy(policy)
     c = cm.cluster(cluster_name)
-    parents = _parent_clusters(scm, cm, c) if policy != "agnostic" else ()
-    rho = _rho_shared_reads(scm, c.members) if policy == "general" else None
+    scm = _working_model(scm, cm, budget)
+    split = DeltaSplit(name=c.name, members=c.members, values=c.values)
+    if policy != "agnostic":
+        split.parents = _parent_clusters(scm, cm, c)
+    if policy == "general":
+        split.rho_members, split.rho_classes = _rho_shared_reads(
+            scm, c.members)
     check_budget(scm.exogenous_support_size(), budget,
                  "sigma computation needs %d states")
-    parent_clusters = [cm.by_name[p] for p in parents]
+    parent_clusters = [cm.by_name[p] for p in split.parents]
     # the shared blocks rho classifies are read by the cluster's members
     needed, blocks = _relevance(
         scm, list(c.members) + [m for pc in parent_clusters
@@ -244,27 +219,18 @@ def sigma_machinery(scm, cm, cluster_name, policy, budget=None):
         env = scm.solve(unit, order=order)
         joint = tuple(env[m] for m in c.members)
         label = c.label_of(joint)
-        pa = tuple(pc.label_of(tuple(env[m] for m in pc.members))
-                   for pc in parent_clusters)
-        cls = None
-        if rho is not None:
-            cls = rho.class_of[tuple(unit[k] for k in rho.member_keys)]
-        ctx = (pa, cls)
+        pa = {pc.name: pc.label_of(tuple(env[m] for m in pc.members))
+              for pc in parent_clusters}
+        ctx = split.context(pa, unit)
         totals[(label, ctx)] = totals.get((label, ctx), 0) + w
         key2 = (label, ctx, joint)
         masses[key2] = masses.get(key2, 0) + w
-    tables = {}
     for cv in c.values:
-        ctxs = {}
-        for (label, ctx), tot in totals.items():
-            if label != cv.label:
-                continue
-            probs = tuple(Fraction(masses.get((label, ctx, t), 0), tot)
-                          for t in cv.tuples)
-            ctxs[ctx] = probs
-        tables[cv.label] = ctxs
-    return SigmaMachinery(cluster=c.name, parents=parents, rho=rho,
-                          tables=tables)
+        split.sigma[cv.label] = {
+            ctx: tuple(Fraction(masses.get((label, ctx, t), 0), tot)
+                       for t in cv.tuples)
+            for (label, ctx), tot in totals.items() if label == cv.label}
+    return split
 
 
 def _context_parts(context, rho_members):
@@ -295,32 +261,28 @@ def _context_parts(context, rho_members):
     return parents, {pair_of.get(n, n): v for n, v in shared.items()}
 
 
-def _context_key(context, parents, rho_members, rho_classes):
-    """The (parent labels, response class) key of a context's reference
-    table. The context must give every parent cluster in ``parents`` and
-    every shared member in ``rho_members``; other entries are ignored."""
-    parents_arg, shared_arg = _context_parts(context, rho_members)
-    pa = []
-    for p in parents:
-        if p not in parents_arg:
+def _context_key(context, split, clusters):
+    """The (parent labels, response class) key of ``split``'s reference
+    tables for a context. The context must give a label of every parent
+    cluster, checked against ``clusters`` (name -> Cluster), and a value of
+    every shared noise member; other entries are ignored."""
+    parents, shared = _context_parts(context, split.rho_members)
+    for p in split.parents:
+        if p not in parents:
             raise DomainMismatch(
                 "context must give a value for parent cluster %r" % p,
                 cluster=p)
-        pa.append(parents_arg[p])
-    if not rho_members:
-        return tuple(pa), None
-    joint = []
-    for k in rho_members:
-        if k not in shared_arg:
+        clusters[p].fiber(parents[p])  # rejects an unknown label
+    for k in split.rho_members:
+        if k not in shared:
             raise DomainMismatch(
                 "context must give a value for shared noise member %s.%s"
                 % k, member=k)
-        joint.append(shared_arg[k])
-    joint = tuple(joint)
-    if joint not in rho_classes:
+    joint = tuple(shared[k] for k in split.rho_members)
+    if joint and joint not in split.rho_classes:
         raise DomainMismatch(
             "shared values %r are outside the block domains" % (joint,))
-    return tuple(pa), rho_classes[joint]
+    return split.context(parents, shared)
 
 
 def sigma_distribution(scm, cm, cluster, label, policy="general",
@@ -328,18 +290,12 @@ def sigma_distribution(scm, cm, cluster, label, policy="general",
     """Exact reference distribution over a cluster value's member tuples in
     one context. Raises ImpossibleContext when the context has probability
     zero under the model (unless ``fallback='uniform'``)."""
-    machinery = sigma_machinery(scm, cm, cluster, policy, budget)
-    c = cm.cluster(cluster)
-    fiber = c.fiber(label)
-    rho = machinery.rho
-    ctx = _context_key(context, machinery.parents,
-                       rho.member_keys if rho else (),
-                       rho.class_of if rho else {})
-    for p, parent_label in zip(machinery.parents, ctx[0]):
-        cm.cluster(p).fiber(parent_label)  # validates the label
-    probs = _context_probs(machinery.tables[label], ctx, len(fiber),
-                           fallback, cluster, label)
-    return {t: p for t, p in zip(fiber, probs)}
+    split = sigma_machinery(scm, cm, cluster, policy, budget)
+    fiber = split.fiber(label)
+    probs = _context_probs(split.sigma[label],
+                           _context_key(context, split, cm.by_name),
+                           len(fiber), fallback, cluster, label)
+    return dict(zip(fiber, probs))
 
 
 def _context_probs(tables, ctx, size, fallback, cluster, label):
@@ -390,16 +346,15 @@ def resolve_sigma(scm, cm, query, policy="general", budget=None,
     under the given policy. Markers with the same cluster and label share
     one cell draw across all terms."""
     validate_policy(policy)
-    machineries = {}
+    splits = {}
 
     def atom_for(marker):
-        if marker.cluster not in machineries:
-            machineries[marker.cluster] = sigma_machinery(
+        if marker.cluster not in splits:
+            splits[marker.cluster] = sigma_machinery(
                 scm, cm, marker.cluster, policy, budget)
-        mach = machineries[marker.cluster]
-        c = cm.cluster(marker.cluster)
-        fiber = c.fiber(marker.label)
-        ctx_tables = mach.tables[marker.label]
+        split = splits[marker.cluster]
+        fiber = split.fiber(marker.label)
+        ctx_tables = split.sigma[marker.label]
         if not ctx_tables and fallback != "uniform":
             raise ImpossibleContext(
                 "value %s=%s has probability zero everywhere"
@@ -410,18 +365,18 @@ def resolve_sigma(scm, cm, query, policy="general", budget=None,
         parents = tuple(
             ParentContext(cluster=p, members=tuple(cm.by_name[p].members),
                           value_of=dict(cm.by_name[p]._label_of))
-            for p in mach.parents)
+            for p in split.parents)
         rho = None
-        if mach.rho is not None:
-            rho = RhoContext(member_keys=mach.rho.member_keys,
-                             class_of=mach.rho.class_of)
+        if split.rho_members:
+            rho = RhoContext(member_keys=split.rho_members,
+                             class_of=split.rho_classes)
         # the machinery content the cells are drawn from, so atoms from
         # different models or policies never share a draw by accident; a
         # frozenset keeps its hash, so the key stays cheap to look up
         share_key = ("sigma", policy, marker.cluster, str(marker.label),
-                     fallback, mach.parents, frozenset(ctx_tables.items()))
+                     fallback, split.parents, frozenset(ctx_tables.items()))
         return SoftIntervention(
-            targets=tuple(c.members), share_key=share_key,
+            targets=tuple(split.members), share_key=share_key,
             candidates=tuple(fiber), tables=dict(ctx_tables), breaks=breaks,
             cell_map=cell_map, parents=parents, rho=rho,
             fallback=fallback,
@@ -435,17 +390,14 @@ def resolve_sigma(scm, cm, query, policy="general", budget=None,
 
 
 @dataclass
-class DeltaSplit:
-    """Everything recorded about one cluster's split into an observed label
-    and (for consistency violators) an unobserved disambiguation cell."""
+class DeltaSplit(Cluster):
+    """One cluster of the projected model with its reference tables: the
+    parent clusters and shared-noise response classes (rho) that key them,
+    the sigma tables of its lossy labels and, for consistency violators,
+    the unobserved disambiguation cell."""
 
-    cluster: str
-    members: tuple
-    labels: tuple
-    fibers: dict
     violator: bool = False
     parents: tuple = ()
-    shared_blocks: tuple = ()
     rho_members: tuple = ()
     rho_classes: dict = field(default_factory=dict)
     sigma: dict = field(default_factory=dict)
@@ -454,22 +406,6 @@ class DeltaSplit:
     fill_targets: dict = field(default_factory=dict)
     component: dict = field(default_factory=dict)
     block: object = None
-
-    def __post_init__(self):
-        self._reverse = {}
-        for label, tuples in self.fibers.items():
-            for t in tuples:
-                self._reverse[t] = label
-
-    def label_of(self, joint):
-        joint = tuple(joint)
-        if joint not in self._reverse:
-            raise DomainMismatch(
-                "joint value %r is outside cluster %r" % (joint, self.cluster))
-        return self._reverse[joint]
-
-    def lossy_labels(self):
-        return tuple(l for l in self.labels if len(self.fibers[l]) > 1)
 
     def context(self, labels, unit):
         """The (parent labels, response class) key of this cluster's
@@ -528,151 +464,103 @@ def construct_projected_abstraction(scm, cm, policy="general", budget=None,
     splits = {}
     extra_blocks = []
     for c in cm.clusters:
-        split = DeltaSplit(cluster=c.name, members=c.members,
-                           labels=c.labels(),
-                           fibers={cv.label: cv.tuples for cv in c.values},
-                           violator=c.name in violators)
-        lossy = split.lossy_labels()
-        if lossy:
-            mach = sigma_machinery(working, cm, c.name, policy, budget)
-            split.parents = mach.parents
-            if mach.rho is not None:
-                split.shared_blocks = mach.rho.blocks
-                split.rho_members = mach.rho.member_keys
-                split.rho_classes = dict(mach.rho.class_of)
-            for label in lossy:
-                split.sigma[label] = dict(mach.tables[label])
-            if c.name in violators:
-                members = []
-                probs_per_member = []
-                contexts = _all_contexts(cm, split)
-                for label in lossy:
-                    fiber = split.fibers[label]
-                    tables = split.sigma[label]
-                    breaks, cmap = _cell_grid(
-                        tables, len(fiber) if fallback == "uniform" else None)
-                    # member indices some context never draws; every cell
-                    # map lists them after its cells
-                    fills = tuple(i for i in range(len(fiber))
-                                  if any(p[i] == 0 for p in tables.values()))
-                    cmap = {ctx: m + fills for ctx, m in cmap.items()}
-                    split.breaks[label] = breaks
-                    split.fill_targets[label] = fills
-                    split.component[label] = {}
-                    uniform = _uniform(len(fiber))
-                    for ctx in contexts:
-                        probs = tables.get(ctx)
-                        if probs is None:
-                            if fallback != "uniform":
-                                continue
-                            probs = uniform
-                            cmap[ctx] = _cell_map(breaks, uniform) + fills
-                        name = _component_member(
-                            c.name, label, len(split.component[label]))
-                        split.component[label][ctx] = name
-                        members.append(ExoMember(
-                            name=name, domain=tuple(range(len(fiber)))))
-                        probs_per_member.append(probs)
-                    split.cell_map[label] = cmap
-                block_name = "%s__u" % c.name
-                split.block = block_name
-                size = 1
-                for w in probs_per_member:
-                    size *= len(w)
-                check_budget(size, budget, "cell block for %r needs %d rows",
-                             c.name)
-                table = {}
-                for combo in product(*(range(len(w)) for w in probs_per_member)):
-                    p = Fraction(1)
-                    for w, i in zip(probs_per_member, combo):
-                        p *= w[i]
-                    table[combo] = p
-                extra_blocks.append(ExogenousBlock(
-                    name=block_name, members=tuple(members), table=table))
-        splits[c.name] = split
+        lossy = c.lossy_labels()
+        if not lossy:
+            splits[c.name] = DeltaSplit(name=c.name, members=c.members,
+                                        values=c.values)
+            continue
+        split = splits[c.name] = sigma_machinery(working, cm, c.name, policy,
+                                                 budget)
+        split.sigma = {label: split.sigma[label] for label in lossy}
+        if c.name not in violators:
+            continue
+        split.violator = True
+        members = []
+        probs_per_member = []
+        contexts = _all_contexts(cm, split)
+        for label in lossy:
+            fiber = split.fiber(label)
+            tables = split.sigma[label]
+            breaks, cmap = _cell_grid(
+                tables, len(fiber) if fallback == "uniform" else None)
+            # member indices some context never draws; every cell map lists
+            # them after its cells
+            fills = tuple(i for i in range(len(fiber))
+                          if any(p[i] == 0 for p in tables.values()))
+            cmap = {ctx: m + fills for ctx, m in cmap.items()}
+            split.breaks[label] = breaks
+            split.fill_targets[label] = fills
+            split.component[label] = {}
+            uniform = _uniform(len(fiber))
+            for ctx in contexts:
+                probs = tables.get(ctx)
+                if probs is None:
+                    if fallback != "uniform":
+                        continue
+                    probs = uniform
+                    cmap[ctx] = _cell_map(breaks, uniform) + fills
+                name = _component_member(
+                    c.name, label, len(split.component[label]))
+                split.component[label][ctx] = name
+                members.append(ExoMember(
+                    name=name, domain=tuple(range(len(fiber)))))
+                probs_per_member.append(probs)
+            split.cell_map[label] = cmap
+        split.block = "%s__u" % c.name
+        check_budget(math.prod(map(len, probs_per_member)), budget,
+                     "cell block for %r needs %d rows", c.name)
+        table = {}
+        for combo in product(*(range(len(w)) for w in probs_per_member)):
+            table[combo] = math.prod(
+                (w[i] for w, i in zip(probs_per_member, combo)),
+                start=Fraction(1))
+        extra_blocks.append(ExogenousBlock(
+            name=split.block, members=tuple(members), table=table))
 
-    high_blocks = tuple(working.blocks) + tuple(extra_blocks)
-    block_pos = {b.name: i for i, b in enumerate(high_blocks)}
-    member_pos = {}
-    for b in high_blocks:
-        for i, m in enumerate(b.members):
-            member_pos[(b.name, m.name)] = (block_pos[b.name], i)
-    cluster_pos = {c.name: i for i, c in enumerate(cm.clusters)}
-    member_domain = {}
-    for b in high_blocks:
-        for m in b.members:
-            member_domain[(b.name, m.name)] = m.domain
-
-    mechanisms = {}
+    high = DiscreteScm(
+        endogenous=tuple(VariableDecl(name=c.name, domain=c.labels())
+                         for c in cm.clusters),
+        blocks=tuple(working.blocks) + tuple(extra_blocks), mechanisms={})
     for c in cm.clusters:
-        split = splits[c.name]
         direct = _parent_clusters(working, cm, c)
-        endo = list(direct)
-        exo = []
-        for m in c.members:
-            for k in working.mechanisms[m].exo_parents:
-                if k not in exo:
-                    exo.append(k)
-        reconstructed = {}
-        for p in direct:
-            ps = splits[p]
-            if ps.violator and ps.lossy_labels():
-                reconstructed[p] = ps
-                for g in ps.parents:
-                    if g not in endo:
-                        endo.append(g)
-                for label in ps.lossy_labels():
-                    for name in ps.component[label].values():
-                        key = (ps.block, name)
-                        if key not in exo:
-                            exo.append(key)
-                for k in ps.rho_members:
-                    if k not in exo:
-                        exo.append(k)
-        endo.sort(key=cluster_pos.get)
-        exo.sort(key=member_pos.get)
-
-        endo_domains = [splits[p].labels for p in endo]
-        exo_domains = [member_domain[k] for k in exo]
-        size = 1
-        for d in endo_domains + exo_domains:
-            size *= len(d)
-        check_budget(size, budget, "high-level mechanism for %r needs %d rows",
-                     c.name)
+        endo = set(direct)
+        exo = {k for m in c.members for k in working.mechanisms[m].exo_parents}
+        # a flagged parent is reconstructed from its cell, which is read in
+        # the context of its own parents and shared noise
+        for ps in (splits[p] for p in direct if splits[p].block is not None):
+            endo.update(ps.parents)
+            exo.update((ps.block, name) for names in ps.component.values()
+                       for name in names.values())
+            exo.update(ps.rho_members)
+        endo = [v for v in high.var_index if v in endo]
+        exo = [k for k in high.member_index if k in exo]
+        domains = [high.domain(p) for p in endo] + [
+            high.member_index[k].domain for k in exo]
+        check_budget(math.prod(map(len, domains)), budget,
+                     "high-level mechanism for %r needs %d rows", c.name)
 
         member_topo = [v for v in working.topological_order_names()
-                       if v in set(c.members)]
+                       if v in c.members]
         table = {}
-        for combo in product(*(endo_domains + exo_domains)):
-            high_env = dict(zip(endo, combo[:len(endo)]))
+        for combo in product(*domains):
+            high_env = dict(zip(endo, combo))
             exo_env = dict(zip(exo, combo[len(endo):]))
             env = {}
             for p in direct:
                 ps = splits[p]
-                label = high_env[p]
-                fiber = ps.fibers[label]
-                if p in reconstructed and len(fiber) > 1:
-                    name = ps.component[label].get(
+                fiber = ps.fiber(high_env[p])
+                raw = fiber[0]
+                if ps.block is not None and len(fiber) > 1:
+                    name = ps.component[high_env[p]].get(
                         ps.context(high_env, exo_env))
-                    if name is None:
-                        raw = fiber[0]
-                    else:
+                    if name is not None:
                         raw = fiber[exo_env[(ps.block, name)]]
-                else:
-                    raw = fiber[0]
-                for m, val in zip(ps.members, raw):
-                    env[m] = val
+                env.update(zip(ps.members, raw))
             working.solve(exo_env, env, member_topo)
-            out = c.label_of(tuple(env[m] for m in c.members))
-            table[combo] = out
-        mechanisms[c.name] = Mechanism(
+            table[combo] = c.label_of(tuple(env[m] for m in c.members))
+        high.mechanisms[c.name] = Mechanism(
             variable=c.name, endo_parents=tuple(endo), exo_parents=tuple(exo),
             table=table)
-
-    decls = tuple(VariableDecl(name=c.name, domain=c.labels())
-                  for c in cm.clusters)
-    high = DiscreteScm(endogenous=decls, blocks=high_blocks,
-                       mechanisms=mechanisms)
     high.topological_order_names()
     return HighLevelScm(scm=high, splits=splits, policy=policy,
                         fallback=fallback)
@@ -705,12 +593,8 @@ def verify_partial_projection(low, high, budget=None):
     reproduces every cluster label exactly."""
     splits = high.splits
     names = [v.name for v in high.scm.endogenous]
-    members_all = []
-    for name in names:
-        members_all.extend(splits[name].members)
-    working = low
-    if set(members_all) != set(low.variable_names()):
-        working = project_full(low, members_all, budget)
+    working = _working_model(
+        low, [m for name in names for m in splits[name].members], budget)
     high_topo = high.scm.topological_order_names()
     # a flagged cluster's cell is read off the labels of its parents, which
     # come before it in the high model's order
@@ -758,14 +642,15 @@ def verify_partial_projection(low, high, budget=None):
             for before, split in stops:
                 raw = tuple(env[m] for m in split.members)
                 actual = split.label_of(raw)
-                if len(split.fibers[actual]) > 1:
-                    idx = list(split.fibers[actual]).index(raw)
+                fiber = split.fiber(actual)
+                if len(fiber) > 1:
+                    idx = fiber.index(raw)
                     high.scm.solve(unit_h, env_h, before)
                     ctx = split.context(env_h, unit)
                     mname = split.component[actual].get(ctx)
                     if mname is None:
                         trouble = ("context %r absent for %s=%s"
-                                   % (ctx, split.cluster, actual))
+                                   % (ctx, split.name, actual))
                     else:
                         unit_h[(split.block, mname)] = idx
             high.scm.solve(unit_h, env_h)
@@ -802,11 +687,7 @@ def resolve_sigma_high(high, query):
             raise UnknownVariable("unknown cluster %r" % marker.cluster,
                                   cluster=marker.cluster)
         split = high.splits[marker.cluster]
-        if marker.label not in split.fibers:
-            raise UnknownHighValue(
-                "cluster %r has no value %r" % (marker.cluster, marker.label),
-                cluster=marker.cluster, label=marker.label)
-        if len(split.fibers[marker.label]) == 1 or split.block is None:
+        if len(split.fiber(marker.label)) == 1 or split.block is None:
             return HardIntervention(marker.cluster, marker.label)
         exo_cells = {}
         for ctx, mname in split.component[marker.label].items():
@@ -873,17 +754,13 @@ def projected_sample(high, cluster, label, context=None, seed=0, n=None):
     if cluster not in high.splits:
         raise UnknownVariable("unknown cluster %r" % cluster, cluster=cluster)
     split = high.splits[cluster]
-    if label not in split.fibers:
-        raise UnknownHighValue("cluster %r has no value %r" % (cluster, label),
-                               cluster=cluster, label=label)
-    fiber = split.fibers[label]
+    fiber = split.fiber(label)
     if len(fiber) == 1:
         probs = (Fraction(1),)
     else:
-        ctx = _context_key(context, split.parents, split.rho_members,
-                           split.rho_classes)
-        probs = _context_probs(split.sigma.get(label, {}), ctx, len(fiber),
-                               high.fallback, cluster, label)
+        probs = _context_probs(split.sigma.get(label, {}),
+                               _context_key(context, split, high.splits),
+                               len(fiber), high.fallback, cluster, label)
     cum = []
     acc = Fraction(0)
     for p in probs:
@@ -922,16 +799,18 @@ def high_to_doc(high):
     for name in (v.name for v in high.scm.endogenous):
         s = high.splits[name]
         entry = {
-            "cluster": s.cluster,
+            "cluster": s.name,
             "members": list(s.members),
-            "values": [{"label": l, "tuples": [list(t) for t in s.fibers[l]]}
-                       for l in s.labels],
+            "values": [{"label": cv.label,
+                        "tuples": [list(t) for t in cv.tuples]}
+                       for cv in s.values],
             "violator": s.violator,
         }
         if s.parents:
             entry["parents"] = list(s.parents)
         if s.rho_members:
-            entry["shared_blocks"] = list(s.shared_blocks)
+            entry["shared_blocks"] = list(dict.fromkeys(
+                b for b, _m in s.rho_members))
             entry["rho_members"] = [list(k) for k in s.rho_members]
             entry["rho_classes"] = [
                 {"values": list(joint), "class": cls}
@@ -968,14 +847,12 @@ def high_from_doc(doc):
     scm = validate_scm({k: v for k, v in doc.items() if k != "delta"})
     splits = {}
     for entry in delta.get("splits", []):
-        fibers = {v["label"]: tuple(tuple(t) for t in v["tuples"])
-                  for v in entry["values"]}
         s = DeltaSplit(
-            cluster=entry["cluster"], members=tuple(entry["members"]),
-            labels=tuple(v["label"] for v in entry["values"]),
-            fibers=fibers, violator=entry.get("violator", False),
+            name=entry["cluster"], members=tuple(entry["members"]),
+            values=tuple(ClusterValue(label=v["label"], tuples=tuple(
+                tuple(t) for t in v["tuples"])) for v in entry["values"]),
+            violator=entry.get("violator", False),
             parents=tuple(entry.get("parents", ())),
-            shared_blocks=tuple(entry.get("shared_blocks", ())),
             rho_members=tuple(tuple(k) for k in entry.get("rho_members", ())),
             rho_classes={tuple(r["values"]): r["class"]
                          for r in entry.get("rho_classes", ())},
@@ -995,7 +872,7 @@ def high_from_doc(doc):
             s.component[label] = {
                 _ctx_from_doc(c): c["member"]
                 for c in item["contexts"] if c.get("member") is not None}
-        splits[s.cluster] = s
+        splits[s.name] = s
     return HighLevelScm(scm=scm, splits=splits,
                         policy=delta.get("policy", "general"),
                         fallback=delta.get("fallback"))

@@ -465,21 +465,20 @@ class _TermSetup:
     hard: dict
     atoms: list
     segments: list
-    number: object
     blocks: tuple
     at: dict
+    number: object = None
     program: object = None
 
 
 def _term_setup(scm, term, reads=()):
     """Check a term and plan its world. Returns the world's _TermSetup: the
     hard settings, the distinct atoms in the order they are resolved, the
-    solve-order segments between them, the term's number (None once the
-    model has numbered CACHE_LIMIT term contents), the positions of the
-    blocks the world reads and each solved variable's position in the
-    solve order; its program is compiled when a world is first solved.
-    Only the variables that the outcomes, ``reads`` and the atoms' targets
-    depend on are solved."""
+    solve-order segments between them, the positions of the blocks the
+    world reads and each solved variable's position in the solve order; it
+    has no world-cache number (see _numbered) and its program is compiled
+    when a world is first solved. Only the variables that the outcomes,
+    ``reads`` and the atoms' targets depend on are solved."""
     hard_map = _check_hard(scm, term.hard)
     atoms = []
     seen = set()
@@ -539,13 +538,20 @@ def _term_setup(scm, term, reads=()):
     atoms = [atoms[n] for _pos, n in stops]
     bounds = [0] + [pos for pos, _n in stops] + [len(order)]
     segments = [order[i:j] for i, j in zip(bounds, bounds[1:])]
-    content = (tuple(sorted(hard_map.items(), key=lambda kv: kv[0])),
-               tuple(_fingerprint(a) for a in atoms), tuple(order))
-    term_no = scm._world_terms.get(content)
-    if term_no is None and len(scm._world_terms) < CACHE_LIMIT:
-        term_no = scm._world_terms[content] = len(scm._world_terms)
-    return _TermSetup(hard_map, atoms, segments, term_no, blocks,
+    return _TermSetup(hard_map, atoms, segments, blocks,
                       {v: i for i, v in enumerate(order)})
+
+
+def _numbered(scm, setup):
+    """Give a setup the model's number for its term content, which keys its
+    worlds in the world cache; past CACHE_LIMIT numbered contents a new
+    content gets none and its worlds are solved uncached."""
+    content = (tuple(sorted(setup.hard.items(), key=lambda kv: kv[0])),
+               tuple(_fingerprint(a) for a in setup.atoms), tuple(setup.at))
+    setup.number = scm._world_terms.get(content)
+    if setup.number is None and len(scm._world_terms) < CACHE_LIMIT:
+        setup.number = scm._world_terms[content] = len(scm._world_terms)
+    return setup
 
 
 def _plan(setups):
@@ -626,7 +632,7 @@ def prob_query(scm, query, budget=None):
     if not query.terms:
         raise DomainMismatch("query has no terms")
     all_terms = list(query.terms) + list(query.conditioning or ())
-    setups = [_term_setup(scm, t) for t in all_terms]
+    setups = [_numbered(scm, _term_setup(scm, t)) for t in all_terms]
     blocks, picks = _plan(setups)
     checks = list(zip(all_terms, setups, picks))
     n_main = len(query.terms)

@@ -1,6 +1,7 @@
-"""Source hygiene: no module of the package imports a name it never uses,
-no module-level private name of the package goes unread, and importing the
-package loads nothing outside the standard library."""
+"""Source hygiene: no module of the package imports a name it never uses
+or binds a local it never reads, no module-level private name of the
+package goes unread, and importing the package loads nothing outside the
+standard library."""
 
 import ast
 import json
@@ -42,6 +43,41 @@ def test_detects_unused_import():
 def test_no_unused_imports(module):
     with open(os.path.join(PACKAGE, module), encoding="utf-8") as fh:
         assert unused_imports(fh.read()) == []
+
+
+def unused_locals(source):
+    """(function, name) pairs of the names a function binds but never reads
+    (nested functions count as reading what they load); names starting
+    with ``_`` and names declared global or nonlocal are exempt."""
+    found = set()
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        bound, read, shared = set(), set(), set()
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Name):
+                (read if isinstance(node.ctx, ast.Load) else bound).add(
+                    node.id)
+            elif isinstance(node, (ast.Global, ast.Nonlocal)):
+                shared.update(node.names)
+        found.update((fn.name, name) for name in bound - read - shared
+                     if not name.startswith("_"))
+    return sorted(found)
+
+
+def test_detects_unused_local():
+    source = ("def f(a):\n"
+              "    kept, lost, _skip = a, a, a\n"
+              "    def g():\n"
+              "        return kept\n"
+              "    return g\n")
+    assert unused_locals(source) == [("f", "lost")]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_unused_locals(module):
+    with open(os.path.join(PACKAGE, module), encoding="utf-8") as fh:
+        assert unused_locals(fh.read()) == []
 
 
 def orphaned_private_names(sources):

@@ -12,9 +12,11 @@ from hypothesis import given, settings, strategies as st
 
 import abstrakt as ab
 from abstrakt.cli import run
-from conftest import (atom, build_dag_model, build_lossy_chain,
-                      context_after_target_docs, identity_clusters, term,
-                      query)
+from conftest import (atom, binary_block, build_dag_model, build_lossy_chain,
+                      context_after_target_docs, fixture_path,
+                      identity_clusters, term, query)
+
+POLICIES = ("agnostic", "markovian", "general")
 
 
 def sigma_marker_query(outcome_pairs, cluster, label, conditioning=()):
@@ -192,6 +194,110 @@ class TestSigmaDistribution:
         with pytest.raises(ab.ValidationError):
             ab.sigma_distribution(insurance, insurance_cm, "XH", "xC",
                                   policy="optimistic")
+
+
+    def test_unknown_parent_label(self, insurance, insurance_cm,
+                                  insurance_high):
+        """sigma_distribution and projected_sample read a context's parent
+        labels alike: an unknown one is an UnknownHighValue, with or without
+        the uniform fallback."""
+        bogus = {"parents": {"Z": "bogus"}}
+        uniform = ab.construct_projected_abstraction(
+            insurance, insurance_cm, fallback="uniform")
+        for fallback in (None, "uniform"):
+            with pytest.raises(ab.UnknownHighValue):
+                ab.sigma_distribution(insurance, insurance_cm, "XH", "xC",
+                                      context=bogus, fallback=fallback)
+        for high in (insurance_high, uniform):
+            with pytest.raises(ab.UnknownHighValue):
+                ab.projected_sample(high, "XH", "xC", context=bogus)
+
+
+def excluded_mediator_docs():
+    """A -> M -> X -> Y and A -> Y, with M = A and M outside every cluster.
+    X is x3 when its noise (1/4) fires and otherwise x1 or x2 as M is 0 or
+    1; Y = 1 when its noise (3/4) fires and X is the x that A selects.
+    Clusters: AH = {A}, XH = {X} with xC = {x1, x2} and x3, YH = {Y}."""
+    bits = [0, 1]
+    xs = ["x1", "x2", "x3"]
+
+    def noise(name):
+        return [{"block": name, "member": "u"}]
+
+    model = {
+        "endogenous": [{"name": "A", "domain": bits},
+                       {"name": "M", "domain": bits},
+                       {"name": "X", "domain": xs},
+                       {"name": "Y", "domain": bits}],
+        "blocks": [binary_block("UA", Fraction(1, 2)),
+                   binary_block("UX", Fraction(1, 4)),
+                   binary_block("UY", Fraction(3, 4))],
+        "mechanisms": [
+            {"variable": "A", "endo_parents": [], "exo_parents": noise("UA"),
+             "table": [{"parents": [u], "out": u} for u in bits]},
+            {"variable": "M", "endo_parents": ["A"], "exo_parents": [],
+             "table": [{"parents": [a], "out": a} for a in bits]},
+            {"variable": "X", "endo_parents": ["M"], "exo_parents": noise("UX"),
+             "table": [{"parents": [m, u], "out": "x3" if u else xs[m]}
+                       for m in bits for u in bits]},
+            {"variable": "Y", "endo_parents": ["A", "X"],
+             "exo_parents": noise("UY"),
+             "table": [{"parents": [a, x, u], "out": int(u and x == xs[a])}
+                       for a in bits for x in xs for u in bits]},
+        ],
+    }
+    clusters = {"clusters": [
+        {"name": "AH", "members": ["A"],
+         "values": [{"label": "a0", "tuples": [[0]]},
+                    {"label": "a1", "tuples": [[1]]}]},
+        {"name": "XH", "members": ["X"],
+         "values": [{"label": "xC", "tuples": [["x1"], ["x2"]]},
+                    {"label": "x3", "tuples": [["x3"]]}]},
+        {"name": "YH", "members": ["Y"],
+         "values": [{"label": y, "tuples": [[y]]} for y in bits]},
+    ]}
+    return model, clusters
+
+
+class TestExcludedMediator:
+    """Reference tables are built on the working model, where M is
+    marginalized away and A becomes X's parent, both for the low-level
+    route (resolve_sigma, sigma_distribution) and the projected model."""
+
+    @pytest.mark.parametrize("policy,want", [
+        ("agnostic", Fraction(3, 8)), ("markovian", Fraction(3, 4)),
+        ("general", Fraction(3, 4))])
+    def test_eval_matches_the_projected_model(self, tmp_path, policy, want):
+        model, clusters = excluded_mediator_docs()
+        paths = []
+        for name, doc in (("model.json", model), ("clusters.json", clusters)):
+            paths.append(str(tmp_path / name))
+            with open(paths[-1], "w") as fh:
+                json.dump(doc, fh)
+        r = run(["eval", "--scm", paths[0], "--clusters", paths[1],
+                 "--policy", policy, "--query", "P(YH[~XH=xC]=1)"])
+        assert r.exit_code == 0
+        assert r.payload["rational"] == str(want)
+        low = ab.validate_scm(model)
+        high = ab.construct_projected_abstraction(
+            low, ab.validate_clusters(low, clusters), policy=policy)
+        q = sigma_marker_query([("YH", 1)], "XH", "xC")
+        assert ab.prob_query(high.scm, ab.resolve_sigma_high(high, q)) == want
+
+    def test_markovian_tables_read_the_parent(self):
+        model, clusters = excluded_mediator_docs()
+        low = ab.validate_scm(model)
+        cm = ab.validate_clusters(low, clusters)
+        high = ab.construct_projected_abstraction(low, cm, policy="markovian")
+        assert high.splits["XH"].parents == ("AH",)
+        with pytest.raises(ab.DomainMismatch) as err:
+            ab.sigma_distribution(low, cm, "XH", "xC", policy="markovian")
+        assert err.value.details == {"cluster": "AH"}
+        for a, x in (("a0", "x1"), ("a1", "x2")):
+            got = ab.sigma_distribution(low, cm, "XH", "xC",
+                                        policy="markovian",
+                                        context={"parents": {"AH": a}})
+            assert got == {(v,): Fraction(v == x) for v in ("x1", "x2")}
 
 
 class TestMarkerResolution:
@@ -517,3 +623,39 @@ class TestSerialization:
         assert got == Fraction(149, 250)
         res = ab.verify_partial_projection(insurance, again)
         assert res.passed
+
+    @pytest.mark.parametrize("fallback", [None, "uniform"])
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("name", ["insurance", "hospital", "cholesterol"])
+    def test_fixture_documents_round_trip(self, name, policy, fallback):
+        low = ab.load_scm(fixture_path(name + ".json"))
+        cm = ab.load_clusters(low, fixture_path(name + "_clusters.json"))
+        assert_document_round_trips(low, ab.construct_projected_abstraction(
+            low, cm, policy=policy, fallback=fallback))
+
+    @pytest.mark.parametrize("p_a,fallback", [
+        (None, None), (None, "uniform"), (1, "uniform")])
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_confounded_chain_documents_round_trip(self, seed, p_a, fallback):
+        """Under the general policy the confounded chain's BH reads the
+        shared block US, so its document lists the shared blocks. With A's
+        noise fixed at 1 some contexts have no mass, which only the uniform
+        fallback lets the replay pass."""
+        low, cm = build_lossy_chain(random.Random(seed), confounded=True,
+                                    p_a=p_a)
+        high = ab.construct_projected_abstraction(low, cm, fallback=fallback)
+        doc = assert_document_round_trips(low, high)
+        split = next(e for e in doc["delta"]["splits"] if e["cluster"] == "BH")
+        assert split["shared_blocks"] == ["US"]
+        assert split["rho_members"] == [["US", "s1"], ["US", "s2"]]
+
+
+def assert_document_round_trips(low, high):
+    """A projected model's document reads back into a model with the same
+    document, and that model passes the replay check. Returns the
+    document."""
+    doc = json.loads(json.dumps(ab.high_to_doc(high)))
+    again = ab.high_from_doc(doc)
+    assert json.loads(json.dumps(ab.high_to_doc(again))) == doc
+    assert ab.verify_partial_projection(low, again).passed
+    return doc

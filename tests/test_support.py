@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import abstrakt as ab
-from abstrakt import projection, scm as scm_module, valuation
+from abstrakt import abstraction, projection, scm as scm_module, valuation
 from abstrakt.cli import run
 from conftest import (atom, binary_block, build_dag_model,
                       build_lossy_chain, fixture_path, identity_clusters,
@@ -182,10 +182,10 @@ def reference_joint(model, variables, interventions=()):
 
 def reference_sigma_tables(model, cm, name, policy):
     c = cm.cluster(name)
-    parents = (projection._parent_clusters(model, cm, c)
+    parents = (abstraction._parent_clusters(model, cm, c)
                if policy != "agnostic" else ())
-    rho = (projection._rho_shared_reads(model, c.members)
-           if policy == "general" else None)
+    rho_members, rho_classes = (projection._rho_shared_reads(model, c.members)
+                                if policy == "general" else ((), {}))
     totals = {}
     masses = {}
     for _idx, unit, p in fraction_support(model):
@@ -194,8 +194,8 @@ def reference_sigma_tables(model, cm, name, policy):
         ctx = (tuple(cm.by_name[pc].label_of(
                    tuple(env[m] for m in cm.by_name[pc].members))
                      for pc in parents),
-               None if rho is None else
-               rho.class_of[tuple(unit[k] for k in rho.member_keys)])
+               None if not rho_members else
+               rho_classes[tuple(unit[k] for k in rho_members)])
         key = (c.label_of(joint), ctx)
         totals[key] = totals.get(key, Fraction(0)) + p
         masses[key + (joint,)] = masses.get(key + (joint,), Fraction(0)) + p
@@ -244,14 +244,14 @@ def assert_cluster_query_matches(low, cm, high, q):
 def assert_sigma_matches(model, cm, name, policy):
     want = reference_sigma_tables(model, cm, name, policy)
     machinery = projection.sigma_machinery(model, cm, name, policy)
-    assert machinery.tables == want
-    rho = machinery.rho
+    assert machinery.sigma == want
     for label, ctxs in want.items():
         for (pa, cls), probs in ctxs.items():
             shared = {}
-            if rho is not None:
-                joint = next(j for j, k in rho.class_of.items() if k == cls)
-                shared = dict(zip(rho.member_keys, joint))
+            if machinery.rho_members:
+                joint = next(j for j, k in machinery.rho_classes.items()
+                             if k == cls)
+                shared = dict(zip(machinery.rho_members, joint))
             got = ab.sigma_distribution(
                 model, cm, name, label, policy=policy,
                 context=(dict(zip(machinery.parents, pa)), shared))
@@ -638,7 +638,7 @@ class TestRelevancePruning:
         machinery = projection.sigma_machinery(model, insurance_cm, "XH",
                                                policy)
         assert len(visited) == 18
-        assert machinery.tables == reference_sigma_tables(
+        assert machinery.sigma == reference_sigma_tables(
             model, insurance_cm, "XH", policy)
 
     def test_joint_distribution_visits_its_blocks_only(self, insurance,
@@ -1119,10 +1119,15 @@ class TestCounterfactualTable:
         assert ab.counterfactual_table(model, asked) == (den, table)
 
     def test_tables_leave_the_world_cache_alone(self, insurance):
+        """Tables neither keep worlds nor number their terms for the world
+        cache, which only prob_query reads."""
         model = fresh(insurance)
         terms = [term([("Y", 1)], [("X", "x1")]), term([("X", "x2")])]
         den, table = ab.counterfactual_table(model, terms)
+        for x in ("x1", "x2", "x3"):
+            ab.counterfactual_table(model, [term([("Y", 1)], [("X", x)])])
         assert model._world_cache == {}
+        assert model._world_terms == {}
         assert Fraction(table[((1,), ("x2",))], den) == \
             ab.prob_query(model, query(terms))
 
