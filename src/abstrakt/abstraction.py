@@ -332,20 +332,15 @@ def check_aic(scm, cm, budget=None):
                     for c in cm.clusters}
     child_parents = {c.name: _parent_clusters(working, cm, c)
                      for c in cm.clusters}
-    child_blocks = {}
-    for cj in cm.clusters:
-        blocks = []
-        for m in cj.members:
-            for (b, _mem) in working.mechanisms[m].exo_parents:
-                if b not in blocks:
-                    blocks.append(b)
-        child_blocks[cj.name] = blocks
+    # the sorted positions of the blocks each cluster's members read
+    child_blocks = {cj.name: tuple(sorted(
+        {working.block_position[b] for m in cj.members
+         for b, _mem in working.mechanisms[m].exo_parents}))
+        for cj in cm.clusters}
 
     cost = 0
     for cj in cm.clusters:
-        usize = 1
-        for b in child_blocks[cj.name]:
-            usize *= len(working.block_index[b].support())
+        usize = working.exogenous_support_size(child_blocks[cj.name])
         for ci_name in child_parents[cj.name]:
             ci = cm.by_name[ci_name]
             pairs = sum(len(cv.tuples) * (len(cv.tuples) - 1) // 2
@@ -363,11 +358,9 @@ def check_aic(scm, cm, budget=None):
 
     violators = []
     witnesses = {}
-    default_unit = {}
-    for b in working.blocks:
-        values, _p = b.support()[0]
-        for mn, val in zip(b.member_names(), values):
-            default_unit[(b.name, mn)] = val
+    everywhere = range(len(working.blocks))
+    default_unit = working.exogenous_assignment(everywhere,
+                                                [0] * len(everywhere))
 
     def child_label(cj, env, unit):
         working.solve(unit, env, member_order[cj.name])
@@ -385,17 +378,13 @@ def check_aic(scm, cm, budget=None):
                 for m in oc.members:
                     other_members.append(m)
                     other_domains.append(working.domain(m))
-            blocks = [working.block_index[b] for b in child_blocks[cj.name]]
-            supports = [b.support() for b in blocks]
             for cv in ci.values:
                 for left, right in combinations(cv.tuples, 2):
                     for others in product(*other_domains):
                         base = dict(zip(other_members, others))
-                        for rows in product(*supports):
-                            unit = dict(default_unit)
-                            for b, (values, _p) in zip(blocks, rows):
-                                for mn, val in zip(b.member_names(), values):
-                                    unit[(b.name, mn)] = val
+                        for _idx, rows, _w in working.exogenous_support(
+                                child_blocks[cj.name]):
+                            unit = {**default_unit, **rows}
                             envl = dict(base)
                             envl.update(zip(ci.members, left))
                             envr = dict(base)

@@ -58,8 +58,8 @@ from .valuation import (
     SoftIntervention,
     _cell_grid,
     _cell_map,
-    _relevance,
     _uniform,
+    counterfactual_table,
 )
 
 POLICIES = ("agnostic", "markovian", "general")
@@ -208,20 +208,18 @@ def sigma_machinery(scm, cm, cluster_name, policy, budget=None):
     check_budget(scm.exogenous_support_size(), budget,
                  "sigma computation needs %d states")
     parent_clusters = [cm.by_name[p] for p in split.parents]
-    # the shared blocks rho classifies are read by the cluster's members
-    needed, blocks = _relevance(
-        scm, list(c.members) + [m for pc in parent_clusters
-                                for m in pc.members])
-    order = [v for v in scm.topological_order_names() if v in needed]
+    reads = [*c.members, *(m for pc in parent_clusters for m in pc.members),
+             *split.rho_members]
+    _den, weights = counterfactual_table(scm, [QueryTerm()], [reads], budget)
     totals = {}
     masses = {}
-    for _idx, unit, w in scm.exogenous_support(blocks):
-        env = scm.solve(unit, order=order)
+    for (values,), w in weights.items():
+        env = dict(zip(reads, values))
         joint = tuple(env[m] for m in c.members)
         label = c.label_of(joint)
         pa = {pc.name: pc.label_of(tuple(env[m] for m in pc.members))
               for pc in parent_clusters}
-        ctx = split.context(pa, unit)
+        ctx = split.context(pa, env)
         totals[(label, ctx)] = totals.get((label, ctx), 0) + w
         key2 = (label, ctx, joint)
         masses[key2] = masses.get(key2, 0) + w
@@ -725,18 +723,14 @@ def disambiguation_bounds(scm, cm, cluster, label, outcome, budget=None):
                                  % (val, v))
     check_budget(scm.exogenous_support_size() * len(fiber), budget,
                  "bounds need %d evaluations")
-    lo = 0
-    hi = 0
-    for _idx, unit, w in scm.exogenous_support():
-        hits = []
-        for raw in fiber:
-            env = scm.solve(unit, dict(zip(c.members, raw)))
-            hits.append(all(env[v] == val for v, val in outcome.items()))
-        if all(hits):
-            lo += w
-        if any(hits):
-            hi += w
-    den = scm.exogenous_denominator()
+    # one world per member tuple of the label, all on one exogenous draw
+    terms = [QueryTerm(hard=tuple(map(HardIntervention, c.members, raw)))
+             for raw in fiber]
+    den, weights = counterfactual_table(
+        scm, terms, [tuple(outcome)] * len(terms), budget)
+    want = tuple(outcome.values())
+    lo = sum(w for key, w in weights.items() if all(k == want for k in key))
+    hi = sum(w for key, w in weights.items() if want in key)
     return Fraction(lo, den), Fraction(hi, den)
 
 

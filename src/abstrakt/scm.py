@@ -228,10 +228,10 @@ class DiscreteScm:
         from ``unit``. Pinned entries act as hard interventions. Returns
         ``env``, filled in place.
 
-        This is the dict solver for one-off worlds (verification, sigma
-        tables, single units) and the reference for the query worlds of
-        ``valuation``, which compile each term's world once into a slot
-        program and run it per exogenous state."""
+        The dict solver of the table builders (``projection._solved_rows``),
+        the construction, ``check_aic``'s child labels, ``verify`` and
+        ``evaluate_unit``, and the reference for ``valuation``'s compiled
+        worlds, which carry every other exact sum over exogenous states."""
         if env is None:
             env = {}
         mechanisms = self.mechanisms

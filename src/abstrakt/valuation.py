@@ -294,13 +294,14 @@ def _relevance(scm, reads, hard=None, atoms=()):
     values count (context-specific independence): a dead member cannot
     change the output, so the world is solved with it at any value. Every
     other block sums to its own denominator and cancels from every answer
-    (the barren-node reduction), so it need not be enumerated."""
+    (the barren-node reduction), so it need not be enumerated. A noise
+    member of ``reads``, a (block, member) key, adds its block."""
     hard = hard or {}
     setter = {t: a for a in atoms for t in a.targets}
     redrawn = {k for a in atoms for k in a.exo_cells}
     needed = set()
-    blocks = set()
-    stack = list(reads)
+    blocks = {k[0] for k in reads if k in scm.member_index}
+    stack = [v for v in reads if v in scm.var_index]
     while stack:
         v = stack.pop()
         if v in needed or v in hard:
@@ -478,7 +479,8 @@ def _term_setup(scm, term, reads=()):
     world reads and each solved variable's position in the solve order; it
     has no world-cache number (see _numbered) and its program is compiled
     when a world is first solved. Only the variables that the outcomes,
-    ``reads`` and the atoms' targets depend on are solved."""
+    ``reads`` and the atoms' targets depend on are solved; ``reads`` may
+    name noise members by their (block, member) keys."""
     hard_map = _check_hard(scm, term.hard)
     atoms = []
     seen = set()
@@ -511,8 +513,8 @@ def _term_setup(scm, term, reads=()):
                     "variable %r is both intervened and constrained in one term"
                     % v)
     for v in reads:
-        if v not in scm.var_index:
-            raise UnknownVariable("unknown variable %r" % v, variable=v)
+        if v not in scm.var_index and v not in scm.member_index:
+            raise UnknownVariable("unknown variable %r" % (v,), variable=v)
     needed, blocks = _relevance(
         scm, [v for oc in term.outcomes for v in oc.variables]
         + list(reads) + [t for a in atoms for t in a.targets],
@@ -659,8 +661,10 @@ def counterfactual_table(scm, terms, reads=None, budget=None):
     enumeration of the shared exogenous draw and cells: the common
     denominator and a dict from per-term tuples of ``reads`` (default: each
     term's outcome variables; accepted sets are not applied) to weights.
-    Worlds are memoised for this call only, keyed per term by its row
-    indices over its own blocks and its cell draws."""
+    ``reads`` may name noise members by (block, member) key. A term that
+    reads fewer blocks or cell draws than the enumeration memoises its
+    worlds for this call, keyed by its own row indices and cell draws; any
+    other term meets each world once, so it runs its program per state."""
     if not terms:
         raise DomainMismatch("query has no terms")
     if reads is None:
@@ -669,8 +673,11 @@ def counterfactual_table(scm, terms, reads=None, budget=None):
     setups = [_term_setup(scm, t, r) for t, r in zip(terms, reads)]
     blocks, picks = _plan(setups)
     den, states = _enumerate(scm, terms, budget, blocks)
+    draws = {a.share_key for s in setups for a in s.atoms}
     plans = [(pick, [a.share_key for a in setup.atoms],
-              _compile(scm, setup, r), {})
+              _compile(scm, setup, r),
+              {} if len(setup.blocks) < len(blocks)
+              or len(setup.atoms) < len(draws) else None)
              for pick, setup, r in zip(picks, setups, reads)]
     weights = {}
     for u_idx, weight, choice in states:
@@ -678,6 +685,9 @@ def counterfactual_table(scm, terms, reads=None, budget=None):
         for pick, shares, program, memo in plans:
             cells = tuple([choice[k] for k in shares])
             sub_idx = pick(u_idx)
+            if memo is None:
+                key.append(program(sub_idx, cells))
+                continue
             sig = (sub_idx, cells)
             seen = memo.get(sig)
             if seen is None:

@@ -1,12 +1,16 @@
 """Cluster maps, the invariance check, and query translation."""
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import abstrakt as ab
-from conftest import fixture_path, identity_clusters, term, query
+from abstrakt import valuation
+from conftest import (binary_block, build_lossy_chain, fixture_path,
+                      identity_clusters, term, query)
 
 
 def insurance_cluster_doc():
@@ -75,6 +79,89 @@ class TestTau:
     def test_preimage_unknown_cluster(self, insurance_cm):
         with pytest.raises(ab.UnknownVariable):
             ab.preimage(insurance_cm, {"QQ": "xC"})
+
+
+def assert_witnesses_replay(scm, cm):
+    """Every witness of the consistency check re-solves to its outputs:
+    the child cluster, solved on the witness's full unit with the other
+    parents' members fixed and the parent's members set to ``left`` (or
+    ``right``), shows the two different labels the witness reports."""
+    rep = ab.check_aic(scm, cm)
+    assert set(rep.witnesses) == set(rep.violators)
+    for name, w in rep.witnesses.items():
+        parent, child = cm.cluster(name), cm.cluster(w.child)
+        assert {w.left, w.right} <= set(parent.fiber(w.label))
+        assert valuation.normalize_unit(rep.scm, w.unit) == w.unit
+        outputs = []
+        for raw in (w.left, w.right):
+            env = rep.scm.solve(w.unit, {**w.others,
+                                         **dict(zip(parent.members, raw))})
+            outputs.append(child.label_of(tuple(env[m] for m in
+                                                child.members)))
+        assert tuple(outputs) == w.outputs
+        assert outputs[0] != outputs[1]
+    return rep
+
+
+def unordered_blocks_model():
+    """A -> C, where C reads UC2 before UC1 though UC1 is declared first.
+    A's values 0 and 1 share the label lo, and C shows A=1 only when its
+    two noise bits differ."""
+    model = ab.validate_scm({
+        "endogenous": [{"name": "A", "domain": [0, 1, 2]},
+                       {"name": "C", "domain": [0, 1]}],
+        "blocks": [
+            {"name": "UA", "members": [{"name": "u", "domain": [0, 1, 2]}],
+             "table": [{"values": [a], "p": "1/3"} for a in (0, 1, 2)]},
+            binary_block("UC1", Fraction(1, 2)),
+            binary_block("UC2", Fraction(1, 2)),
+        ],
+        "mechanisms": [
+            {"variable": "A", "endo_parents": [],
+             "exo_parents": [{"block": "UA", "member": "u"}],
+             "table": [{"parents": [a], "out": a} for a in (0, 1, 2)]},
+            {"variable": "C", "endo_parents": ["A"],
+             "exo_parents": [{"block": "UC2", "member": "u"},
+                             {"block": "UC1", "member": "u"}],
+             "table": [{"parents": [a, u2, u1],
+                        "out": int(a == 1 and u1 != u2)}
+                       for a in (0, 1, 2) for u2 in (0, 1)
+                       for u1 in (0, 1)]},
+        ],
+    })
+    cm = ab.validate_clusters(model, {"clusters": [
+        {"name": "AH", "members": ["A"], "values": [
+            {"label": "lo", "tuples": [[0], [1]]},
+            {"label": "hi", "tuples": [[2]]}]},
+        {"name": "C", "members": ["C"], "values": [
+            {"label": 0, "tuples": [[0]]},
+            {"label": 1, "tuples": [[1]]}]},
+    ]})
+    return model, cm
+
+
+class TestWitnessesReplay:
+    @pytest.mark.parametrize("name", ["insurance", "cholesterol", "hospital"])
+    def test_fixtures(self, name):
+        model = ab.load_scm(fixture_path(name + ".json"))
+        assert_witnesses_replay(model, ab.load_clusters(
+            model, fixture_path(name + "_clusters.json")))
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32), confounded=st.booleans(),
+           p_a=st.sampled_from([None, 0, 1]))
+    def test_lossy_chains(self, seed, confounded, p_a):
+        assert_witnesses_replay(*build_lossy_chain(random.Random(seed),
+                                                   confounded, p_a))
+
+    def test_blocks_read_out_of_declaration_order(self):
+        """The walk goes over the child's blocks in declaration order, so
+        the first witness has UC1 at its first row and UC2 at its second."""
+        rep = assert_witnesses_replay(*unordered_blocks_model())
+        assert rep.violators == ("AH",)
+        w = rep.witnesses["AH"]
+        assert (w.left, w.right, w.outputs) == ((0,), (1,), (0, 1))
+        assert w.unit == {("UA", "u"): 0, ("UC1", "u"): 0, ("UC2", "u"): 1}
 
 
 class TestInvarianceCheck:

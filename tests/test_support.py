@@ -180,16 +180,22 @@ def reference_joint(model, variables, interventions=()):
     return probs
 
 
-def reference_sigma_tables(model, cm, name, policy):
+def reference_sigma(model, cm, name, policy):
+    """A cluster's parent clusters, shared-noise response classes and sigma
+    tables, the record sigma_machinery returns, computed without
+    counterfactual_table: the dict solver over every state of the working
+    model's full support, with Fraction weights."""
     c = cm.cluster(name)
-    parents = (abstraction._parent_clusters(model, cm, c)
+    working = abstraction._working_model(model, cm)
+    parents = (abstraction._parent_clusters(working, cm, c)
                if policy != "agnostic" else ())
-    rho_members, rho_classes = (projection._rho_shared_reads(model, c.members)
-                                if policy == "general" else ((), {}))
+    rho_members, rho_classes = (
+        projection._rho_shared_reads(working, c.members)
+        if policy == "general" else ((), {}))
     totals = {}
     masses = {}
-    for _idx, unit, p in fraction_support(model):
-        env = model.solve(unit)
+    for _idx, unit, p in fraction_support(working):
+        env = working.solve(unit)
         joint = tuple(env[m] for m in c.members)
         ctx = (tuple(cm.by_name[pc].label_of(
                    tuple(env[m] for m in cm.by_name[pc].members))
@@ -199,14 +205,18 @@ def reference_sigma_tables(model, cm, name, policy):
         key = (c.label_of(joint), ctx)
         totals[key] = totals.get(key, Fraction(0)) + p
         masses[key + (joint,)] = masses.get(key + (joint,), Fraction(0)) + p
-    return {cv.label: {ctx: tuple(masses.get((label, ctx, t), Fraction(0))
-                                  / tot for t in cv.tuples)
-                       for (label, ctx), tot in totals.items()
-                       if label == cv.label}
-            for cv in c.values}
+    sigma = {cv.label: {ctx: tuple(masses.get((label, ctx, t), Fraction(0))
+                                   / tot for t in cv.tuples)
+                        for (label, ctx), tot in totals.items()
+                        if label == cv.label}
+             for cv in c.values}
+    return parents, rho_members, rho_classes, sigma
 
 
 def reference_bounds(model, cm, cluster, label, outcome):
+    """disambiguation_bounds computed without counterfactual_table: per
+    state of the full support, the dict solver's world under every member
+    tuple of the label."""
     c = cm.cluster(cluster)
     lo = Fraction(0)
     hi = Fraction(0)
@@ -242,9 +252,13 @@ def assert_cluster_query_matches(low, cm, high, q):
 
 
 def assert_sigma_matches(model, cm, name, policy):
-    want = reference_sigma_tables(model, cm, name, policy)
+    parents, rho_members, rho_classes, want = reference_sigma(
+        model, cm, name, policy)
     machinery = projection.sigma_machinery(model, cm, name, policy)
     assert machinery.sigma == want
+    assert machinery.parents == parents
+    assert machinery.rho_members == rho_members
+    assert machinery.rho_classes == rho_classes
     for label, ctxs in want.items():
         for (pa, cls), probs in ctxs.items():
             shared = {}
@@ -509,6 +523,48 @@ class TestGeneratedModelsMatchReference:
 
 
 @st.composite
+def sigma_cases(draw):
+    """A lossy chain (confounded or not, A's noise drawn or fixed at 0 or
+    1) with its bundled clusters, or a DAG model with a shared block and
+    identity clusters; and a policy."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    if draw(st.booleans()):
+        low, cm = build_lossy_chain(rng, draw(st.booleans()),
+                                    draw(st.sampled_from([None, 0, 1])))
+    else:
+        n = draw(st.integers(2, 4))
+        nodes = ["V%d" % (i + 1) for i in range(n)]
+        slots = [(a, b) for i, a in enumerate(nodes) for b in nodes[i + 1:]]
+        edges = [e for e in slots if draw(st.booleans())]
+        shared = draw(st.lists(st.sampled_from(nodes), min_size=2,
+                               unique=True))
+        low = build_dag_model(nodes, edges, rng, shared=tuple(shared))
+        cm = identity_clusters(low)
+    return low, cm, draw(st.sampled_from(POLICIES))
+
+
+class TestSigmaAndBoundsMatchTheLoops:
+    @settings(max_examples=40, deadline=None)
+    @given(sigma_cases())
+    def test_every_cluster_label_and_outcome(self, case):
+        """The sigma record of every cluster, and the bounds of every label
+        for the empty outcome, every one-variable outcome (the cluster's
+        own members included) and every pair of variables."""
+        low, cm, policy = case
+        names = low.variable_names()
+        outcomes = [{}] + [{v: x} for v in names for x in low.domain(v)]
+        outcomes += [{v: low.domain(v)[0], w: low.domain(w)[-1]}
+                     for v, w in itertools.combinations(names, 2)]
+        for c in cm.clusters:
+            assert_sigma_matches(low, cm, c.name, policy)
+            for label in c.labels():
+                for oc in outcomes:
+                    assert ab.disambiguation_bounds(
+                        low, cm, c.name, label, oc) == \
+                        reference_bounds(low, cm, c.name, label, oc)
+
+
+@st.composite
 def padded_cases(draw):
     """A DAG model with disconnected extra variables and extra blocks no
     mechanism reads, a query over all its variables and the variables of
@@ -550,6 +606,25 @@ def count_states(monkeypatch):
             yield state
     monkeypatch.setattr(ab.DiscreteScm, "exogenous_states", counted)
     return visited
+
+
+def counted_programs(monkeypatch):
+    """A list that gets one entry per world program valuation._compile
+    builds from now on, counting the runs of that program."""
+    runs = []
+    real = valuation._compile
+
+    def compile_(scm, setup, out):
+        program = real(scm, setup, out)
+        n = len(runs)
+        runs.append(0)
+
+        def counted(sub_idx, cells):
+            runs[n] += 1
+            return program(sub_idx, cells)
+        return counted
+    monkeypatch.setattr(valuation, "_compile", compile_)
+    return runs
 
 
 def unreachable_context_model():
@@ -638,8 +713,8 @@ class TestRelevancePruning:
         machinery = projection.sigma_machinery(model, insurance_cm, "XH",
                                                policy)
         assert len(visited) == 18
-        assert machinery.sigma == reference_sigma_tables(
-            model, insurance_cm, "XH", policy)
+        assert machinery.sigma == reference_sigma(
+            model, insurance_cm, "XH", policy)[-1]
 
     def test_joint_distribution_visits_its_blocks_only(self, insurance,
                                                        monkeypatch):
@@ -1157,3 +1232,60 @@ class TestCounterfactualTable:
             assert ab.prob_query(model, q) == ab.prob_query(fresh(model), q)
             assert len(model._world_terms) == 3
             assert len(model._world_cache) == 0
+
+    @settings(max_examples=40, deadline=None)
+    @given(table_cases(), st.data())
+    def test_reads_name_noise_members(self, case, data):
+        """Reads that mix variables and (block, member) keys give the
+        reference's joint of world values and noise values."""
+        model, terms, reads = case
+        keys = sorted(model.member_index)
+        reads = [(*read, data.draw(st.sampled_from(keys))) for read in reads]
+        den, table = ab.counterfactual_table(fresh(model), terms, reads)
+        want = {}
+        for _idx, unit, w, choice in fraction_states(support_of(model),
+                                                     terms):
+            key = []
+            for t, read in zip(terms, reads):
+                env = reference_world(model, t, unit, choice)
+                key.append(tuple(env[r] if r in model.var_index else unit[r]
+                                 for r in read))
+            want[tuple(key)] = want.get(tuple(key), 0) + w
+        assert {k: Fraction(w, den) for k, w in table.items()} == want
+
+    def test_unknown_reads_are_refused(self, insurance):
+        for bad in ("W", ("UZ", "nope"), ("nope", "UZ")):
+            with pytest.raises(ab.UnknownVariable):
+                ab.counterfactual_table(insurance, [ab.QueryTerm()],
+                                        [("Y", bad)])
+
+    def test_programs_run_once_per_distinct_world(self, insurance,
+                                                  monkeypatch):
+        """A term that meets every block and cell draw of the enumeration
+        runs its program once per state; a term that reads fewer blocks or
+        fewer cell draws runs it once per distinct row index and draw."""
+        runs = counted_programs(monkeypatch)
+        visited = count_states(monkeypatch)
+        soft = ab.constant_soft_intervention(
+            ("X",), [("x1",), ("x2",), ("x3",)],
+            (Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)),
+            share_key=("soft", "X"))
+        observed = ab.QueryTerm()
+        pinned = ab.QueryTerm(hard=(ab.HardIntervention("X", "x1"),))
+        drawn = ab.QueryTerm(soft=(soft,))
+        cases = [
+            # X and UZ: UZ, UX1 and UX2, 18 states
+            ([observed], [("X", ("UZ", "UZ"))], 18, [18]),
+            # Y under X's cell: Y's three blocks times three cells
+            ([drawn], [("Y",)], 8, [24]),
+            # all six blocks; under X=x1, Y's table varies with UY1 only
+            ([observed, pinned], [("Y",), ("Y",)], 144, [144, 2]),
+            # all six blocks times X's cells; the observed term has no
+            # cell draw and the drawn one reads Y's blocks only
+            ([observed, drawn], [("Y",), ("Y",)], 144, [144, 24]),
+        ]
+        for terms, reads, states, want in cases:
+            del runs[:], visited[:]
+            ab.counterfactual_table(fresh(insurance), terms, reads)
+            assert len(visited) == states
+            assert runs == want
