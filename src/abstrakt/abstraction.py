@@ -25,7 +25,8 @@ from .errors import (
     UnknownHighValue,
     UnknownVariable,
 )
-from .scm import Diagram, check_budget, topological_order
+from .scm import (Diagram, _array, _items, _require, check_budget,
+                  topological_order)
 from .valuation import (
     HardIntervention,
     OutcomeAtom,
@@ -128,19 +129,16 @@ def validate_clusters(scm, doc):
     partition its joint domain, and InadmissibleClustering when merging the
     clusters would create a cyclic dependency between high-level variables.
     """
-    if not isinstance(doc, dict) or "clusters" not in doc:
-        raise DomainMismatch("cluster document must contain a 'clusters' list")
     clusters = []
     owner = {}
     names = set()
-    for entry in doc["clusters"]:
-        if "name" not in entry:
-            raise DomainMismatch("cluster entry without a name")
-        name = entry["name"]
+    for entry in _items(doc, "clusters", "cluster document"):
+        name = _require(entry, "name", "cluster entry")
+        where = "cluster %r" % name
         if name in names:
             raise NotPartition("cluster %r declared twice" % name, cluster=name)
         names.add(name)
-        members = tuple(entry.get("members", ()))
+        members = tuple(_items(entry, "members", where, optional=True))
         if not members:
             raise NotPartition("cluster %r has no members" % name, cluster=name)
         for m in members:
@@ -158,19 +156,17 @@ def validate_clusters(scm, doc):
         values = []
         labels = set()
         seen_tuples = {}
-        for val in entry.get("values", ()):
-            if "label" not in val:
-                raise DomainMismatch(
-                    "value of cluster %r without a label" % name)
-            label = val["label"]
+        for val in _items(entry, "values", where, optional=True):
+            label = _require(val, "label", "value of " + where)
             if label in labels:
                 raise IncompleteValuePartition(
                     "cluster %r labels %r twice" % (name, label),
                     cluster=name, label=label)
             labels.add(label)
             tuples = []
-            for t in val.get("tuples", ()):
-                t = tuple(t)
+            for t in _items(val, "tuples", "value of " + where,
+                            optional=True):
+                t = tuple(_array(t, "tuple %r of %s", t, where))
                 if len(t) != len(members):
                     raise DomainMismatch(
                         "tuple %r of cluster %r has %d entries for %d members"

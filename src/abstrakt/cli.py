@@ -212,7 +212,7 @@ def bind_query(parsed, bind):
     return skeleton.map_terms(bind_term)
 
 
-def _bind_label(cm, name, token, sigma=None):
+def _bind_label(cm, name, token, _sigma=None):
     """Bind a cluster name's token to one of the cluster's labels."""
     return _match_value(token, cm.cluster(name).labels(),
                         "value of cluster %s" % name)

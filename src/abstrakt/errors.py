@@ -95,10 +95,6 @@ class ImpossibleContext(AbstraktError):
     kind = "ImpossibleContext"
 
 
-class FixpointMismatch(AbstraktError):
-    kind = "FixpointMismatch"
-
-
 class UnboundVariable(AbstraktError):
     kind = "UnboundVariable"
 

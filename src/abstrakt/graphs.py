@@ -11,14 +11,11 @@ violator's disambiguation cell.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (
-    DomainMismatch,
-    FixpointMismatch,
-    UnknownVariable,
-)
+from .errors import DomainMismatch, UnknownVariable
 from .scm import topological_order, write_json
 from .valuation import (
     HardIntervention,
@@ -50,29 +47,31 @@ def make_graph(nodes, directed, bidirected, projected=False, violators=()):
     nodes = tuple(nodes)
     seen = set()
     for n in nodes:
+        if isinstance(n, (list, dict)):
+            raise DomainMismatch("node %r is not a name" % (n,))
         if n in seen:
             raise DomainMismatch("node %r declared twice" % n)
         seen.add(n)
     pos = {n: i for i, n in enumerate(nodes)}
-    d = set()
-    for a, b in directed:
-        if a not in pos or b not in pos:
-            raise UnknownVariable(
-                "edge (%r, %r) references an unknown node" % (a, b))
-        if a == b:
-            raise DomainMismatch("self loop on %r" % a)
-        d.add((a, b))
-    bi = set()
-    for a, b in bidirected:
-        if a not in pos or b not in pos:
-            raise UnknownVariable(
-                "edge (%r, %r) references an unknown node" % (a, b))
-        if a == b:
-            raise DomainMismatch("self loop on %r" % a)
-        bi.add((a, b) if pos[a] < pos[b] else (b, a))
+
+    def edges(pairs):
+        for e in pairs:
+            if not isinstance(e, (list, tuple)) or len(e) != 2:
+                raise DomainMismatch("edge %r is not a pair of nodes" % (e,))
+            a, b = e
+            if isinstance(a, (list, dict)) or isinstance(b, (list, dict)) \
+                    or a not in pos or b not in pos:
+                raise UnknownVariable(
+                    "edge (%r, %r) references an unknown node" % (a, b))
+            if a == b:
+                raise DomainMismatch("self loop on %r" % a)
+            yield a, b
+
+    d = set(edges(directed))
+    bi = {(a, b) if pos[a] < pos[b] else (b, a) for a, b in edges(bidirected)}
     for v in violators:
-        if v not in pos:
-            raise UnknownVariable("violator %r is not a node" % v, node=v)
+        if isinstance(v, (list, dict)) or v not in pos:
+            raise UnknownVariable("violator %r is not a node" % (v,), node=v)
     return ClusterDiagram(
         nodes=nodes,
         directed=tuple(sorted(d, key=lambda e: (pos[e[0]], pos[e[1]]))),
@@ -190,50 +189,20 @@ def _apply_rules(pos, directed, bidirected, x):
 
 
 def build_projected_cdag(cdag, violators):
-    """Close a cluster diagram under the violator rewrite rules.
-
-    The closure is computed twice, by one topological pass and by iteration
-    to a fixed point; a disagreement raises FixpointMismatch. Directed edges
-    z -> y appear for every parent z and child y of a violator, partners and
-    the violator itself become confounded with its children, and children
-    become confounded with each other."""
-    pos = dict(cdag._pos)
-    for v in violators:
-        if v not in pos:
-            raise UnknownVariable("violator %r is not a node" % v, node=v)
-    vset = [v for v in cdag.nodes if v in set(violators)]
-
-    one_d = set(cdag.directed)
-    one_b = set(cdag.bidirected)
+    """Close a cluster diagram under the violator rewrite rules, in one pass
+    over the violators in topological order. Directed edges z -> y appear
+    for every parent z and child y of a violator, partners and the violator
+    itself become confounded with its children, and children become
+    confounded with each other."""
+    vset = set(violators)
+    directed = set(cdag.directed)
+    bidirected = set(cdag.bidirected)
     for x in topological_order(cdag):
-        if x not in set(vset):
-            continue
-        add_d, add_b = _apply_rules(pos, one_d, one_b, x)
-        one_d |= add_d
-        one_b |= add_b
-
-    fix_d = set(cdag.directed)
-    fix_b = set(cdag.bidirected)
-    changed = True
-    rounds = 0
-    while changed:
-        changed = False
-        rounds += 1
-        if rounds > 2 * len(cdag.nodes) ** 2 + 4:
-            raise FixpointMismatch("rewrite failed to stabilize")
-        for x in vset:
-            add_d, add_b = _apply_rules(pos, fix_d, fix_b, x)
-            if add_d or add_b:
-                fix_d |= add_d
-                fix_b |= add_b
-                changed = True
-
-    if one_d != fix_d or one_b != fix_b:
-        raise FixpointMismatch(
-            "single topological pass and fixed point disagree",
-            one_pass_directed=sorted(one_d - fix_d | fix_d - one_d),
-            one_pass_bidirected=sorted(one_b - fix_b | fix_b - one_b))
-    return make_graph(cdag.nodes, fix_d, fix_b, projected=True,
+        if x in vset:
+            add_d, add_b = _apply_rules(cdag._pos, directed, bidirected, x)
+            directed |= add_d
+            bidirected |= add_b
+    return make_graph(cdag.nodes, directed, bidirected, projected=True,
                       violators=vset)
 
 
@@ -355,27 +324,71 @@ class CtfbnReport:
 
 
 def _pa(g):
-    parents = {n: [] for n in g.nodes}
-    for a, b in g.directed:
-        parents[b].append(a)
-    for n in parents:
-        parents[n].sort(key=g.position)
-    return parents
+    return {n: tuple(sorted((a for a, b in g.directed if b == n),
+                            key=g.position)) for n in g.nodes}
 
 
-def _term(scm, var, value, ivs):
-    return QueryTerm(
-        outcomes=(OutcomeAtom(variables=(var,), accepted=frozenset({(value,)}),
-                              label="%s=%s" % (var, value)),),
-        hard=tuple(HardIntervention(v, val) for v, val in ivs),
-        soft=())
+def _subsets(items, empty):
+    """The subsets of ``items`` in bitmask order (bit i holds items[i]),
+    the empty one first if ``empty``."""
+    for mask in range(0 if empty else 1, 1 << len(items)):
+        yield tuple(x for i, x in enumerate(items) if mask >> i & 1)
 
 
-def _term_repr(var, value, ivs):
-    if ivs:
-        inner = ";".join("%s=%s" % (v, val) for v, val in ivs)
-        return "%s[%s]=%s" % (var, inner, value)
-    return "%s=%s" % (var, value)
+def _constraints(g, scm, parents, max_terms):
+    """The equations ``g`` asserts of ``scm``'s counterfactuals, as (kind,
+    lhs, rhs). A side is a product of conjunctions of worlds; a world is
+    (hard settings, outcomes), both tuples of (variable, value) pairs."""
+    names = scm.variable_names()
+
+    def settings(variables):
+        for values in product(*map(scm.domain, variables)):
+            yield tuple(zip(variables, values))
+
+    # (i) factorization: worlds with pinned parents factor over the
+    # confounded components of their variables
+    for size in range(2, max_terms + 1):
+        for ws in combinations(names, size):
+            comps = c_components(g, subset=ws)
+            if len(comps) < 2:
+                continue
+            families = [[(s[1:], s[:1]) for s in settings((w, *parents[w]))]
+                        for w in ws]
+            for worlds in product(*families):
+                at = dict(zip(ws, worlds))
+                yield ("factorization", (worlds,),
+                       tuple(tuple(at[w] for w in comp) for comp in comps))
+
+    # (ii) exclusion: setting non-parents on top of the parents changes
+    # nothing
+    for y in names:
+        pa = parents[y]
+        rest = [v for v in names if v != y and v not in pa]
+        for zs in _subsets(rest, False):
+            for out in settings((y,)):
+                for hard in settings(pa + zs):
+                    yield ("exclusion", (((hard, out),),),
+                           (((hard[:len(pa)], out),),))
+
+    # (iii) consistency: observing parents at the values a nested
+    # intervention sets them to is the same as setting them
+    for y in names:
+        for xs in _subsets(parents[y], False):
+            rest = [v for v in names if v != y and v not in xs]
+            for zs in _subsets(rest, True):
+                for out in settings((y,)):
+                    for both in settings(xs + zs):
+                        seen, hard = both[:len(xs)], both[len(xs):]
+                        yield ("consistency", (((hard, out + seen),),),
+                               (((hard + seen, out), (hard, seen)),))
+
+
+def _render(side):
+    """P(Y[X=x;Z=z]=y, ...) * ... for a side of an equation."""
+    return " * ".join("P(%s)" % ", ".join(
+        "%s[%s]=%s" % (v, ";".join("%s=%s" % s for s in hard), x) if hard
+        else "%s=%s" % (v, x)
+        for hard, outcomes in conj for v, x in outcomes) for conj in side)
 
 
 def ctfbn_check(g, scm, max_terms=2, budget=None):
@@ -387,158 +400,40 @@ def ctfbn_check(g, scm, max_terms=2, budget=None):
         raise DomainMismatch(
             "graph nodes %s do not match the model's variables %s"
             % (sorted(g.nodes), sorted(scm.variable_names())))
-    parents = _pa(g)
-    names = [n for n in scm.variable_names()]
-    checked = 0
-    violations = []
-    truncated = False
-
-    def record(kind, description, lhs, rhs):
-        nonlocal truncated
-        if len(violations) < 25:
-            violations.append(CtfbnViolation(
-                kind=kind, description=description, lhs=lhs, rhs=rhs))
-        else:
-            truncated = True
-
-    def value_combos(ws):
-        """All value assignments for the terms of the family ``ws``: each
-        term picks a value for its variable and for each of its parents."""
-        slots = []
-        for w in ws:
-            slots.append([(w, None, v) for v in scm.domain(w)])
-            for p in parents[w]:
-                slots.append([(w, p, v) for v in scm.domain(p)])
-        for combo in product(*slots):
-            assign = {}
-            for w, p, v in combo:
-                assign.setdefault(w, {})[p] = v
-            yield assign
-
     tables = {}
 
-    def prob(terms):
-        """P(terms) for hard-only terms, read off one table per (hard
-        settings, outcome variables) signature; every atom accepts exactly
-        one tuple."""
-        sig = tuple((t.hard, tuple(oc.variables for oc in t.outcomes))
-                    for t in terms)
+    def prob(worlds):
+        """P(worlds) read off one table per (hard settings, outcome
+        variables) signature; the terms are built only to make a table."""
+        sig = tuple((hard, tuple(v for v, _ in outcomes))
+                    for hard, outcomes in worlds)
         found = tables.get(sig)
         if found is None:
+            terms = [QueryTerm(
+                outcomes=tuple(OutcomeAtom((v,), frozenset({(x,)}))
+                               for v, x in outcomes),
+                hard=tuple(HardIntervention(v, x) for v, x in hard))
+                for hard, outcomes in worlds]
             found = tables[sig] = counterfactual_table(scm, terms,
                                                        budget=budget)
         den, table = found
-        key = tuple(tuple(x for oc in t.outcomes
-                          for x in next(iter(oc.accepted)))
-                    for t in terms)
+        key = tuple(tuple(x for _, x in outcomes) for _, outcomes in worlds)
         return Fraction(table.get(key, 0), den)
 
-    def family_term(w, assign):
-        value = assign[w][None]
-        ivs = tuple((p, assign[w][p]) for p in parents[w])
-        return _term(scm, w, value, ivs), _term_repr(w, value, ivs)
-
-    # (i) factorization over confounded components
-    for size in range(2, max_terms + 1):
-        for ws in combinations(names, size):
-            comps = c_components(g, subset=ws)
-            if len(comps) < 2:
-                continue
-            for assign in value_combos(ws):
-                terms = {}
-                reprs = {}
-                for w in ws:
-                    terms[w], reprs[w] = family_term(w, assign)
-                lhs = prob([terms[w] for w in ws])
-                rhs = 1
-                for comp in comps:
-                    rhs *= prob([terms[w] for w in comp])
-                checked += 1
-                if lhs != rhs:
-                    record("factorization",
-                           "P(%s) != %s" % (
-                               ", ".join(reprs[w] for w in ws),
-                               " * ".join(
-                                   "P(%s)" % ", ".join(reprs[w] for w in comp)
-                                   for comp in comps)),
-                           lhs, rhs)
-
-    # (ii) exclusion of non-parents
-    for y in names:
-        pa_y = parents[y]
-        rest = [v for v in names if v != y and v not in pa_y]
-        for mask in range(1, 1 << len(rest)):
-            zs = [rest[i] for i in range(len(rest)) if mask >> i & 1]
-            domains = [scm.domain(p) for p in pa_y]
-            domains += [scm.domain(z) for z in zs]
-            for yval in scm.domain(y):
-                for combo in product(*domains):
-                    pa_vals = list(zip(pa_y, combo[:len(pa_y)]))
-                    z_vals = list(zip(zs, combo[len(pa_y):]))
-                    big, big_repr = _term(scm, y, yval, pa_vals + z_vals), \
-                        _term_repr(y, yval, pa_vals + z_vals)
-                    small, small_repr = _term(scm, y, yval, pa_vals), \
-                        _term_repr(y, yval, pa_vals)
-                    lhs = prob([big])
-                    rhs = prob([small])
-                    checked += 1
-                    if lhs != rhs:
-                        record("exclusion",
-                               "P(%s) != P(%s)" % (big_repr, small_repr),
-                               lhs, rhs)
-
-    # (iii) consistency of nested interventions
-    for y in names:
-        pa_y = parents[y]
-        for mask in range(1, 1 << len(pa_y)):
-            xs = [pa_y[i] for i in range(len(pa_y)) if mask >> i & 1]
-            rest = [v for v in names if v != y and v not in xs]
-            for zmask in range(1 << len(rest)):
-                zs = [rest[i] for i in range(len(rest)) if zmask >> i & 1]
-                domains = [scm.domain(x) for x in xs]
-                domains += [scm.domain(z) for z in zs]
-                for yval in scm.domain(y):
-                    for combo in product(*domains):
-                        x_vals = list(zip(xs, combo[:len(xs)]))
-                        z_vals = list(zip(zs, combo[len(xs):]))
-                        obs = QueryTerm(
-                            outcomes=(
-                                OutcomeAtom(variables=(y,),
-                                            accepted=frozenset({(yval,)}),
-                                            label=y),
-                                *(OutcomeAtom(variables=(x,),
-                                              accepted=frozenset({(xv,)}),
-                                              label=x)
-                                  for x, xv in x_vals)),
-                            hard=tuple(HardIntervention(z, zv)
-                                       for z, zv in z_vals),
-                            soft=())
-                        lhs = prob([obs])
-                        nested = _term(scm, y, yval,
-                                       list(z_vals) + list(x_vals))
-                        seen_term = QueryTerm(
-                            outcomes=tuple(
-                                OutcomeAtom(variables=(x,),
-                                            accepted=frozenset({(xv,)}),
-                                            label=x)
-                                for x, xv in x_vals),
-                            hard=tuple(HardIntervention(z, zv)
-                                       for z, zv in z_vals),
-                            soft=())
-                        rhs = prob([nested, seen_term])
-                        checked += 1
-                        if lhs != rhs:
-                            lhs_repr = "P(%s, %s)" % (
-                                _term_repr(y, yval, z_vals),
-                                ", ".join(_term_repr(x, xv, z_vals)
-                                          for x, xv in x_vals))
-                            rhs_repr = "P(%s, %s)" % (
-                                _term_repr(y, yval, z_vals + x_vals),
-                                ", ".join(_term_repr(x, xv, z_vals)
-                                          for x, xv in x_vals))
-                            record("consistency",
-                                   "%s != %s" % (lhs_repr, rhs_repr),
-                                   lhs, rhs)
+    checked = 0
+    violations = []
+    truncated = False
+    for kind, lhs, rhs in _constraints(g, scm, _pa(g), max_terms):
+        left = math.prod(map(prob, lhs))
+        right = math.prod(map(prob, rhs))
+        checked += 1
+        if left == right:
+            continue
+        if len(violations) < 25:
+            violations.append(CtfbnViolation(
+                kind, "%s != %s" % (_render(lhs), _render(rhs)), left, right))
+        else:
+            truncated = True
     return CtfbnReport(checked=checked, violations=violations,
                        truncated=truncated)
 
@@ -563,6 +458,9 @@ def graph_to_doc(g):
 def graph_from_doc(doc):
     if not isinstance(doc, dict) or "nodes" not in doc:
         raise DomainMismatch("graph document must contain a 'nodes' list")
+    for field in ("nodes", "directed", "bidirected", "violators"):
+        if not isinstance(doc.get(field, []), list):
+            raise DomainMismatch("graph field %r must be a list" % field)
     return make_graph(doc["nodes"], doc.get("directed", ()),
                       doc.get("bidirected", ()),
                       projected=doc.get("projected", False),

@@ -35,6 +35,9 @@ from .scm import (
     ExogenousBlock,
     Mechanism,
     VariableDecl,
+    _array,
+    _items,
+    _require,
     check_budget,
     format_rational,
     parse_probability,
@@ -784,7 +787,8 @@ def _ctx_to_doc(ctx):
 
 
 def _ctx_from_doc(doc):
-    return (tuple(doc.get("parents", [])), doc.get("class"))
+    return (tuple(_items(doc, "parents", "context", optional=True)),
+            doc.get("class"))
 
 
 def high_to_doc(high):
@@ -835,37 +839,45 @@ def high_to_doc(high):
 
 
 def high_from_doc(doc):
-    if "delta" not in doc:
-        raise DomainMismatch("document has no 'delta' section")
-    delta = doc["delta"]
+    delta = _require(doc, "delta", "high-level model document")
     scm = validate_scm({k: v for k, v in doc.items() if k != "delta"})
     splits = {}
-    for entry in delta.get("splits", []):
+    for entry in _items(delta, "splits", "delta", optional=True):
+        name = _require(entry, "cluster", "split entry")
+        where = "split %r" % name
         s = DeltaSplit(
-            name=entry["cluster"], members=tuple(entry["members"]),
-            values=tuple(ClusterValue(label=v["label"], tuples=tuple(
-                tuple(t) for t in v["tuples"])) for v in entry["values"]),
+            name=name, members=tuple(_items(entry, "members", where)),
+            values=tuple(ClusterValue(
+                label=_require(v, "label", where),
+                tuples=tuple(tuple(_array(t, "tuple of %s", where))
+                             for t in _items(v, "tuples", where)))
+                for v in _items(entry, "values", where)),
             violator=entry.get("violator", False),
-            parents=tuple(entry.get("parents", ())),
-            rho_members=tuple(tuple(k) for k in entry.get("rho_members", ())),
-            rho_classes={tuple(r["values"]): r["class"]
-                         for r in entry.get("rho_classes", ())},
+            parents=tuple(_items(entry, "parents", where, optional=True)),
+            rho_members=tuple(
+                tuple(_array(k, "rho member of %s", where))
+                for k in _items(entry, "rho_members", where, optional=True)),
+            rho_classes={
+                tuple(_items(r, "values", where)): _require(r, "class", where)
+                for r in _items(entry, "rho_classes", where, optional=True)},
             block=entry.get("block"))
-        for item in entry.get("sigma", ()):
-            s.sigma[item["label"]] = {
+        for item in _items(entry, "sigma", where, optional=True):
+            s.sigma[_require(item, "label", where)] = {
                 _ctx_from_doc(c): tuple(parse_probability(p)
-                                        for p in c["probs"])
-                for c in item["contexts"]}
-        for item in entry.get("cells", ()):
-            label = item["label"]
+                                        for p in _items(c, "probs", where))
+                for c in _items(item, "contexts", where)}
+        for item in _items(entry, "cells", where, optional=True):
+            label = _require(item, "label", where)
+            contexts = _items(item, "contexts", where)
             s.breaks[label] = tuple(parse_probability(b)
-                                    for b in item["breaks"])
-            s.fill_targets[label] = tuple(item.get("fills", ()))
-            s.cell_map[label] = {_ctx_from_doc(c): tuple(c["cells"])
-                                 for c in item["contexts"]}
+                                    for b in _items(item, "breaks", where))
+            s.fill_targets[label] = tuple(
+                _items(item, "fills", where, optional=True))
+            s.cell_map[label] = {_ctx_from_doc(c): tuple(
+                _items(c, "cells", where)) for c in contexts}
             s.component[label] = {
                 _ctx_from_doc(c): c["member"]
-                for c in item["contexts"] if c.get("member") is not None}
+                for c in contexts if c.get("member") is not None}
         splits[s.name] = s
     return HighLevelScm(scm=scm, splits=splits,
                         policy=delta.get("policy", "general"),

@@ -338,9 +338,31 @@ class Diagram:
 
 
 def _require(doc, key, where):
-    if key not in doc:
-        raise DomainMismatch("missing %r in %s" % (key, where))
-    return doc[key]
+    """``doc[key]``, refusing a ``doc`` that is not a JSON object and a
+    missing key."""
+    if isinstance(doc, dict) and key in doc:
+        return doc[key]
+    if not isinstance(doc, dict):
+        raise DomainMismatch("%s must be a JSON object" % where)
+    raise DomainMismatch("missing %r in %s" % (key, where))
+
+
+def _items(doc, key, where, optional=False):
+    """The array at ``doc[key]``; a missing ``optional`` key reads as
+    empty."""
+    if isinstance(doc, dict):
+        value = doc.get(key, () if optional else None)
+        if isinstance(value, (list, tuple)):
+            return value
+    _require(doc, key, where)
+    raise DomainMismatch("%r in %s must be an array" % (key, where))
+
+
+def _array(value, what, *args):
+    """``value``, refused unless it is an array; ``what % args`` names it."""
+    if not isinstance(value, (list, tuple)):
+        raise DomainMismatch((what % args) + " must be an array")
+    return value
 
 
 def validate_scm(doc):
@@ -354,9 +376,9 @@ def validate_scm(doc):
 
     endogenous = []
     seen = set()
-    for entry in _require(doc, "endogenous", "model"):
+    for entry in _items(doc, "endogenous", "model"):
         name = _require(entry, "name", "endogenous entry")
-        domain = tuple(_require(entry, "domain", "endogenous entry %r" % name))
+        domain = tuple(_items(entry, "domain", "endogenous entry %r" % name))
         if not domain:
             raise DomainMismatch("variable %r has an empty domain" % name)
         if len(set(domain)) != len(domain):
@@ -368,16 +390,16 @@ def validate_scm(doc):
 
     blocks = []
     block_names = set()
-    for entry in doc.get("blocks", []):
+    for entry in _items(doc, "blocks", "model", optional=True):
         bname = _require(entry, "name", "block entry")
         if bname in block_names:
             raise DomainMismatch("exogenous block %r declared twice" % bname)
         block_names.add(bname)
         members = []
         mseen = set()
-        for m in _require(entry, "members", "block %r" % bname):
+        for m in _items(entry, "members", "block %r" % bname):
             mname = _require(m, "name", "member of block %r" % bname)
-            mdomain = tuple(_require(m, "domain", "member %r" % mname))
+            mdomain = tuple(_items(m, "domain", "member %r" % mname))
             if not mdomain or len(set(mdomain)) != len(mdomain):
                 raise DomainMismatch("member %r of block %r has a bad domain"
                                      % (mname, bname))
@@ -387,8 +409,8 @@ def validate_scm(doc):
             mseen.add(mname)
             members.append(ExoMember(name=mname, domain=mdomain))
         table = {}
-        for row in _require(entry, "table", "block %r" % bname):
-            values = tuple(_require(row, "values", "row of block %r" % bname))
+        for row in _items(entry, "table", "block %r" % bname):
+            values = tuple(_items(row, "values", "row of block %r" % bname))
             if len(values) != len(members):
                 raise DomainMismatch(
                     "row %r of block %r has %d values for %d members"
@@ -423,13 +445,15 @@ def validate_scm(doc):
             member_domains[(b.name, m.name)] = m.domain
 
     mechanisms = {}
-    for entry in _require(doc, "mechanisms", "model"):
+    for entry in _items(doc, "mechanisms", "model"):
         vname = _require(entry, "variable", "mechanism entry")
         if vname not in var_domains:
             raise DomainMismatch("mechanism for undeclared variable %r" % vname)
         if vname in mechanisms:
             raise DomainMismatch("variable %r has two mechanisms" % vname)
-        endo_parents = tuple(entry.get("endo_parents", []))
+        endo_parents = tuple(_items(entry, "endo_parents",
+                                    "mechanism for %r" % vname,
+                                    optional=True))
         for p in endo_parents:
             if p not in var_domains:
                 raise DomainMismatch(
@@ -437,7 +461,8 @@ def validate_scm(doc):
         if len(set(endo_parents)) != len(endo_parents):
             raise DomainMismatch("mechanism for %r repeats a parent" % vname)
         exo_parents = []
-        for ref in entry.get("exo_parents", []):
+        for ref in _items(entry, "exo_parents", "mechanism for %r" % vname,
+                          optional=True):
             key = (_require(ref, "block", "exo parent of %r" % vname),
                    _require(ref, "member", "exo parent of %r" % vname))
             if key not in member_domains:
@@ -453,8 +478,9 @@ def validate_scm(doc):
         parent_domains = [var_domains[p] for p in endo_parents]
         parent_domains += [member_domains[k] for k in exo_parents]
         table = {}
-        for row in _require(entry, "table", "mechanism for %r" % vname):
-            key = tuple(_require(row, "parents", "row of mechanism for %r" % vname))
+        for row in _items(entry, "table", "mechanism for %r" % vname):
+            key = tuple(_items(row, "parents",
+                              "row of mechanism for %r" % vname))
             out = _require(row, "out", "row of mechanism for %r" % vname)
             if len(key) != len(parent_domains):
                 raise PartialMechanism(

@@ -63,6 +63,23 @@ class TestValidate:
         r = run(["validate", "--scm", "no-such-file.json"])
         assert r.exit_code == 2
 
+    @pytest.mark.parametrize("argv, doc", [
+        (["validate", "--scm"], {"endogenous": [1], "mechanisms": []}),
+        (["validate", "--scm"],
+         {"endogenous": [{"name": "X", "domain": 3}], "mechanisms": []}),
+        (["validate", "--scm", INS, "--clusters"], {"clusters": [1]}),
+        (["sample", "--value", "X=1", "--high"],
+         {"endogenous": [], "mechanisms": [], "delta": {"splits": [1]}}),
+    ])
+    def test_entries_of_the_wrong_type(self, tmp_path, argv, doc):
+        """A document entry that is not an object, or a list field that is
+        not an array, is bad input (exit 2)."""
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        r = run(argv + [str(path)])
+        assert r.exit_code == 2
+        assert r.payload["error"]["kind"] == "DomainMismatch"
+
 
 class TestEval:
     def test_hard_intervention(self):
@@ -337,6 +354,20 @@ class TestIdentify:
         r = run(["identify", "--graph", chain_path, "--query", query])
         assert r.exit_code == code
         assert r.payload["error"]["kind"] == kind
+
+    @pytest.mark.parametrize("doc", [
+        {"nodes": ["X", "Y"], "directed": [["X"]]},
+        {"nodes": [["X"]]},
+        {"nodes": [{"name": "X"}]},
+    ])
+    def test_malformed_graph_rejections(self, tmp_path, doc):
+        """An edge that is not a pair, or a node that is an array or an
+        object, is bad input (exit 2)."""
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps(doc))
+        r = run(["identify", "--graph", str(path), "--query", "P(Y[X=1]=1)"])
+        assert r.exit_code == 2
+        assert r.payload["error"]["kind"] == "DomainMismatch"
 
     def test_needs_inputs(self):
         r = run(["identify", "--query", "P(Y[X=1]=1)"])

@@ -311,6 +311,60 @@ class TestModelConsistencyCheck:
                 for g in (cdag, projected, pruned)] == reports
 
 
+class TestReportFormat:
+    """The counts and the rendering of each family of checks, pinned on
+    the insurance model's cluster diagram and its projection."""
+
+    @pytest.fixture
+    def diagrams(self, insurance, insurance_cm):
+        cdag = ab.build_cdag(ab.induce_diagram(insurance), insurance_cm)
+        projected = ab.build_projected_cdag(
+            cdag, ab.check_aic(insurance, insurance_cm).violators)
+        return cdag, projected
+
+    def test_checked_counts(self, diagrams, insurance_high):
+        cdag, projected = diagrams
+        counts = [ab.ctfbn_check(g, insurance_high.scm, max_terms=k).checked
+                  for g in (cdag, projected) for k in (2, 3)]
+        assert counts == [88, 120, 124, 188]
+
+    def test_factorization_and_exclusion_rendering(self, diagrams,
+                                                   insurance_high):
+        rep = ab.ctfbn_check(diagrams[0], insurance_high.scm)
+        assert not rep.truncated
+        assert graphs.CtfbnViolation(
+            "factorization",
+            "P(Z=z1, Y[XH=xC]=0) != P(Z=z1) * P(Y[XH=xC]=0)",
+            Fraction(91, 500), Fraction(707, 2500)) in rep.violations
+        assert graphs.CtfbnViolation(
+            "exclusion", "P(Y[XH=xC;Z=z1]=0) != P(Y[XH=xC]=0)",
+            Fraction(13, 50), Fraction(101, 250)) in rep.violations
+
+    def test_consistency_rendering(self, diagrams, insurance_high,
+                                   monkeypatch):
+        """Composition holds in every SCM, so a consistency violation
+        needs a faulty evaluator: this one halves every two-term table
+        whose second term observes what the first term sets."""
+        real = graphs.counterfactual_table
+
+        def halving(scm, terms, budget=None):
+            den, table = real(scm, terms, budget=budget)
+            if len(terms) == 2 and {
+                    v for oc in terms[1].outcomes for v in oc.variables} <= {
+                    h.variable for h in terms[0].hard}:
+                den *= 2
+            return den, table
+
+        monkeypatch.setattr(graphs, "counterfactual_table", halving)
+        rep = ab.ctfbn_check(diagrams[1], insurance_high.scm)
+        assert rep.checked == 124
+        assert rep.truncated
+        assert len(rep.violations) == 25
+        assert rep.violations[0] == graphs.CtfbnViolation(
+            "consistency", "P(XH=xC, Z=z1) != P(XH[Z=z1]=xC, Z=z1)",
+            Fraction(7, 20), Fraction(7, 40))
+
+
 class TestSerialization:
     def test_doc_round_trip(self):
         g = ab.make_graph(("Z", "X", "Y"), (("Z", "X"), ("X", "Y")),

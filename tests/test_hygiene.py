@@ -1,7 +1,8 @@
-"""Source hygiene: no module of the package imports a name it never uses
-or binds a local it never reads, no module-level private name of the
-package goes unread, and importing the package loads nothing outside the
-standard library."""
+"""Source hygiene: no module of the package imports a name it never uses,
+binds a local it never reads or gives a module-level private function a
+parameter it never reads, no module-level private name of the package
+goes unread, and importing the package loads nothing outside the standard
+library."""
 
 import ast
 import json
@@ -78,6 +79,46 @@ def test_detects_unused_local():
 def test_no_unused_locals(module):
     with open(os.path.join(PACKAGE, module), encoding="utf-8") as fh:
         assert unused_locals(fh.read()) == []
+
+
+def unused_private_parameters(source):
+    """(function, parameter) pairs of the parameters a module-level
+    ``_private`` function never reads (nested functions count as reading
+    what they load); parameters starting with ``_`` are exempt."""
+    found = []
+    for fn in ast.parse(source).body:
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                or not fn.name.startswith("_") or fn.name.startswith("__"):
+            continue
+        a = fn.args
+        params = [p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs,
+                                  a.vararg, a.kwarg) if p is not None]
+        read = {node.id for node in ast.walk(fn)
+                if isinstance(node, ast.Name)
+                and isinstance(node.ctx, ast.Load)}
+        found.extend((fn.name, p) for p in params
+                     if p not in read and not p.startswith("_"))
+    return found
+
+
+def test_detects_unused_private_parameter():
+    source = ("def _f(a, b, _c, *rest, d=1, **kw):\n"
+              "    def g():\n"
+              "        return a + d\n"
+              "    return g\n"
+              "def public(x):\n"
+              "    return 1\n"
+              "class K:\n"
+              "    def _m(self, y):\n"
+              "        return 1\n")
+    assert unused_private_parameters(source) == [
+        ("_f", "b"), ("_f", "rest"), ("_f", "kw")]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_unused_private_parameters(module):
+    with open(os.path.join(PACKAGE, module), encoding="utf-8") as fh:
+        assert unused_private_parameters(fh.read()) == []
 
 
 def orphaned_private_names(sources):
