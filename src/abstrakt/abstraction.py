@@ -25,8 +25,8 @@ from .errors import (
     UnknownHighValue,
     UnknownVariable,
 )
-from .scm import (Diagram, _array, _items, _require, check_budget,
-                  topological_order)
+from .scm import (Diagram, _array, _items, _require, _scalar, _scalars,
+                  check_budget, topological_order)
 from .valuation import (
     HardIntervention,
     OutcomeAtom,
@@ -133,12 +133,14 @@ def validate_clusters(scm, doc):
     owner = {}
     names = set()
     for entry in _items(doc, "clusters", "cluster document"):
-        name = _require(entry, "name", "cluster entry")
+        name = _scalar(_require(entry, "name", "cluster entry"),
+                       "cluster name")
         where = "cluster %r" % name
         if name in names:
             raise NotPartition("cluster %r declared twice" % name, cluster=name)
         names.add(name)
-        members = tuple(_items(entry, "members", where, optional=True))
+        members = _scalars(_items(entry, "members", where, optional=True),
+                           "member of %s", where)
         if not members:
             raise NotPartition("cluster %r has no members" % name, cluster=name)
         for m in members:
@@ -157,7 +159,8 @@ def validate_clusters(scm, doc):
         labels = set()
         seen_tuples = {}
         for val in _items(entry, "values", where, optional=True):
-            label = _require(val, "label", "value of " + where)
+            label = _scalar(_require(val, "label", "value of " + where),
+                            "label of %s", where)
             if label in labels:
                 raise IncompleteValuePartition(
                     "cluster %r labels %r twice" % (name, label),
@@ -166,7 +169,8 @@ def validate_clusters(scm, doc):
             tuples = []
             for t in _items(val, "tuples", "value of " + where,
                             optional=True):
-                t = tuple(_array(t, "tuple %r of %s", t, where))
+                t = _scalars(_array(t, "tuple %r of %s", t, where),
+                             "entry of tuple %r of %s", t, where)
                 if len(t) != len(members):
                     raise DomainMismatch(
                         "tuple %r of cluster %r has %d entries for %d members"

@@ -38,6 +38,8 @@ from .scm import (
     _array,
     _items,
     _require,
+    _scalar,
+    _scalars,
     check_budget,
     format_rational,
     parse_probability,
@@ -787,8 +789,9 @@ def _ctx_to_doc(ctx):
 
 
 def _ctx_from_doc(doc):
-    return (tuple(_items(doc, "parents", "context", optional=True)),
-            doc.get("class"))
+    return (_scalars(_items(doc, "parents", "context", optional=True),
+                     "context parent"),
+            _scalar(doc.get("class"), "context class"))
 
 
 def high_to_doc(high):
@@ -843,31 +846,41 @@ def high_from_doc(doc):
     scm = validate_scm({k: v for k, v in doc.items() if k != "delta"})
     splits = {}
     for entry in _items(delta, "splits", "delta", optional=True):
-        name = _require(entry, "cluster", "split entry")
+        name = _scalar(_require(entry, "cluster", "split entry"),
+                       "split cluster")
         where = "split %r" % name
         s = DeltaSplit(
-            name=name, members=tuple(_items(entry, "members", where)),
+            name=name, members=_scalars(_items(entry, "members", where),
+                                        "member of %s", where),
             values=tuple(ClusterValue(
-                label=_require(v, "label", where),
-                tuples=tuple(tuple(_array(t, "tuple of %s", where))
+                label=_scalar(_require(v, "label", where), "label of %s",
+                              where),
+                tuples=tuple(_scalars(_array(t, "tuple of %s", where),
+                                      "tuple entry of %s", where)
                              for t in _items(v, "tuples", where)))
                 for v in _items(entry, "values", where)),
             violator=entry.get("violator", False),
-            parents=tuple(_items(entry, "parents", where, optional=True)),
+            parents=_scalars(_items(entry, "parents", where, optional=True),
+                             "parent of %s", where),
             rho_members=tuple(
-                tuple(_array(k, "rho member of %s", where))
+                _scalars(_array(k, "rho member of %s", where),
+                         "rho member part of %s", where)
                 for k in _items(entry, "rho_members", where, optional=True)),
             rho_classes={
-                tuple(_items(r, "values", where)): _require(r, "class", where)
+                _scalars(_items(r, "values", where), "rho values of %s",
+                         where):
+                _scalar(_require(r, "class", where), "rho class of %s", where)
                 for r in _items(entry, "rho_classes", where, optional=True)},
             block=entry.get("block"))
         for item in _items(entry, "sigma", where, optional=True):
-            s.sigma[_require(item, "label", where)] = {
+            s.sigma[_scalar(_require(item, "label", where), "label of %s",
+                            where)] = {
                 _ctx_from_doc(c): tuple(parse_probability(p)
                                         for p in _items(c, "probs", where))
                 for c in _items(item, "contexts", where)}
         for item in _items(entry, "cells", where, optional=True):
-            label = _require(item, "label", where)
+            label = _scalar(_require(item, "label", where), "label of %s",
+                            where)
             contexts = _items(item, "contexts", where)
             s.breaks[label] = tuple(parse_probability(b)
                                     for b in _items(item, "breaks", where))

@@ -365,6 +365,21 @@ def _array(value, what, *args):
     return value
 
 
+def _scalar(value, what, *args):
+    """``value``, refused if it is a JSON array or object: names, labels
+    and domain values key dicts and sets, so they must be hashable;
+    ``what % args`` names it."""
+    if isinstance(value, (list, dict)):
+        raise DomainMismatch((what % args) + " must be a string, number, "
+                             "boolean or null, not %r" % (value,))
+    return value
+
+
+def _scalars(values, what, *args):
+    """``values`` as a tuple, each checked by _scalar."""
+    return tuple(_scalar(v, what, *args) for v in values)
+
+
 def validate_scm(doc):
     """Check a raw model document and build a DiscreteScm.
 
@@ -377,8 +392,10 @@ def validate_scm(doc):
     endogenous = []
     seen = set()
     for entry in _items(doc, "endogenous", "model"):
-        name = _require(entry, "name", "endogenous entry")
-        domain = tuple(_items(entry, "domain", "endogenous entry %r" % name))
+        name = _scalar(_require(entry, "name", "endogenous entry"),
+                       "variable name")
+        domain = _scalars(_items(entry, "domain", "endogenous entry %r" % name),
+                          "domain value of %r", name)
         if not domain:
             raise DomainMismatch("variable %r has an empty domain" % name)
         if len(set(domain)) != len(domain):
@@ -391,15 +408,17 @@ def validate_scm(doc):
     blocks = []
     block_names = set()
     for entry in _items(doc, "blocks", "model", optional=True):
-        bname = _require(entry, "name", "block entry")
+        bname = _scalar(_require(entry, "name", "block entry"), "block name")
         if bname in block_names:
             raise DomainMismatch("exogenous block %r declared twice" % bname)
         block_names.add(bname)
         members = []
         mseen = set()
         for m in _items(entry, "members", "block %r" % bname):
-            mname = _require(m, "name", "member of block %r" % bname)
-            mdomain = tuple(_items(m, "domain", "member %r" % mname))
+            mname = _scalar(_require(m, "name", "member of block %r" % bname),
+                            "member name in block %r", bname)
+            mdomain = _scalars(_items(m, "domain", "member %r" % mname),
+                               "domain value of member %r", mname)
             if not mdomain or len(set(mdomain)) != len(mdomain):
                 raise DomainMismatch("member %r of block %r has a bad domain"
                                      % (mname, bname))
@@ -446,14 +465,16 @@ def validate_scm(doc):
 
     mechanisms = {}
     for entry in _items(doc, "mechanisms", "model"):
-        vname = _require(entry, "variable", "mechanism entry")
+        vname = _scalar(_require(entry, "variable", "mechanism entry"),
+                        "mechanism variable")
         if vname not in var_domains:
             raise DomainMismatch("mechanism for undeclared variable %r" % vname)
         if vname in mechanisms:
             raise DomainMismatch("variable %r has two mechanisms" % vname)
-        endo_parents = tuple(_items(entry, "endo_parents",
-                                    "mechanism for %r" % vname,
-                                    optional=True))
+        endo_parents = _scalars(_items(entry, "endo_parents",
+                                       "mechanism for %r" % vname,
+                                       optional=True),
+                                "parent of %r", vname)
         for p in endo_parents:
             if p not in var_domains:
                 raise DomainMismatch(
@@ -463,8 +484,9 @@ def validate_scm(doc):
         exo_parents = []
         for ref in _items(entry, "exo_parents", "mechanism for %r" % vname,
                           optional=True):
-            key = (_require(ref, "block", "exo parent of %r" % vname),
-                   _require(ref, "member", "exo parent of %r" % vname))
+            key = _scalars((_require(ref, "block", "exo parent of %r" % vname),
+                            _require(ref, "member", "exo parent of %r" % vname)),
+                           "exo parent of %r", vname)
             if key not in member_domains:
                 raise DomainMismatch(
                     "mechanism for %r names unknown exogenous member %r of block %r"

@@ -441,23 +441,6 @@ def _compile(scm, setup, out):
     return run
 
 
-def _world(scm, sub_idx, setup, cell_choice):
-    """The values of the variables one term solves in one world, in the
-    term's solve order. Worlds are cached per term number, the state's row
-    indices over the term's own blocks and the cell draws, so repeated
-    terms are free; the term's program is compiled on its first miss."""
-    cells = tuple([cell_choice[a.share_key] for a in setup.atoms])
-    sig = (setup.number, sub_idx, cells)
-    values = scm._world_cache.get(sig)
-    if values is None:
-        if setup.program is None:
-            setup.program = _compile(scm, setup, list(setup.at))
-        values = setup.program(sub_idx, cells)
-        if setup.number is not None and len(scm._world_cache) < CACHE_LIMIT:
-            scm._world_cache[sig] = values
-    return values
-
-
 @dataclass(eq=False, slots=True)
 class _TermSetup:
     """A checked term's world plan (see _term_setup), and its compiled
@@ -467,7 +450,6 @@ class _TermSetup:
     atoms: list
     segments: list
     blocks: tuple
-    at: dict
     number: object = None
     program: object = None
 
@@ -475,10 +457,9 @@ class _TermSetup:
 def _term_setup(scm, term, reads=()):
     """Check a term and plan its world. Returns the world's _TermSetup: the
     hard settings, the distinct atoms in the order they are resolved, the
-    solve-order segments between them, the positions of the blocks the
-    world reads and each solved variable's position in the solve order; it
-    has no world-cache number (see _numbered) and its program is compiled
-    when a world is first solved. Only the variables that the outcomes,
+    solve-order segments between them and the positions of the blocks the
+    world reads; it has no world-cache number (see _numbered) and no
+    program yet (see _tabulate). Only the variables that the outcomes,
     ``reads`` and the atoms' targets depend on are solved; ``reads`` may
     name noise members by their (block, member) keys."""
     hard_map = _check_hard(scm, term.hard)
@@ -540,66 +521,39 @@ def _term_setup(scm, term, reads=()):
     atoms = [atoms[n] for _pos, n in stops]
     bounds = [0] + [pos for pos, _n in stops] + [len(order)]
     segments = [order[i:j] for i, j in zip(bounds, bounds[1:])]
-    return _TermSetup(hard_map, atoms, segments, blocks,
-                      {v: i for i, v in enumerate(order)})
+    return _TermSetup(hard_map, atoms, segments, blocks)
 
 
-def _numbered(scm, setup):
-    """Give a setup the model's number for its term content, which keys its
+def _numbered(scm, setup, reads):
+    """Give a setup the model's number for its term content (its hard
+    settings, its atoms and the ``reads`` its worlds hold), which keys its
     worlds in the world cache; past CACHE_LIMIT numbered contents a new
-    content gets none and its worlds are solved uncached."""
+    content gets none and its worlds are not kept there."""
     content = (tuple(sorted(setup.hard.items(), key=lambda kv: kv[0])),
-               tuple(_fingerprint(a) for a in setup.atoms), tuple(setup.at))
+               tuple(_fingerprint(a) for a in setup.atoms), reads)
     setup.number = scm._world_terms.get(content)
     if setup.number is None and len(scm._world_terms) < CACHE_LIMIT:
         setup.number = scm._world_terms[content] = len(scm._world_terms)
     return setup
 
 
-def _plan(setups):
-    """The union of the terms' block positions, and per term a function
-    from a state's row indices over that union to the tuple of its row
-    indices over the term's own blocks."""
-    blocks = sorted(set().union(*(s.blocks for s in setups)))
-    at = {b: i for i, b in enumerate(blocks)}
-    return blocks, [_reader([at[b] for b in s.blocks]) for s in setups]
-
-
-def _all_hold(scm, checks, u_idx, cell_choice):
-    """Whether every (term, setup, pick) of ``checks`` meets its outcome
-    constraints in its world."""
-    for term, setup, pick in checks:
-        values = _world(scm, pick(u_idx), setup, cell_choice)
-        at = setup.at
-        for oc in term.outcomes:
-            if tuple(values[at[v]] for v in oc.variables) not in oc.accepted:
-                return False
-    return True
-
-
-def _collect_atoms(terms):
+def _draws(scm, terms, budget, blocks):
+    """Check the budget against the full exogenous support times the cell
+    draws, then return the common denominator of the states over the
+    blocks at positions ``blocks`` and all shared cell draws, and the
+    joint cell draws: (cell index per share key, integer weight over each
+    atom's lcm of cell denominators) pairs."""
     atoms = {}
-    for term in terms:
-        for a in term.soft:
-            known = atoms.get(a.share_key)
-            if known is None:
-                atoms[a.share_key] = a
-            elif known.tables != a.tables or known.candidates != a.candidates:
-                raise DomainMismatch(
-                    "two stochastic interventions share key %r but disagree"
-                    % (a.share_key,))
-    return atoms
-
-
-def _enumerate(scm, terms, budget, blocks):
-    """Check the budget against the full exogenous support, then return the
-    common denominator and an iterator of (u_idx, weight, cell_choice) over
-    the joint values of the blocks at positions ``blocks`` and all shared
-    cell draws. Weights are integers that sum to the denominator."""
-    atoms = list(_collect_atoms(terms).values())
+    for a in (a for t in terms for a in t.soft):
+        known = atoms.setdefault(a.share_key, a)
+        if known is not a and (known.tables != a.tables
+                               or known.candidates != a.candidates):
+            raise DomainMismatch(
+                "two stochastic interventions share key %r but disagree"
+                % (a.share_key,))
     total = scm.exogenous_support_size()
     widths = []
-    for a in atoms:
+    for a in atoms.values():
         cells = [(i, x) for i, x in enumerate(a.cell_widths()) if x > 0]
         if sum((x for _i, x in cells), Fraction(0)) != 1:
             raise DomainMismatch(
@@ -607,53 +561,114 @@ def _enumerate(scm, terms, budget, blocks):
         widths.append(cells)
         total *= len(cells)
     check_budget(total, budget, "enumeration needs %d states")
-    # one entry per joint cell draw: the cell index per share key and the
-    # draw's integer weight over each atom's lcm of cell denominators
     den = scm.exogenous_denominator(blocks)
     draws = [({}, 1)]
-    for a, cells in zip(atoms, widths):
+    for a, cells in zip(atoms.values(), widths):
         lcm = math.lcm(*(x.denominator for _i, x in cells))
         draws = [({**choice, a.share_key: i},
                   w * x.numerator * (lcm // x.denominator))
                  for choice, w in draws for i, x in cells]
         den *= lcm
+    return den, draws
 
-    def states():
-        for u_idx, pu in scm.exogenous_states(blocks):
-            for choice, w in draws:
-                yield u_idx, pu * w, choice
-    return den, states()
+
+def _tabulate(scm, terms, setups, reads, budget):
+    """The one loop over exogenous states: it walks the blocks some term's
+    world reads times the shared cell draws, and returns the common
+    denominator and a dict from per-term tuples of ``reads`` to integer
+    weights that sum to it, where an undefined world holds the
+    ImpossibleContext its program raised. A numbered term (see _numbered)
+    keeps its worlds in the model's world cache and compiles its program
+    on its first miss. Any other term that reads fewer blocks or cell
+    draws than the enumeration keeps them in a memo for this call; the
+    rest meet each world once and keep none. Memos are keyed by term
+    number, own row indices and cell draws, and stop at CACHE_LIMIT."""
+    blocks = sorted(set().union(*(s.blocks for s in setups)))
+    at = {b: i for i, b in enumerate(blocks)}
+    den, draws = _draws(scm, terms, budget, blocks)
+    shared = {a.share_key for s in setups for a in s.atoms}
+    plans = []
+    for setup, out in zip(setups, reads):
+        memo = scm._world_cache
+        if setup.number is None:
+            setup.program = _compile(scm, setup, out)
+            memo = {} if len(setup.blocks) < len(blocks) \
+                or len(setup.atoms) < len(shared) else None
+        plans.append((_reader([at[b] for b in setup.blocks]),
+                      [a.share_key for a in setup.atoms], setup, out, memo))
+    weights = {}
+    for u_idx, pu in scm.exogenous_states(blocks):
+        for choice, w in draws:
+            key = []
+            for pick, shares, setup, out, memo in plans:
+                cells = tuple([choice[k] for k in shares])
+                sub_idx = pick(u_idx)
+                if memo is not None:
+                    sig = (setup.number, sub_idx, cells)
+                    world = memo.get(sig)
+                    if world is not None:
+                        key.append(world)
+                        continue
+                    if setup.program is None:
+                        setup.program = _compile(scm, setup, out)
+                try:
+                    world = setup.program(sub_idx, cells)
+                except ImpossibleContext as err:
+                    world = err.with_traceback(None)
+                if memo is not None and len(memo) < CACHE_LIMIT:
+                    memo[sig] = world
+                key.append(world)
+            key = tuple(key)
+            weights[key] = weights.get(key, 0) + pu * w
+    return den, weights
+
+
+def _holds(worlds, terms):
+    """Whether the worlds of ``terms``, each the tuple of its outcome
+    variables, meet every outcome: false if any defined world fails one,
+    else the first undefined world's ImpossibleContext is raised, so the
+    order of the terms cannot matter."""
+    error = None
+    for world, term in zip(worlds, terms):
+        if isinstance(world, ImpossibleContext):
+            error = error or world
+            continue
+        i = 0
+        for oc in term.outcomes:
+            j = i + len(oc.variables)
+            if world[i:j] not in oc.accepted:
+                return False
+            i = j
+    if error is not None:
+        # a fresh error: the one a memo keeps must not hold this traceback
+        raise ImpossibleContext(error.message, **error.details)
+    return True
 
 
 def prob_query(scm, query, budget=None):
     """Exact probability of a counterfactual conjunction, optionally
-    conditioned on another conjunction. All terms share the exogenous draw
-    and all shared stochastic-intervention cells. Only the blocks some
-    term's world reads are enumerated; integer weights are added up and
-    divided once."""
+    conditioned on another conjunction, read off one table of what the
+    terms' worlds show (see _tabulate and _holds). All terms share the
+    exogenous draw and all shared stochastic-intervention cells."""
     if not query.terms:
         raise DomainMismatch("query has no terms")
-    all_terms = list(query.terms) + list(query.conditioning or ())
-    setups = [_numbered(scm, _term_setup(scm, t)) for t in all_terms]
-    blocks, picks = _plan(setups)
-    checks = list(zip(all_terms, setups, picks))
-    n_main = len(query.terms)
-    main, given = checks[:n_main], checks[n_main:]
-    den, states = _enumerate(scm, all_terms, budget, blocks)
-    num = 0
-    cond = 0
-    for u_idx, weight, choice in states:
-        if given:
-            if not _all_hold(scm, given, u_idx, choice):
-                continue
+    terms = list(query.terms) + list(query.conditioning or ())
+    reads = [tuple(v for oc in t.outcomes for v in oc.variables)
+             for t in terms]
+    setups = [_numbered(scm, _term_setup(scm, t), r)
+              for t, r in zip(terms, reads)]
+    _den, weights = _tabulate(scm, terms, setups, reads, budget)
+    n = len(query.terms)
+    main, given = terms[:n], terms[n:]
+    num = cond = 0
+    for key, weight in weights.items():
+        if _holds(key[n:], given):
             cond += weight
-        if _all_hold(scm, main, u_idx, choice):
-            num += weight
-    if given:
-        if cond == 0:
-            raise ZeroConditioning("conditioning event has probability zero")
-        return Fraction(num, cond)
-    return Fraction(num, den)
+            if _holds(key, main):
+                num += weight
+    if cond == 0:
+        raise ZeroConditioning("conditioning event has probability zero")
+    return Fraction(num, cond)
 
 
 def counterfactual_table(scm, terms, reads=None, budget=None):
@@ -661,40 +676,20 @@ def counterfactual_table(scm, terms, reads=None, budget=None):
     enumeration of the shared exogenous draw and cells: the common
     denominator and a dict from per-term tuples of ``reads`` (default: each
     term's outcome variables; accepted sets are not applied) to weights.
-    ``reads`` may name noise members by (block, member) key. A term that
-    reads fewer blocks or cell draws than the enumeration memoises its
-    worlds for this call, keyed by its own row indices and cell draws; any
-    other term meets each world once, so it runs its program per state."""
+    ``reads`` may name noise members by (block, member) key. No world is
+    kept past the call (see _tabulate); a world undefined in any state
+    raises its ImpossibleContext."""
     if not terms:
         raise DomainMismatch("query has no terms")
     if reads is None:
         reads = [[v for oc in t.outcomes for v in oc.variables]
                  for t in terms]
     setups = [_term_setup(scm, t, r) for t, r in zip(terms, reads)]
-    blocks, picks = _plan(setups)
-    den, states = _enumerate(scm, terms, budget, blocks)
-    draws = {a.share_key for s in setups for a in s.atoms}
-    plans = [(pick, [a.share_key for a in setup.atoms],
-              _compile(scm, setup, r),
-              {} if len(setup.blocks) < len(blocks)
-              or len(setup.atoms) < len(draws) else None)
-             for pick, setup, r in zip(picks, setups, reads)]
-    weights = {}
-    for u_idx, weight, choice in states:
-        key = []
-        for pick, shares, program, memo in plans:
-            cells = tuple([choice[k] for k in shares])
-            sub_idx = pick(u_idx)
-            if memo is None:
-                key.append(program(sub_idx, cells))
-                continue
-            sig = (sub_idx, cells)
-            seen = memo.get(sig)
-            if seen is None:
-                seen = memo[sig] = program(sub_idx, cells)
-            key.append(seen)
-        key = tuple(key)
-        weights[key] = weights.get(key, 0) + weight
+    den, weights = _tabulate(scm, terms, setups, reads, budget)
+    for key in weights:
+        for world in key:
+            if isinstance(world, ImpossibleContext):
+                raise world
     return den, weights
 
 

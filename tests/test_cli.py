@@ -80,6 +80,40 @@ class TestValidate:
         assert r.exit_code == 2
         assert r.payload["error"]["kind"] == "DomainMismatch"
 
+    @pytest.mark.parametrize("doc, field", [
+        ("scm", ("endogenous", 0, "name")),
+        ("scm", ("endogenous", 0, "domain", 0)),
+        ("scm", ("blocks", 0, "name")),
+        ("scm", ("mechanisms", 0, "variable")),
+        ("scm", ("mechanisms", 0, "exo_parents", 0, "block")),
+        ("clusters", ("clusters", 0, "name")),
+        ("clusters", ("clusters", 0, "members", 0)),
+        ("clusters", ("clusters", 0, "values", 0, "label")),
+        ("high", ("delta", "splits", 0, "cluster")),
+    ])
+    def test_names_that_are_arrays(self, tmp_path, doc, field):
+        """A name, member, label or domain value that is an array is bad
+        input (exit 2), not a failure to hash it."""
+        paths = {"scm": INS, "clusters": INS_CM,
+                 "high": str(tmp_path / "high.json")}
+        assert run(["abstract", "--scm", INS, "--clusters", INS_CM,
+                    "-o", paths["high"]]).exit_code == 0
+        with open(paths[doc]) as fh:
+            target = root = json.load(fh)
+        for step in field[:-1]:
+            target = target[step]
+        target[field[-1]] = [target[field[-1]]]
+        paths[doc] = str(tmp_path / "bad.json")
+        with open(paths[doc], "w") as fh:
+            json.dump(root, fh)
+        r = run({"scm": ["validate", "--scm", paths["scm"]],
+                 "clusters": ["validate", "--scm", INS,
+                              "--clusters", paths["clusters"]],
+                 "high": ["sample", "--high", paths["high"],
+                          "--value", "XH=xC"]}[doc])
+        assert r.exit_code == 2
+        assert r.payload["error"]["kind"] == "DomainMismatch"
+
 
 class TestEval:
     def test_hard_intervention(self):

@@ -1,8 +1,8 @@
 """Source hygiene: no module of the package imports a name it never uses,
 binds a local it never reads or gives a module-level private function a
 parameter it never reads, no module-level private name of the package
-goes unread, and importing the package loads nothing outside the standard
-library."""
+goes unread, exact sums walk the exogenous states in one loop, and
+importing the package loads nothing outside the standard library."""
 
 import ast
 import json
@@ -162,6 +162,60 @@ def test_no_orphaned_private_names():
             with open(os.path.join(PACKAGE, module), encoding="utf-8") as fh:
                 sources[module] = fh.read()
     assert orphaned_private_names(sources) == []
+
+
+def enumeration_calls(source):
+    """Dotted names (Class.method, outer.inner) of the functions that call
+    a method named exogenous_states or exogenous_support."""
+    found = set()
+
+    def visit(node, name):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                visit(child, name + "." + child.name if name else child.name)
+                continue
+            if isinstance(child, ast.Call) \
+                    and isinstance(child.func, ast.Attribute) \
+                    and child.func.attr in ("exogenous_states",
+                                            "exogenous_support"):
+                found.add(name)
+            visit(child, name)
+    visit(ast.parse(source), "")
+    return sorted(found)
+
+
+def test_detects_enumeration_calls():
+    source = ("class M:\n"
+              "    def exogenous_support(self):\n"
+              "        return self.exogenous_states()\n"
+              "def walk(m):\n"
+              "    def inner():\n"
+              "        return list(m.exogenous_support())\n"
+              "    return inner, m.exogenous_support_size()\n")
+    assert enumeration_calls(source) == ["M.exogenous_support", "walk.inner"]
+
+
+# Every exact sum over exogenous states goes through valuation's table
+# loop. The support itself pairs states with assignments; check_aic's
+# witness walk must report a whole unit; verify's global replay waits for
+# a local check to replace it.
+ENUMERATION_LOOPS = {
+    ("valuation.py", "_tabulate"),
+    ("scm.py", "DiscreteScm.exogenous_support"),
+    ("abstraction.py", "check_aic.first_witness"),
+    ("projection.py", "verify_partial_projection"),
+}
+
+
+def test_one_enumeration_loop():
+    found = set()
+    for module in sorted(os.listdir(PACKAGE)):
+        if module.endswith(".py"):
+            with open(os.path.join(PACKAGE, module), encoding="utf-8") as fh:
+                found.update((module, name)
+                             for name in enumeration_calls(fh.read()))
+    assert sorted(found - ENUMERATION_LOOPS) == []
 
 
 def test_cold_import_loads_the_standard_library_only():
