@@ -62,8 +62,6 @@ from .valuation import (
     RhoContext,
     SoftIntervention,
     _cell_grid,
-    _cell_map,
-    _uniform,
     counterfactual_table,
 )
 
@@ -196,11 +194,13 @@ def _rho_shared_reads(scm, members):
     return member_keys, class_of
 
 
-def sigma_machinery(scm, cm, cluster_name, policy, budget=None):
+def sigma_machinery(scm, cm, cluster_name, policy, budget=None,
+                    fallback=None):
     """The cluster's DeltaSplit with its reference tables: for every value,
     the distribution over its member tuples per context. The tables are
     computed on the working model, where the variables outside every
-    cluster are projected away."""
+    cluster are projected away. With ``fallback='uniform'`` every context
+    without mass gets the uniform table (see _fill_uniform)."""
     validate_policy(policy)
     c = cm.cluster(cluster_name)
     scm = _working_model(scm, cm, budget)
@@ -233,7 +233,25 @@ def sigma_machinery(scm, cm, cluster_name, policy, budget=None):
             ctx: tuple(Fraction(masses.get((label, ctx, t), 0), tot)
                        for t in cv.tuples)
             for (label, ctx), tot in totals.items() if label == cv.label}
+    if fallback == "uniform":
+        _fill_uniform(split, cm.by_name)
     return split
+
+
+def _uniform(k):
+    """The uniform distribution over ``k`` candidates."""
+    return (Fraction(1, k),) * k
+
+
+def _fill_uniform(split, clusters):
+    """Give every context of ``_all_contexts`` that a label's table lacks
+    the uniform table over the label's member tuples: the reference policy
+    for contexts without mass under ``fallback='uniform'``."""
+    contexts = _all_contexts(clusters, split)
+    for label, tables in split.sigma.items():
+        uniform = _uniform(len(split.fiber(label)))
+        for ctx in contexts:
+            tables.setdefault(ctx, uniform)
 
 
 def _context_parts(context, rho_members):
@@ -293,23 +311,19 @@ def sigma_distribution(scm, cm, cluster, label, policy="general",
     """Exact reference distribution over a cluster value's member tuples in
     one context. Raises ImpossibleContext when the context has probability
     zero under the model (unless ``fallback='uniform'``)."""
-    split = sigma_machinery(scm, cm, cluster, policy, budget)
-    fiber = split.fiber(label)
+    split = sigma_machinery(scm, cm, cluster, policy, budget, fallback)
     probs = _context_probs(split.sigma[label],
                            _context_key(context, split, cm.by_name),
-                           len(fiber), fallback, cluster, label)
-    return dict(zip(fiber, probs))
+                           cluster, label)
+    return dict(zip(split.fiber(label), probs))
 
 
-def _context_probs(tables, ctx, size, fallback, cluster, label):
+def _context_probs(tables, ctx, cluster, label):
     """The reference probabilities a cluster value's tables give one
-    context: uniform over the ``size`` member tuples when the context has
-    no mass and ``fallback='uniform'``, otherwise ImpossibleContext."""
+    context, or ImpossibleContext when they have none for it."""
     probs = tables.get(ctx)
     if probs is not None:
         return probs
-    if fallback == "uniform":
-        return _uniform(size)
     raise ImpossibleContext(
         "context %r has probability zero together with %s=%s"
         % (ctx, cluster, label), cluster=cluster, label=label)
@@ -354,17 +368,15 @@ def resolve_sigma(scm, cm, query, policy="general", budget=None,
     def atom_for(marker):
         if marker.cluster not in splits:
             splits[marker.cluster] = sigma_machinery(
-                scm, cm, marker.cluster, policy, budget)
+                scm, cm, marker.cluster, policy, budget, fallback)
         split = splits[marker.cluster]
-        fiber = split.fiber(marker.label)
         ctx_tables = split.sigma[marker.label]
-        if not ctx_tables and fallback != "uniform":
+        if not ctx_tables:
             raise ImpossibleContext(
                 "value %s=%s has probability zero everywhere"
                 % (marker.cluster, marker.label),
                 cluster=marker.cluster, label=marker.label)
-        breaks, cell_map = _cell_grid(
-            ctx_tables, len(fiber) if fallback == "uniform" else None)
+        breaks, cell_map = split.grid(marker.label)
         parents = tuple(
             ParentContext(cluster=p, members=tuple(cm.by_name[p].members),
                           value_of=dict(cm.by_name[p]._label_of))
@@ -377,12 +389,12 @@ def resolve_sigma(scm, cm, query, policy="general", budget=None,
         # different models or policies never share a draw by accident; a
         # frozenset keeps its hash, so the key stays cheap to look up
         share_key = ("sigma", policy, marker.cluster, str(marker.label),
-                     fallback, split.parents, frozenset(ctx_tables.items()))
+                     split.parents, frozenset(ctx_tables.items()))
         return SoftIntervention(
             targets=tuple(split.members), share_key=share_key,
-            candidates=tuple(fiber), tables=dict(ctx_tables), breaks=breaks,
-            cell_map=cell_map, parents=parents, rho=rho,
-            fallback=fallback,
+            candidates=tuple(split.fiber(marker.label)),
+            tables=dict(ctx_tables), breaks=breaks, cell_map=cell_map,
+            parents=parents, rho=rho,
             label="%s=%s" % (marker.cluster, marker.label))
 
     return _resolve_markers(query, atom_for)
@@ -397,16 +409,14 @@ class DeltaSplit(Cluster):
     """One cluster of the projected model with its reference tables: the
     parent clusters and shared-noise response classes (rho) that key them,
     the sigma tables of its lossy labels and, for consistency violators,
-    the unobserved disambiguation cell."""
+    the unobserved disambiguation cell: one block member per label and
+    context, whose cells are read off the sigma tables (see grid)."""
 
     violator: bool = False
     parents: tuple = ()
     rho_members: tuple = ()
     rho_classes: dict = field(default_factory=dict)
     sigma: dict = field(default_factory=dict)
-    breaks: dict = field(default_factory=dict)
-    cell_map: dict = field(default_factory=dict)
-    fill_targets: dict = field(default_factory=dict)
     component: dict = field(default_factory=dict)
     block: object = None
 
@@ -419,12 +429,18 @@ class DeltaSplit(Cluster):
             cls = self.rho_classes[tuple(unit[k] for k in self.rho_members)]
         return tuple(labels[g] for g in self.parents), cls
 
-    def n_cells(self, label):
-        return len(self.breaks[label]) - 1 + len(self.fill_targets[label])
+    def grid(self, label):
+        """The cell breakpoints shared by ``label``'s sigma tables and each
+        context's cell map."""
+        return _cell_grid(self.sigma[label])
 
 
 @dataclass
 class HighLevelScm:
+    """A projected model: the high-level SCM, one DeltaSplit per cluster,
+    and the policy and fallback its reference tables were built with, kept
+    as a record for its document (the tables already hold the fallback)."""
+
     scm: DiscreteScm
     splits: dict
     policy: str
@@ -435,11 +451,12 @@ def _component_member(cluster, label, index):
     return "%s__u__%s__c%d" % (cluster, label, index)
 
 
-def _all_contexts(cm, split):
+def _all_contexts(clusters, split):
     """Every context a reconstruction can meet, in canonical order: the
-    product of the parent clusters' label domains crossed with the response
-    classes of the shared noise blocks."""
-    pa_domains = [cm.by_name[p].labels() for p in split.parents]
+    product of the parent clusters' label domains (``clusters`` maps names
+    to clusters) crossed with the response classes of the shared noise
+    blocks."""
+    pa_domains = [clusters[p].labels() for p in split.parents]
     classes = [None]
     if split.rho_members:
         classes = sorted(set(split.rho_classes.values()))
@@ -473,42 +490,24 @@ def construct_projected_abstraction(scm, cm, policy="general", budget=None,
                                         values=c.values)
             continue
         split = splits[c.name] = sigma_machinery(working, cm, c.name, policy,
-                                                 budget)
+                                                 budget, fallback)
         split.sigma = {label: split.sigma[label] for label in lossy}
         if c.name not in violators:
             continue
         split.violator = True
         members = []
         probs_per_member = []
-        contexts = _all_contexts(cm, split)
+        contexts = _all_contexts(cm.by_name, split)
         for label in lossy:
-            fiber = split.fiber(label)
+            domain = tuple(range(len(split.fiber(label))))
             tables = split.sigma[label]
-            breaks, cmap = _cell_grid(
-                tables, len(fiber) if fallback == "uniform" else None)
-            # member indices some context never draws; every cell map lists
-            # them after its cells
-            fills = tuple(i for i in range(len(fiber))
-                          if any(p[i] == 0 for p in tables.values()))
-            cmap = {ctx: m + fills for ctx, m in cmap.items()}
-            split.breaks[label] = breaks
-            split.fill_targets[label] = fills
             split.component[label] = {}
-            uniform = _uniform(len(fiber))
-            for ctx in contexts:
-                probs = tables.get(ctx)
-                if probs is None:
-                    if fallback != "uniform":
-                        continue
-                    probs = uniform
-                    cmap[ctx] = _cell_map(breaks, uniform) + fills
+            for ctx in (ctx for ctx in contexts if ctx in tables):
                 name = _component_member(
                     c.name, label, len(split.component[label]))
                 split.component[label][ctx] = name
-                members.append(ExoMember(
-                    name=name, domain=tuple(range(len(fiber)))))
-                probs_per_member.append(probs)
-            split.cell_map[label] = cmap
+                members.append(ExoMember(name=name, domain=domain))
+                probs_per_member.append(tables[ctx])
         split.block = "%s__u" % c.name
         check_budget(math.prod(map(len, probs_per_member)), budget,
                      "cell block for %r needs %d rows", c.name)
@@ -682,9 +681,10 @@ def resolve_sigma_high(high, query):
     value of a flagged cluster pins the cluster variable to the label and
     redraws the disambiguation members its children read: one fresh draw on
     the label's cell grid, shared by every marker with the same cluster and
-    label, mapped into each context's member through the recorded cell
-    table. This matches the sharing semantics of resolving the same markers
-    against the low-level model."""
+    label, mapped into each context's member through the cell map the
+    label's sigma table gives that context. This matches the sharing
+    semantics of resolving the same markers against the low-level
+    model."""
     def atom_for(marker):
         if marker.cluster not in high.splits:
             raise UnknownVariable("unknown cluster %r" % marker.cluster,
@@ -692,18 +692,16 @@ def resolve_sigma_high(high, query):
         split = high.splits[marker.cluster]
         if len(split.fiber(marker.label)) == 1 or split.block is None:
             return HardIntervention(marker.cluster, marker.label)
-        exo_cells = {}
-        for ctx, mname in split.component[marker.label].items():
-            mapping = split.cell_map[marker.label][ctx]
-            exo_cells[(split.block, mname)] = tuple(mapping)
+        breaks, cell_map = split.grid(marker.label)
+        exo_cells = {(split.block, mname): cell_map[ctx]
+                     for ctx, mname in split.component[marker.label].items()}
         ctx0 = ((), None)
         return SoftIntervention(
             targets=(marker.cluster,),
             share_key=("sigma-high", marker.cluster, str(marker.label)),
             candidates=((marker.label,),),
             tables={ctx0: (Fraction(1),)},
-            breaks=split.breaks[marker.label],
-            cell_map={ctx0: (0,) * split.n_cells(marker.label)},
+            breaks=breaks, cell_map={ctx0: (0,) * (len(breaks) - 1)},
             exo_cells=exo_cells,
             label="%s=%s" % (marker.cluster, marker.label))
 
@@ -759,7 +757,7 @@ def projected_sample(high, cluster, label, context=None, seed=0, n=None):
     else:
         probs = _context_probs(split.sigma.get(label, {}),
                                _context_key(context, split, high.splits),
-                               len(fiber), high.fallback, cluster, label)
+                               cluster, label)
     cum = []
     acc = Fraction(0)
     for p in probs:
@@ -827,14 +825,10 @@ def high_to_doc(high):
             entry["block"] = s.block
             entry["cells"] = [
                 {"label": label,
-                 "breaks": [format_rational(b) for b in s.breaks[label]],
-                 "fills": list(s.fill_targets[label]),
-                 "contexts": [dict(_ctx_to_doc(ctx),
-                                   cells=list(mapping),
-                                   member=s.component[label].get(ctx))
-                              for ctx, mapping in sorted(s.cell_map[label].items(),
-                                                         key=repr)]}
-                for label in s.breaks]
+                 "contexts": [dict(_ctx_to_doc(ctx), member=member)
+                              for ctx, member in sorted(members.items(),
+                                                        key=repr)]}
+                for label, members in s.component.items()]
         splits.append(entry)
     doc["delta"] = {"policy": high.policy, "fallback": high.fallback,
                     "splits": splits}
@@ -881,20 +875,19 @@ def high_from_doc(doc):
         for item in _items(entry, "cells", where, optional=True):
             label = _scalar(_require(item, "label", where), "label of %s",
                             where)
-            contexts = _items(item, "contexts", where)
-            s.breaks[label] = tuple(parse_probability(b)
-                                    for b in _items(item, "breaks", where))
-            s.fill_targets[label] = tuple(
-                _items(item, "fills", where, optional=True))
-            s.cell_map[label] = {_ctx_from_doc(c): tuple(
-                _items(c, "cells", where)) for c in contexts}
             s.component[label] = {
                 _ctx_from_doc(c): c["member"]
-                for c in contexts if c.get("member") is not None}
+                for c in _items(item, "contexts", where)
+                if c.get("member") is not None}
         splits[s.name] = s
+    fallback = delta.get("fallback")
+    if fallback == "uniform":
+        # older documents list only the tables with mass
+        for s in splits.values():
+            _fill_uniform(s, splits)
     return HighLevelScm(scm=scm, splits=splits,
                         policy=delta.get("policy", "general"),
-                        fallback=delta.get("fallback"))
+                        fallback=fallback)
 
 
 def load_high(path):

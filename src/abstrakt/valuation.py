@@ -87,18 +87,12 @@ class SoftIntervention:
     cell_map: dict
     parents: tuple = ()
     rho: object = None
-    fallback: object = None
     label: str = ""
     exo_cells: dict = field(default_factory=dict)
 
     def cell_widths(self):
         return tuple(self.breaks[i + 1] - self.breaks[i]
                      for i in range(len(self.breaks) - 1))
-
-
-def _uniform(k):
-    """The uniform distribution over ``k`` candidates."""
-    return (Fraction(1, k),) * k
 
 
 def _cell_map(breaks, probs):
@@ -109,16 +103,12 @@ def _cell_map(breaks, probs):
                  for left in breaks[:-1])
 
 
-def _cell_grid(tables, uniform_k=None):
+def _cell_grid(tables):
     """Breakpoints shared by every table of ``tables`` (every cumulative
-    sum, plus 0 and 1) and each table's cell map. With ``uniform_k`` the
-    grid also refines the uniform distribution over that many candidates,
-    so a uniform fallback maps onto the same cells."""
+    sum, plus 0 and 1) and each table's cell map."""
     points = {Fraction(0), Fraction(1)}
     for probs in tables.values():
         points.update(accumulate(probs))
-    if uniform_k:
-        points.update(accumulate(_uniform(uniform_k)))
     breaks = tuple(sorted(points))
     return breaks, {ctx: _cell_map(breaks, probs)
                     for ctx, probs in tables.items()}
@@ -242,7 +232,7 @@ def _fingerprint(atom):
     """Everything of a stochastic intervention that the worlds it acts on
     can read, as a hashable value."""
     rho = atom.rho
-    return (atom.targets, atom.candidates, atom.breaks, atom.fallback,
+    return (atom.targets, atom.candidates, atom.breaks,
             frozenset(atom.cell_map.items()),
             frozenset(atom.exo_cells.items()),
             tuple((pc.members, frozenset(pc.value_of.items()))
@@ -336,18 +326,16 @@ def _reader(slots):
 def _resolve(step, slots, cell):
     """Set one atom's targets in a slot list whose context slots are
     solved, from its drawn ``cell``."""
-    atom, parents, rho, targets, uniform = step
+    atom, parents, rho, targets = step
     ctx = (tuple([value_of[get(slots)] for value_of, get in parents]),
            None if rho is None else atom.rho.class_of[rho(slots)])
     mapping = atom.cell_map.get(ctx)
     if mapping is None:
-        if uniform is None:
-            raise ImpossibleContext(
-                "stochastic intervention %s hit context %r with zero "
-                "probability under the reference distribution" %
-                (atom.label or atom.share_key, ctx),
-                context=repr(ctx), target=atom.label)
-        mapping = uniform
+        raise ImpossibleContext(
+            "stochastic intervention %s hit context %r with zero "
+            "probability under the reference distribution" %
+            (atom.label or atom.share_key, ctx),
+            context=repr(ctx), target=atom.label)
     for i, value in zip(targets, atom.candidates[mapping[cell]]):
         slots[i] = value
 
@@ -416,9 +404,7 @@ def _compile(scm, setup, out):
                  for pc in a.parents],
                 None if a.rho is None else
                 _reader([slot[k] for k in a.rho.member_keys]),
-                [slot[t] for t in a.targets],
-                _cell_map(a.breaks, _uniform(len(a.candidates)))
-                if a.fallback == "uniform" else None)
+                [slot[t] for t in a.targets])
 
     runs = [steps(segment) for segment in setup.segments]
     last = runs.pop()

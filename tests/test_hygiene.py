@@ -1,14 +1,17 @@
 """Source hygiene: no module of the package imports a name it never uses,
 binds a local it never reads or gives a module-level private function a
 parameter it never reads, no module-level private name of the package
-goes unread, exact sums walk the exogenous states in one loop, and
-importing the package loads nothing outside the standard library."""
+goes unread, exact sums walk the exogenous states in one loop, the
+evaluator names no reference policy, and importing the package loads
+nothing outside the standard library."""
 
 import ast
+import io
 import json
 import os
 import subprocess
 import sys
+import tokenize
 
 import pytest
 
@@ -216,6 +219,29 @@ def test_one_enumeration_loop():
                 found.update((module, name)
                              for name in enumeration_calls(fh.read()))
     assert sorted(found - ENUMERATION_LOOPS) == []
+
+
+def identifier_lines(source, name):
+    """Line numbers of the tokens of ``source`` that are the identifier
+    ``name`` (strings and comments that mention it do not count)."""
+    return [tok.start[0] for tok in tokenize.generate_tokens(
+        io.StringIO(source).readline)
+        if tok.type == tokenize.NAME and tok.string == name]
+
+
+def test_detects_identifier():
+    source = ("def f(fallback=None):\n"
+              "    # the fallback\n"
+              "    return 'fallback', x.fallback, fallbacks\n")
+    assert identifier_lines(source, "fallback") == [1, 3]
+
+
+def test_valuation_knows_no_reference_policy():
+    """What a stochastic intervention does in a context without reference
+    mass is decided where its tables are built (projection); the evaluator
+    only reads the tables it is given."""
+    with open(os.path.join(PACKAGE, "valuation.py"), encoding="utf-8") as fh:
+        assert identifier_lines(fh.read(), "fallback") == []
 
 
 def test_cold_import_loads_the_standard_library_only():

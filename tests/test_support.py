@@ -91,22 +91,18 @@ def fraction_states(support, terms):
 
 def reference_resolve(a, env, unit, cell):
     """Set atom ``a``'s targets in a world whose context members are
-    solved: the context's cell map, or with ``fallback="uniform"`` and a
-    context the reference gives no mass, the uniform distribution's."""
+    solved, through the context's cell map (an atom resolved with
+    ``fallback="uniform"`` carries a table for every context)."""
     ctx = (tuple(pc.value_of[tuple(env[m] for m in pc.members)]
                  for pc in a.parents),
            None if a.rho is None else
            a.rho.class_of[tuple(unit[k] for k in a.rho.member_keys)])
     mapping = a.cell_map.get(ctx)
     if mapping is None:
-        if a.fallback != "uniform":
-            raise ab.ImpossibleContext(
-                "stochastic intervention %s hit context %r with zero "
-                "probability under the reference distribution" %
-                (a.label or a.share_key, ctx))
-        k = len(a.candidates)
-        mapping = [next(j for j in range(k) if left < Fraction(j + 1, k))
-                   for left in a.breaks[:-1]]
+        raise ab.ImpossibleContext(
+            "stochastic intervention %s hit context %r with zero "
+            "probability under the reference distribution" %
+            (a.label or a.share_key, ctx))
     env.update(zip(a.targets, a.candidates[mapping[cell]]))
 
 
