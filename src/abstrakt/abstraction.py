@@ -409,7 +409,13 @@ def check_aic(scm, cm, budget=None):
 
 
 def _term_interventions_to_high(cm, term):
-    """Translate a term's interventions to cluster-level hard assignments."""
+    """Translate a term's interventions to cluster-level ones, the reverse
+    of lower_query: a hard setting of every member of a cluster becomes a
+    hard setting of the cluster's label, and a SigmaMarker, or a stochastic
+    intervention that resolve_sigma made for a cluster value, becomes a
+    SigmaMarker on a label with several member tuples and a hard setting on
+    a singleton label. Returns the hard labels by cluster and the
+    markers."""
     by_cluster = {}
     loose = {}
     for h in term.hard:
@@ -427,31 +433,25 @@ def _term_interventions_to_high(cm, term):
                 "intervention covers only part of cluster %r" % c.name,
                 cluster=c.name)
         by_cluster[c.name] = c.label_of(tuple(loose[m] for m in c.members))
+    markers = []
     for a in term.soft:
-        if isinstance(a, SigmaMarker):
-            cm.cluster(a.cluster).fiber(a.label)
-            by_cluster[a.cluster] = a.label
-            continue
         if isinstance(a, SoftIntervention):
-            match = None
-            for c in cm.clusters:
-                if tuple(c.members) == tuple(a.targets):
-                    match = c
-                    break
-            if match is not None:
-                for cv in match.values:
-                    if set(cv.tuples) == set(a.candidates):
-                        by_cluster[match.name] = cv.label
-                        break
-                else:
-                    match = None
-            if match is None:
+            marker = next((SigmaMarker(c.name, cv.label) for c in cm.clusters
+                           if tuple(c.members) == tuple(a.targets)
+                           for cv in c.values
+                           if set(cv.tuples) == set(a.candidates)), None)
+            if marker is None:
                 raise NotClusterUnion(
-                    "stochastic intervention %r does not target a cluster value"
-                    % (a.share_key,))
-            continue
-        raise NotClusterUnion("cannot translate intervention %r" % (a,))
-    return by_cluster
+                    "stochastic intervention %r does not target a cluster "
+                    "value" % (a.share_key,))
+            a = marker
+        elif not isinstance(a, SigmaMarker):
+            raise NotClusterUnion("cannot translate intervention %r" % (a,))
+        if len(cm.cluster(a.cluster).fiber(a.label)) == 1:
+            by_cluster[a.cluster] = a.label
+        else:
+            markers.append(a)
+    return by_cluster, tuple(markers)
 
 
 def _outcomes_to_high(cm, outcomes):
@@ -490,13 +490,15 @@ def _outcomes_to_high(cm, outcomes):
 def translate_query(cm, query):
     """Rewrite a low-level query as a query over cluster names, suitable for
     a high-level model. Interventions and outcomes must align with whole
-    clusters; NotClusterUnion otherwise."""
+    clusters; NotClusterUnion otherwise. A stochastic reference setting of
+    a label with several member tuples stays one (a SigmaMarker, which
+    resolve_sigma_high draws afresh); see _term_interventions_to_high."""
     def lift_term(term):
-        by_cluster = _term_interventions_to_high(cm, term)
+        by_cluster, markers = _term_interventions_to_high(cm, term)
         hard = tuple(HardIntervention(name, label)
                      for name, label in sorted(by_cluster.items()))
         return QueryTerm(outcomes=_outcomes_to_high(cm, term.outcomes),
-                         hard=hard, soft=())
+                         hard=hard, soft=markers)
     return query.map_terms(lift_term)
 
 

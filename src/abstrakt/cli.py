@@ -47,7 +47,7 @@ from .abstraction import (
     lower_query,
 )
 from .projection import (
-    _context_parts,
+    _match_value,
     construct_projected_abstraction,
     load_high,
     projected_sample,
@@ -173,17 +173,6 @@ def parse_query(text):
 
 # ---------------------------------------------------------------------------
 # binding parsed queries against models, cluster maps, and graphs
-
-
-def _match_value(token, candidates, what):
-    hits = [c for c in candidates if str(c) == token]
-    if len(hits) == 1:
-        return hits[0]
-    if not hits:
-        raise DomainMismatch(
-            "value %r is not a %s; expected one of %s"
-            % (token, what, ", ".join(map(str, candidates))))
-    raise DomainMismatch("value %r is ambiguous in %s" % (token, what))
 
 
 def bind_query(parsed, bind):
@@ -490,31 +479,14 @@ def cmd_sample(args):
     cname, token = args.value.split("=", 1)
     if cname not in high.splits:
         raise UnknownVariable("unknown cluster %r" % cname, cluster=cname)
-    split = high.splits[cname]
-    label = _match_value(token, split.labels(), "value of cluster %s" % cname)
+    label = _match_value(token, high.splits[cname].labels(),
+                         "value of cluster %s" % cname)
     context = None
     if args.context:
         try:
-            raw = json.loads(args.context)
+            context = json.loads(args.context)
         except ValueError as exc:
             raise DomainMismatch("--context is not valid JSON: %s" % exc)
-        parents, shared = _context_parts(raw, split.rho_members)
-        for pname, ptoken in parents.items():
-            if pname not in high.splits:
-                raise UnknownVariable("unknown cluster %r in context" % pname,
-                                      cluster=pname)
-            parents[pname] = _match_value(
-                str(ptoken), high.splits[pname].labels(),
-                "value of cluster %s" % pname)
-        for key, mtoken in shared.items():
-            if key not in split.rho_members:
-                raise UnknownVariable(
-                    "%r is not a shared noise member of %s" % (key, cname),
-                    member=key)
-            shared[key] = _match_value(str(mtoken),
-                                       high.scm.member_index[key].domain,
-                                       "value of %s.%s" % key)
-        context = (parents, shared)
     draws = projected_sample(high, cname, label, context=context,
                              seed=args.seed, n=args.n)
     counts = {}

@@ -318,8 +318,6 @@ class _SymDist:
                                  key=lambda kv: self.order[kv[0]]))
             return Lookup(outcome=items)
         missing += list(self.sum_out)
-        if not missing:
-            return self.fn(assign)
         syms = {v: Sym(fresh(v)) for v in missing}
         full = dict(assign)
         full.update(syms)

@@ -254,13 +254,28 @@ def _fill_uniform(split, clusters):
             tables.setdefault(ctx, uniform)
 
 
-def _context_parts(context, rho_members):
-    """Parse a context into its parent labels by cluster name and its shared
-    noise values. A context is None, a (parents, shared) pair, or a dict
-    with 'parents' and 'shared' entries. A shared name that names one of
-    ``rho_members`` by its (block, member) pair, as 'block.member' or by
-    its bare member name becomes that pair; other names are kept as
-    given."""
+def _match_value(token, candidates, what):
+    """The one candidate whose text is ``token``."""
+    hits = [c for c in candidates if str(c) == token]
+    if len(hits) == 1:
+        return hits[0]
+    if not hits:
+        raise DomainMismatch(
+            "value %r is not a %s; expected one of %s"
+            % (token, what, ", ".join(map(str, candidates))))
+    raise DomainMismatch("value %r is ambiguous in %s" % (token, what))
+
+
+def _context_key(context, split, clusters, scm, complete=True):
+    """Read a context given for ``split``'s reference tables: None, a
+    (parents, shared) pair of mappings or a dict with 'parents' and
+    'shared' ones. A parent entry binds to a label of its cluster in
+    ``clusters`` (name -> Cluster); a shared entry to the one shared noise
+    member of the split its name gives ((block, member), 'block.member' or
+    a bare member name) and a value of that member's domain in ``scm``.
+    Labels and values match by their text. With ``complete``, every parent
+    cluster and shared member must be given, and the (parent labels,
+    response class) key of the tables is returned."""
     if context is None:
         parts = (None, None)
     elif isinstance(context, dict):
@@ -275,45 +290,52 @@ def _context_parts(context, rho_members):
         raise DomainMismatch(
             "context must be None, a (parents, shared) pair of mappings, or "
             "a dict with 'parents' and 'shared' mappings")
-    pair_of = {}
-    for k in rho_members:
-        for name in (k, "%s.%s" % k, k[1]):
-            pair_of.setdefault(name, k)
-    return parents, {pair_of.get(n, n): v for n, v in shared.items()}
-
-
-def _context_key(context, split, clusters):
-    """The (parent labels, response class) key of ``split``'s reference
-    tables for a context. The context must give a label of every parent
-    cluster, checked against ``clusters`` (name -> Cluster), and a value of
-    every shared noise member; other entries are ignored."""
-    parents, shared = _context_parts(context, split.rho_members)
+    for name, token in parents.items():
+        if name not in clusters:
+            raise UnknownVariable("unknown cluster %r in context" % (name,),
+                                  cluster=name)
+        parents[name] = _match_value(str(token), clusters[name].labels(),
+                                     "value of cluster %s" % name)
+    unit = {}
+    for name, token in shared.items():
+        keys = [k for k in split.rho_members
+                if name in (k, "%s.%s" % k, k[1])]
+        if len(keys) != 1:
+            raise UnknownVariable(
+                ("%r is not a shared noise member of %s" if not keys else
+                 "shared noise member name %r is ambiguous in %s; name it "
+                 "as 'block.member'") % (name, split.name), member=name)
+        unit[keys[0]] = _match_value(str(token),
+                                     scm.member_index[keys[0]].domain,
+                                     "value of %s.%s" % keys[0])
+    if not complete:
+        return None
     for p in split.parents:
         if p not in parents:
             raise DomainMismatch(
                 "context must give a value for parent cluster %r" % p,
                 cluster=p)
-        clusters[p].fiber(parents[p])  # rejects an unknown label
     for k in split.rho_members:
-        if k not in shared:
+        if k not in unit:
             raise DomainMismatch(
                 "context must give a value for shared noise member %s.%s"
                 % k, member=k)
-    joint = tuple(shared[k] for k in split.rho_members)
+    joint = tuple(unit[k] for k in split.rho_members)
     if joint and joint not in split.rho_classes:
+        # a loaded document may list fewer classes than the domains allow
         raise DomainMismatch(
             "shared values %r are outside the block domains" % (joint,))
-    return split.context(parents, shared)
+    return split.context(parents, unit)
 
 
 def sigma_distribution(scm, cm, cluster, label, policy="general",
                        context=None, budget=None, fallback=None):
     """Exact reference distribution over a cluster value's member tuples in
-    one context. Raises ImpossibleContext when the context has probability
-    zero under the model (unless ``fallback='uniform'``)."""
+    one context (see _context_key). Raises ImpossibleContext when the
+    context has probability zero (unless ``fallback='uniform'``)."""
     split = sigma_machinery(scm, cm, cluster, policy, budget, fallback)
     probs = _context_probs(split.sigma[label],
-                           _context_key(context, split, cm.by_name),
+                           _context_key(context, split, cm.by_name, scm),
                            cluster, label)
     return dict(zip(split.fiber(label), probs))
 
@@ -377,14 +399,6 @@ def resolve_sigma(scm, cm, query, policy="general", budget=None,
                 % (marker.cluster, marker.label),
                 cluster=marker.cluster, label=marker.label)
         breaks, cell_map = split.grid(marker.label)
-        parents = tuple(
-            ParentContext(cluster=p, members=tuple(cm.by_name[p].members),
-                          value_of=dict(cm.by_name[p]._label_of))
-            for p in split.parents)
-        rho = None
-        if split.rho_members:
-            rho = RhoContext(member_keys=split.rho_members,
-                             class_of=split.rho_classes)
         # the machinery content the cells are drawn from, so atoms from
         # different models or policies never share a draw by accident; a
         # frozenset keeps its hash, so the key stays cheap to look up
@@ -392,9 +406,9 @@ def resolve_sigma(scm, cm, query, policy="general", budget=None,
                      split.parents, frozenset(ctx_tables.items()))
         return SoftIntervention(
             targets=tuple(split.members), share_key=share_key,
-            candidates=tuple(split.fiber(marker.label)),
-            tables=dict(ctx_tables), breaks=breaks, cell_map=cell_map,
-            parents=parents, rho=rho,
+            candidates=tuple(split.fiber(marker.label)), breaks=breaks,
+            cell_map=cell_map, **split.readers(lambda p: (
+                cm.by_name[p].members, dict(cm.by_name[p]._label_of))),
             label="%s=%s" % (marker.cluster, marker.label))
 
     return _resolve_markers(query, atom_for)
@@ -428,6 +442,19 @@ class DeltaSplit(Cluster):
         if self.rho_members:
             cls = self.rho_classes[tuple(unit[k] for k in self.rho_members)]
         return tuple(labels[g] for g in self.parents), cls
+
+    def readers(self, read):
+        """The context readers of a stochastic intervention drawn from these
+        tables, as SoftIntervention keyword arguments: a ParentContext per
+        parent cluster p, from ``read(p)``, the variables p is read off and
+        the label of each of their joint values; and the response-class
+        reader of the shared noise members."""
+        rho = None
+        if self.rho_members:
+            rho = RhoContext(member_keys=self.rho_members,
+                             class_of=self.rho_classes)
+        return {"parents": tuple(ParentContext(*read(p))
+                                 for p in self.parents), "rho": rho}
 
     def grid(self, label):
         """The cell breakpoints shared by ``label``'s sigma tables and each
@@ -682,9 +709,11 @@ def resolve_sigma_high(high, query):
     redraws the disambiguation members its children read: one fresh draw on
     the label's cell grid, shared by every marker with the same cluster and
     label, mapped into each context's member through the cell map the
-    label's sigma table gives that context. This matches the sharing
-    semantics of resolving the same markers against the low-level
-    model."""
+    label's sigma table gives that context. The cluster reads its own
+    context (its parent clusters and shared noise) as resolve_sigma's atom
+    does, so a world whose context has no sigma table is undefined. This
+    matches the sharing semantics of resolving the same markers against
+    the low-level model."""
     def atom_for(marker):
         if marker.cluster not in high.splits:
             raise UnknownVariable("unknown cluster %r" % marker.cluster,
@@ -695,14 +724,14 @@ def resolve_sigma_high(high, query):
         breaks, cell_map = split.grid(marker.label)
         exo_cells = {(split.block, mname): cell_map[ctx]
                      for ctx, mname in split.component[marker.label].items()}
-        ctx0 = ((), None)
         return SoftIntervention(
             targets=(marker.cluster,),
             share_key=("sigma-high", marker.cluster, str(marker.label)),
-            candidates=((marker.label,),),
-            tables={ctx0: (Fraction(1),)},
-            breaks=breaks, cell_map={ctx0: (0,) * (len(breaks) - 1)},
-            exo_cells=exo_cells,
+            candidates=((marker.label,),), breaks=breaks,
+            cell_map={ctx: (0,) * len(cells)
+                      for ctx, cells in cell_map.items()},
+            exo_cells=exo_cells, **split.readers(lambda p: (
+                (p,), {(v,): v for v in high.splits[p].labels()})),
             label="%s=%s" % (marker.cluster, marker.label))
 
     return _resolve_markers(query, atom_for)
@@ -743,21 +772,19 @@ def disambiguation_bounds(scm, cm, cluster, label, outcome, budget=None):
 
 def projected_sample(high, cluster, label, context=None, seed=0, n=None):
     """Draw member tuples for one cluster value from the stored reference
-    table of the matching context. With ``n=None`` a single tuple is
-    returned, otherwise a list of ``n`` tuples. Draws are reproducible for
-    a fixed seed."""
+    table of the matching context (see _context_key; a value with one
+    member tuple needs no complete context, but every entry given is
+    checked). With ``n=None`` a single tuple is returned, otherwise a list
+    of ``n`` tuples. Draws are reproducible for a fixed seed."""
     if n is not None and int(n) < 0:
         raise DomainMismatch("sample size must not be negative, got %d" % n)
     if cluster not in high.splits:
         raise UnknownVariable("unknown cluster %r" % cluster, cluster=cluster)
     split = high.splits[cluster]
     fiber = split.fiber(label)
-    if len(fiber) == 1:
-        probs = (Fraction(1),)
-    else:
-        probs = _context_probs(split.sigma.get(label, {}),
-                               _context_key(context, split, high.splits),
-                               cluster, label)
+    ctx = _context_key(context, split, high.splits, high.scm, len(fiber) > 1)
+    probs = (Fraction(1),) if ctx is None else _context_probs(
+        split.sigma.get(label, {}), ctx, cluster, label)
     cum = []
     acc = Fraction(0)
     for p in probs:

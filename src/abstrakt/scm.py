@@ -29,8 +29,8 @@ from .errors import (
 
 DEFAULT_BUDGET = 10_000_000
 BUDGET_ENV = "ABSTRAKT_BUDGET"
-# Entries a per-model cache (solved worlds, enumerated exogenous states)
-# holds at most; a pass beyond it is enumerated afresh on every call.
+# Entries a per-model cache (solved worlds, live noise members) holds at
+# most; past it, new entries are computed afresh on every call.
 CACHE_LIMIT = 1_000_000
 
 
@@ -182,8 +182,6 @@ class DiscreteScm:
         self._topo = None
         self.block_position = {b.name: i for i, b in enumerate(self.blocks)}
         self._rows = None
-        self._states = {}   # block positions -> kept (index, weight) pairs
-        self._held = 0      # states kept over all block subsets
         self._world_cache = {}
         self._world_terms = {}
         self._live = {}     # (variable, pinned parents) -> live noise
@@ -284,29 +282,10 @@ class DiscreteScm:
         block), in block-row product order with blocks in ascending
         position. The index tuple holds one row index per chosen block; the
         weight is an integer, the state's probability times
-        exogenous_denominator(blocks). Complete passes are kept per block
-        subset while the states kept over all subsets number at most
-        CACHE_LIMIT, and later passes replay them."""
-        key = self._positions(blocks)
-        kept = self._states.get(key)
-        if kept is not None:
-            return iter(kept)
-        return self._walk(key)
-
-    def _walk(self, key):
-        all_weights = self._block_rows()[1]
-        weights = [all_weights[i] for i in key]
-        size = self.exogenous_support_size(key)
-        keep = [] if self._held + size <= CACHE_LIMIT else None
-        for state in zip(product(*(range(len(w)) for w in weights)),
-                         map(math.prod, product(*weights))):
-            if keep is not None:
-                keep.append(state)
-            yield state
-        if (keep is not None and key not in self._states
-                and self._held + size <= CACHE_LIMIT):
-            self._states[key] = keep
-            self._held += size
+        exogenous_denominator(blocks). Every pass walks the rows afresh."""
+        weights = [self._block_rows()[1][i] for i in self._positions(blocks)]
+        return zip(product(*(range(len(w)) for w in weights)),
+                   map(math.prod, product(*weights)))
 
     def exogenous_assignment(self, blocks, idx):
         """The (block, member) -> value assignment of the state whose row

@@ -32,8 +32,6 @@ from .scm import (
     CACHE_LIMIT,
     Diagram,
     check_budget,
-    format_decimal,
-    format_rational,
     topological_order,
 )
 
@@ -51,7 +49,6 @@ class ParentContext:
     """Reads one high-level parent value out of a partially evaluated world:
     the member variables' joint value is mapped to its cluster label."""
 
-    cluster: str
     members: tuple
     value_of: object  # mapping from member-value tuple to label
 
@@ -69,10 +66,11 @@ class RhoContext:
 class SoftIntervention:
     """A stochastic assignment to a tuple of variables.
 
-    ``tables`` maps a context key (parent labels, response class) to a
-    probability tuple over ``candidates``. ``breaks`` are the cumulative
-    cell boundaries shared by all contexts; ``cell_map`` gives, per context,
-    the candidate index selected by each cell. ``exo_cells`` optionally maps
+    ``breaks`` are the cell boundaries shared by all contexts; ``cell_map``
+    gives, per context key (the parent labels ``parents`` read and the
+    response class ``rho`` reads), the index into ``candidates`` that each
+    cell selects. A context without a cell map has no reference mass: a
+    world that meets it is undefined. ``exo_cells`` optionally maps
     exogenous member keys to per-cell values: in the world this atom acts
     on, those members are replaced with the value selected by the atom's
     drawn cell, so downstream mechanisms that read them see a fresh draw
@@ -82,7 +80,6 @@ class SoftIntervention:
     targets: tuple
     share_key: tuple
     candidates: tuple
-    tables: dict
     breaks: tuple
     cell_map: dict
     parents: tuple = ()
@@ -119,12 +116,10 @@ def constant_soft_intervention(targets, candidates, probs, share_key, label=""):
     probs = tuple(Fraction(p) for p in probs)
     if sum(probs, Fraction(0)) != 1:
         raise DomainMismatch("stochastic intervention weights must sum to 1")
-    tables = {((), None): probs}
-    breaks, cell_map = _cell_grid(tables)
+    breaks, cell_map = _cell_grid({((), None): probs})
     return SoftIntervention(targets=tuple(targets), share_key=share_key,
                             candidates=tuple(tuple(c) for c in candidates),
-                            tables=tables, breaks=breaks, cell_map=cell_map,
-                            label=label)
+                            breaks=breaks, cell_map=cell_map, label=label)
 
 
 @dataclass(frozen=True)
@@ -171,15 +166,6 @@ class DistributionTable:
 
     def prob(self, values):
         return self.probs.get(tuple(values), Fraction(0))
-
-    def to_payload(self):
-        entries = []
-        for values in sorted(self.probs, key=repr):
-            p = self.probs[values]
-            entries.append({"values": list(values),
-                            "rational": format_rational(p),
-                            "decimal": format_decimal(p)})
-        return {"variables": list(self.variables), "entries": entries}
 
 
 def normalize_unit(scm, u):
@@ -532,8 +518,8 @@ def _draws(scm, terms, budget, blocks):
     atoms = {}
     for a in (a for t in terms for a in t.soft):
         known = atoms.setdefault(a.share_key, a)
-        if known is not a and (known.tables != a.tables
-                               or known.candidates != a.candidates):
+        if (known.breaks, known.cell_map, known.candidates) != \
+                (a.breaks, a.cell_map, a.candidates):
             raise DomainMismatch(
                 "two stochastic interventions share key %r but disagree"
                 % (a.share_key,))

@@ -3,13 +3,14 @@
 import json
 import random
 from fractions import Fraction
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import abstrakt as ab
 from abstrakt import valuation
-from conftest import (binary_block, build_lossy_chain, fixture_path,
+from conftest import (atom, binary_block, build_lossy_chain, fixture_path,
                       identity_clusters, term, query)
 
 
@@ -237,6 +238,66 @@ class TestQueryTranslation:
             ab.OutcomeAtom(("X",), frozenset({("x1",), ("x3",)})),))
         with pytest.raises(ab.NotClusterUnion):
             ab.translate_query(insurance_cm, query([t]))
+
+    @pytest.mark.parametrize("name", ["insurance", "cholesterol", "hospital"])
+    def test_translate_undoes_lower_and_resolve(self, name):
+        """translate_query(cm, resolve_sigma(low, cm, lower_query(cm, q)))
+        gives q back, with a setting of a label of several member tuples,
+        tilde or hard, as a SigmaMarker and any other as a hard setting."""
+        low = ab.load_scm(fixture_path(name + ".json"))
+        cm = ab.load_clusters(low, fixture_path(name + "_clusters.json"))
+        for o, i in permutations(cm.clusters, 2):
+            given = ab.QueryTerm(outcomes=(atom(i.name, i.labels()[0]),))
+            for ol, cv, tilde in product(o.labels(), i.values, (True, False)):
+                setting = ab.HardIntervention(i.name, cv.label)
+                marker = ab.SigmaMarker(i.name, cv.label)
+                lossy = len(cv.tuples) > 1
+                q = query([ab.QueryTerm(
+                    outcomes=(atom(o.name, ol),),
+                    hard=() if tilde else (setting,),
+                    soft=(marker,) if tilde else ())], [given])
+                back = ab.translate_query(cm, ab.resolve_sigma(
+                    low, cm, ab.lower_query(cm, q)))
+                t, g = back.terms[0], back.conditioning[0]
+                assert (t.hard, t.soft) == (((), (marker,)) if lossy
+                                            else ((setting,), ()))
+                assert [(oc.variables, oc.accepted) for oc in t.outcomes] \
+                    == [((o.name,), {(ol,)})]
+                assert (g.hard, g.soft) == ((), ())
+                assert g.outcomes[0].accepted == {(i.labels()[0],)}
+
+    def test_translated_tilde_keeps_its_fresh_draw(self, insurance,
+                                                  insurance_cm,
+                                                  insurance_high):
+        """P(Y[~XH=xC]=1, Y=1) is 2503/5000 on the low model, and on the
+        projected one after translate_query: the tilde world draws a member
+        afresh instead of pinning XH to xC."""
+        q = query([ab.QueryTerm(outcomes=(atom("Y", 1),),
+                                soft=(ab.SigmaMarker("XH", "xC"),)),
+                   ab.QueryTerm(outcomes=(atom("Y", 1),))])
+        low_q = ab.resolve_sigma(insurance, insurance_cm,
+                                 ab.lower_query(insurance_cm, q))
+        assert ab.prob_query(insurance, low_q) == Fraction(2503, 5000)
+        high_q = ab.translate_query(insurance_cm, low_q)
+        assert ab.prob_query(insurance_high.scm, ab.resolve_sigma_high(
+            insurance_high, high_q)) == Fraction(2503, 5000)
+
+    def test_translate_rejects_unaligned_interventions(self, cholesterol,
+                                                       cholesterol_cm):
+        """A hard setting of part of a cluster or of no cluster's member, a
+        stochastic intervention whose candidates are no cluster value, and
+        anything else are refused."""
+        y1 = (atom("Y", 1),)
+        for hard, soft in (
+                ((ab.HardIntervention("HDL", 0),), ()),
+                ((ab.HardIntervention("W", 0),), ()),
+                ((), (ab.constant_soft_intervention(
+                    ("HDL", "LDL"), [(0, 0), (1, 1)], [Fraction(1, 2)] * 2,
+                    share_key="half"),)),
+                ((), ("X=1",))):
+            with pytest.raises(ab.NotClusterUnion):
+                ab.translate_query(cholesterol_cm, query([ab.QueryTerm(
+                    outcomes=y1, hard=hard, soft=soft)]))
 
     def test_lower_singleton_label_is_hard(self, insurance_cm):
         high = query([term([("Y", 1)], [("XH", "xE")])])

@@ -2,8 +2,9 @@
 binds a local it never reads or gives a module-level private function a
 parameter it never reads, no module-level private name of the package
 goes unread, exact sums walk the exogenous states in one loop, the
-evaluator names no reference policy, and importing the package loads
-nothing outside the standard library."""
+evaluator names no reference policy, the CLI reads no reference-table
+context, and importing the package loads nothing outside the standard
+library."""
 
 import ast
 import io
@@ -242,6 +243,17 @@ def test_valuation_knows_no_reference_policy():
     only reads the tables it is given."""
     with open(os.path.join(PACKAGE, "valuation.py"), encoding="utf-8") as fh:
         assert identifier_lines(fh.read(), "fallback") == []
+
+
+def test_cli_reads_no_context():
+    """A context given for a reference table is bound and checked in
+    projection alone (projection._context_key), for the CLI and library
+    callers alike, so the CLI names neither the shared noise members of a
+    split nor a context parser."""
+    with open(os.path.join(PACKAGE, "cli.py"), encoding="utf-8") as fh:
+        source = fh.read()
+    for name in ("rho_members", "_context_parts"):
+        assert identifier_lines(source, name) == []
 
 
 def test_cold_import_loads_the_standard_library_only():

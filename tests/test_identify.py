@@ -2,11 +2,12 @@
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 import abstrakt as ab
-from conftest import build_dag_model, term, query
+from conftest import binary_block, build_dag_model, term, query
 
 
 def backdoor_graph():
@@ -21,6 +22,43 @@ def bow_graph():
 def frontdoor_graph():
     return ab.make_graph(("X", "M", "Y"),
                          (("X", "M"), ("M", "Y")), (("X", "Y"),))
+
+
+def two_confounder_model(rng):
+    """V0 -> V1 -> V2 -> V3 with V0 <-> V2 and V0 <-> V3: binary variables,
+    each with a private noise block, and two correlated blocks, S1 read by
+    V0 and V2 and S2 read by V0 and V3. Each mechanism adds its noise to a
+    drawn function of its parent, mod 2."""
+    shared = {"V0": [("S1", "a"), ("S2", "a")], "V2": [("S1", "b")],
+              "V3": [("S2", "b")]}
+    blocks = [binary_block("U%d" % i, Fraction(rng.randint(1, 9), 10))
+              for i in range(4)]
+    for name in ("S1", "S2"):
+        weights = [rng.randint(1, 5) for _ in range(4)]
+        blocks.append({
+            "name": name,
+            "members": [{"name": m, "domain": [0, 1]} for m in "ab"],
+            "table": [{"values": list(v), "p": str(Fraction(w, sum(weights)))}
+                      for v, w in zip(product([0, 1], repeat=2), weights)]})
+    mechanisms = []
+    for i in range(4):
+        name = "V%d" % i
+        parents = ["V%d" % (i - 1)] if i else []
+        exo = [("U%d" % i, "u")] + shared.get(name, [])
+        rows = []
+        for combo in product([0, 1], repeat=len(parents)):
+            base = rng.randrange(2)
+            rows += [{"parents": list(combo) + list(noise),
+                      "out": (base + sum(noise)) % 2}
+                     for noise in product([0, 1], repeat=len(exo))]
+        mechanisms.append({"variable": name, "endo_parents": parents,
+                           "exo_parents": [{"block": b, "member": m}
+                                           for b, m in exo],
+                           "table": rows})
+    return ab.validate_scm({
+        "endogenous": [{"name": "V%d" % i, "domain": [0, 1]}
+                       for i in range(4)],
+        "blocks": blocks, "mechanisms": mechanisms})
 
 
 def confounded_mediator_model():
@@ -230,6 +268,24 @@ class TestIdentifyEffect:
         want = ab.prob_query(scm, query([term([("Y", 1)], [("X", 1)])],
                                         [term([("Z", 0)])]))
         assert got == want
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_product_of_conditionals(self, seed):
+        """On V0 -> V1 -> V2 -> V3 with V0 <-> V2 and V0 <-> V3, ID
+        identifies P(V3 | do(Vi)) through lookups in a product of
+        conditionals of the observational joint; each estimand, evaluated on
+        the exact joint, equals the model's answer."""
+        scm = two_confounder_model(random.Random(seed))
+        g = ab.make_graph(scm.variable_names(),
+                          (("V0", "V1"), ("V1", "V2"), ("V2", "V3")),
+                          (("V0", "V2"), ("V0", "V3")))
+        table = ab.joint_distribution(scm, scm.variable_names())
+        for i, x, y in product(range(3), (0, 1), (0, 1)):
+            dec = ab.identify_effect(g, ab.IdQuery(outcome={"V3": y},
+                                                   do={"V%d" % i: x}))
+            assert dec.identifiable
+            assert ab.evaluate_estimand(dec.estimand, table) == ab.prob_query(
+                scm, query([term([("V3", y)], [("V%d" % i, x)])]))
 
     def test_empty_do_is_marginal(self):
         rng = random.Random(3)

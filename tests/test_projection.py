@@ -200,18 +200,115 @@ class TestSigmaDistribution:
     def test_unknown_parent_label(self, insurance, insurance_cm,
                                   insurance_high):
         """sigma_distribution and projected_sample read a context's parent
-        labels alike: an unknown one is an UnknownHighValue, with or without
-        the uniform fallback."""
+        labels alike, and as the CLI does: an unknown one is a
+        DomainMismatch, with or without the uniform fallback."""
         bogus = {"parents": {"Z": "bogus"}}
         uniform = ab.construct_projected_abstraction(
             insurance, insurance_cm, fallback="uniform")
         for fallback in (None, "uniform"):
-            with pytest.raises(ab.UnknownHighValue):
+            with pytest.raises(ab.DomainMismatch):
                 ab.sigma_distribution(insurance, insurance_cm, "XH", "xC",
                                       context=bogus, fallback=fallback)
         for high in (insurance_high, uniform):
-            with pytest.raises(ab.UnknownHighValue):
+            with pytest.raises(ab.DomainMismatch):
                 ab.projected_sample(high, "XH", "xC", context=bogus)
+
+    def test_context_entries_are_checked(self, insurance, insurance_cm,
+                                         insurance_high):
+        """sigma_distribution and projected_sample refuse every entry that
+        `sample --context` refuses, even where the entry is not needed:
+        an unknown cluster, a shared name that is no shared noise member of
+        the cluster, or any bad entry given with a one-tuple label."""
+        for context, error in (
+                ({"parents": {"Z": "z1", "Nope": "q"}}, ab.UnknownVariable),
+                ({"parents": {"Z": "z1"}, "shared": {"bogus": 3}},
+                 ab.UnknownVariable),
+                ({"parents": {"Z": "z1", "Y": "bogus"}}, ab.DomainMismatch),
+                (5, ab.DomainMismatch)):
+            with pytest.raises(error):
+                ab.sigma_distribution(insurance, insurance_cm, "XH", "xC",
+                                      context=context)
+            for label in ("xC", "xE"):
+                with pytest.raises(error):
+                    ab.projected_sample(insurance_high, "XH", label,
+                                        context=context)
+
+    def test_shared_member_names(self, tmp_path):
+        """A shared noise member is named by its (block, member) pair, as
+        'block.member' or by a bare name no other shared member of the
+        cluster has; a bare name that several have is refused, by the
+        library and the CLI alike, and a value must lie in the member's
+        domain. Labels and values also match by their text."""
+        model_doc, cluster_doc = twin_shared_docs()
+        low = ab.validate_scm(model_doc)
+        cm = ab.validate_clusters(low, cluster_doc)
+        high = ab.construct_projected_abstraction(low, cm)
+        assert high.splits["XH"].rho_members == (("S1", "u"), ("S2", "u"))
+        want = ab.sigma_distribution(low, cm, "XH", "lo", context={
+            "shared": {("S1", "u"): 0, ("S2", "u"): 0}})
+        assert want == {(0,): Fraction(1, 2), (1,): Fraction(1, 2)}
+        for shared in ({"S1.u": 0, "S2.u": 0}, {"S1.u": "0", "S2.u": "0"}):
+            assert ab.sigma_distribution(
+                low, cm, "XH", "lo", context={"shared": shared}) == want
+            assert ab.projected_sample(high, "XH", "lo", ({}, shared), 3, 8) \
+                == ab.projected_sample(high, "XH", "lo", ({}, {
+                    ("S1", "u"): 0, ("S2", "u"): 0}), 3, 8)
+        for shared, error in (({"u": 0}, ab.UnknownVariable),
+                              ({"S1.u": 0, "S2.u": 2}, ab.DomainMismatch)):
+            with pytest.raises(error):
+                ab.sigma_distribution(low, cm, "XH", "lo",
+                                      context={"shared": shared})
+            with pytest.raises(error):
+                ab.projected_sample(high, "XH", "lo",
+                                    context={"shared": shared})
+        path = str(tmp_path / "high.json")
+        ab.save_high(high, path)
+        r = run(["sample", "--high", path, "--value", "XH=lo",
+                 "--context", '{"shared": {"u": 0}}'])
+        assert r.exit_code == 2
+        assert "ambiguous" in r.payload["error"]["message"]
+
+
+def twin_shared_docs():
+    """X is the sum of three binary noise members, each named u: its own
+    (block UX), one of S1, which Y also reads, and one of S2, which W
+    also reads. XH merges 0 and 1 into lo and 2 and 3 into hi; YH and WH
+    are identities. Under the general policy XH's shared noise members
+    are S1.u and S2.u, so the bare name u names both. Returns the model
+    and cluster documents."""
+    def block(name):
+        return {"name": name, "members": [{"name": "u", "domain": [0, 1]}],
+                "table": [{"values": [v], "p": "1/2"} for v in (0, 1)]}
+
+    def identity(name, member):
+        return {"name": name, "members": [member], "values": [
+            {"label": v, "tuples": [[v]]} for v in (0, 1)]}
+
+    model = {
+        "endogenous": [{"name": "X", "domain": [0, 1, 2, 3]},
+                       {"name": "Y", "domain": [0, 1]},
+                       {"name": "W", "domain": [0, 1]}],
+        "blocks": [block("UX"), block("S1"), block("S2")],
+        "mechanisms": [
+            {"variable": "X", "endo_parents": [],
+             "exo_parents": [{"block": b, "member": "u"}
+                             for b in ("UX", "S1", "S2")],
+             "table": [{"parents": list(us), "out": sum(us)}
+                       for us in product((0, 1), repeat=3)]},
+            {"variable": "Y", "endo_parents": ["X"],
+             "exo_parents": [{"block": "S1", "member": "u"}],
+             "table": [{"parents": [x, s], "out": s ^ int(x >= 2)}
+                       for x in range(4) for s in (0, 1)]},
+            {"variable": "W", "endo_parents": [],
+             "exo_parents": [{"block": "S2", "member": "u"}],
+             "table": [{"parents": [s], "out": s} for s in (0, 1)]},
+        ],
+    }
+    return model, {"clusters": [
+        {"name": "XH", "members": ["X"], "values": [
+            {"label": "lo", "tuples": [[0], [1]]},
+            {"label": "hi", "tuples": [[2], [3]]}]},
+        identity("YH", "Y"), identity("WH", "W")]}
 
 
 def excluded_mediator_docs():

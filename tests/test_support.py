@@ -335,26 +335,6 @@ class TestSupportContract:
         assert [a for a, _b in pairs] == list(model.exogenous_support())
         assert len(pairs) == 144
 
-    def test_memo_limit(self, insurance, monkeypatch):
-        """A complete pass is replayed later unless the support is larger
-        than the cache limit, in which case every pass builds anew. The
-        memo keeps index tuples and weights; assignments are built on every
-        pass."""
-        model = fresh(insurance)
-        first = list(model.exogenous_support())
-        assert model._states == {tuple(range(6)): [(i, w) for i, _u, w in first]}
-        again = list(model.exogenous_support())
-        assert first == again
-        assert all(a[0] is b[0] for a, b in zip(first, again))
-        assert all(a[1] is not b[1] for a, b in zip(first, again))
-        monkeypatch.setattr(scm_module, "CACHE_LIMIT", 100)
-        model = fresh(insurance)
-        first = list(model.exogenous_support())
-        again = list(model.exogenous_support())
-        assert first == again
-        assert all(a[0] is not b[0] for a, b in zip(first, again))
-        assert model._states == {}
-
 
 class TestBudgetGate:
     N_BLOCKS = 24
@@ -1090,6 +1070,8 @@ class TestCompiledWorlds:
 
 
 class TestSubsetMemo:
+    """Passes over subsets of the blocks."""
+
     SUBSETS = ((1, 2), (0, 3, 5), (4,), (), (0, 1, 2, 3, 4, 5))
 
     def test_sub_supports_marginalise_the_full_support(self, insurance):
@@ -1122,20 +1104,6 @@ class TestSubsetMemo:
         mixed = list(zip(model.exogenous_support((1, 2)),
                          fresh(insurance).exogenous_support((1, 2))))
         assert all(a == b for a, b in mixed) and len(mixed) == 9
-
-    def test_states_held_stay_within_limit(self, insurance, monkeypatch):
-        monkeypatch.setattr(scm_module, "CACHE_LIMIT", 30)
-        model = fresh(insurance)
-        for blocks in self.SUBSETS * 2:
-            passes = [list(model.exogenous_support(blocks)),
-                      list(model.exogenous_support(blocks))]
-            assert passes[0] == passes[1]
-            held = sum(map(len, model._states.values()))
-            assert held == model._held <= 30
-        # (1, 2): 9, (0, 3, 5): 8, (4,): 2 and (): 1 state fit; the
-        # 144-state full support does not
-        assert sorted(model._states) == [(), (0, 3, 5), (1, 2), (4,)]
-        assert model._held == 20
 
 
 # ---------------------------------------------------------------------------
@@ -1372,9 +1340,9 @@ def order_cases(draw):
     and a query of one to three cluster-level terms, conditioned on up to
     two, each an outcome on one cluster, mostly under a tilde setting of
     the lossy cluster, at times under a hard setting of another cluster;
-    mostly lowered and resolved on the low model (the projected model
-    fills contexts with no reference mass, so its worlds are never
-    undefined), else asked of the projected one, under a drawn policy."""
+    mostly lowered and resolved on the low model, else asked of the
+    projected one, under a drawn policy. On both, a tilde world that
+    meets a context with no reference mass is undefined."""
     if draw(st.booleans()):
         low, cm = build_lossy_chain(
             random.Random(draw(st.integers(0, 2 ** 32))), draw(st.booleans()),
@@ -1420,8 +1388,9 @@ class TestOrderInvariance:
     def test_dead_context_model(self, tmp_path):
         """Both term orders of P(ZH=z1, YH[~XH=xC]=1) give 5/24, and
         P(YH[~XH=xC]=1 | ZH=z1) 5/12, on the low model and on the
-        projected one; P(YH[~XH=xC]=1) alone is undefined on the low
-        model."""
+        projected one; P(YH[~XH=xC]=1) alone is undefined on both, since
+        xC has no reference mass where ZH=z2, and 5/12 on both under the
+        agnostic policy, which reads no context."""
         model, cm = dead_context_model()
         z1 = ab.QueryTerm(outcomes=(cluster_atom(cm.cluster("ZH"), "z1"),))
         y1 = ab.QueryTerm(outcomes=(cluster_atom(cm.cluster("YH"), 1),),
@@ -1443,6 +1412,16 @@ class TestOrderInvariance:
                 cm, query([y1])), policy=policy)
             with pytest.raises(ab.ImpossibleContext):
                 ab.prob_query(model, alone)
+            with pytest.raises(ab.ImpossibleContext):
+                ab.prob_query(high.scm,
+                              ab.resolve_sigma_high(high, query([y1])))
+        high = ab.construct_projected_abstraction(model, cm,
+                                                  policy="agnostic")
+        assert ab.prob_query(high.scm, ab.resolve_sigma_high(
+            high, query([y1]))) == Fraction(5, 12)
+        assert ab.prob_query(model, ab.resolve_sigma(
+            model, cm, ab.lower_query(cm, query([y1])),
+            policy="agnostic")) == Fraction(5, 12)
         paths = [str(tmp_path / "m.json"), str(tmp_path / "c.json")]
         for path, doc in zip(paths, dead_context_docs()):
             with open(path, "w", encoding="utf-8") as fh:
