@@ -17,7 +17,6 @@ from itertools import combinations, product
 from .errors import (
     CyclicDependencies,
     DomainMismatch,
-    IncompleteAssignment,
     IncompleteValuePartition,
     InadmissibleClustering,
     NotClusterUnion,
@@ -237,41 +236,6 @@ def load_clusters(scm, path):
         return validate_clusters(scm, json.load(fh))
 
 
-def apply_tau(cm, assignment):
-    """Map a low-level assignment to the labels of every cluster it fully
-    covers. Partially covered clusters raise IncompleteAssignment."""
-    out = {}
-    for c in cm.clusters:
-        present = [m for m in c.members if m in assignment]
-        if not present:
-            continue
-        if len(present) != len(c.members):
-            raise IncompleteAssignment(
-                "assignment covers only part of cluster %r" % c.name,
-                cluster=c.name)
-        out[c.name] = c.label_of(tuple(assignment[m] for m in c.members))
-    return out
-
-
-def preimage(cm, high_assignment):
-    """All low-level assignments mapping to the given labels, in canonical
-    order (clusters in declaration order, fibers in domain order)."""
-    chosen = [c for c in cm.clusters if c.name in high_assignment]
-    known = {c.name for c in chosen}
-    for name in high_assignment:
-        if name not in known:
-            raise UnknownVariable("unknown cluster %r" % name, cluster=name)
-    out = []
-    fibers = [c.fiber(high_assignment[c.name]) for c in chosen]
-    for combo in product(*fibers):
-        low = {}
-        for c, joint in zip(chosen, combo):
-            for m, val in zip(c.members, joint):
-                low[m] = val
-        out.append(low)
-    return out
-
-
 @dataclass
 class AicWitness:
     """Evidence that a parent cluster's internal distinction is visible
@@ -293,7 +257,6 @@ class AicReport:
     violators: tuple
     witnesses: dict
     scm: object  # the working model the check ran on (after projection)
-    cm: object
 
 
 def _working_model(scm, covered, budget=None):
@@ -405,17 +368,18 @@ def check_aic(scm, cm, budget=None):
             violators.append(ci.name)
             witnesses[ci.name] = found
     return AicReport(violators=tuple(violators), witnesses=witnesses,
-                     scm=working, cm=cm)
+                     scm=working)
 
 
 def _term_interventions_to_high(cm, term):
     """Translate a term's interventions to cluster-level ones, the reverse
     of lower_query: a hard setting of every member of a cluster becomes a
-    hard setting of the cluster's label, and a SigmaMarker, or a stochastic
-    intervention that resolve_sigma made for a cluster value, becomes a
-    SigmaMarker on a label with several member tuples and a hard setting on
-    a singleton label. Returns the hard labels by cluster and the
-    markers."""
+    hard setting of the cluster's label if that label covers that one
+    member tuple alone (NotClusterUnion otherwise), and a SigmaMarker, or a
+    stochastic intervention that resolve_sigma made for a cluster value,
+    becomes a SigmaMarker on a label with several member tuples and a hard
+    setting on a singleton label. Returns the hard labels by cluster and
+    the markers."""
     by_cluster = {}
     loose = {}
     for h in term.hard:
@@ -432,7 +396,14 @@ def _term_interventions_to_high(cm, term):
             raise NotClusterUnion(
                 "intervention covers only part of cluster %r" % c.name,
                 cluster=c.name)
-        by_cluster[c.name] = c.label_of(tuple(loose[m] for m in c.members))
+        joint = tuple(loose[m] for m in c.members)
+        label = c.label_of(joint)
+        if len(c.fiber(label)) > 1:
+            raise NotClusterUnion(
+                "hard setting %r of cluster %r is one of several member "
+                "tuples of %s=%s; no cluster setting represents it"
+                % (joint, c.name, c.name, label), cluster=c.name)
+        by_cluster[c.name] = label
     markers = []
     for a in term.soft:
         if isinstance(a, SoftIntervention):
@@ -481,9 +452,7 @@ def _outcomes_to_high(cm, outcomes):
                 "outcome on cluster %r accepts a set that is not a union of "
                 "its labeled values" % home.name, cluster=home.name)
         high.append(OutcomeAtom(variables=(home.name,),
-                                accepted=frozenset((l,) for l in labels),
-                                label="%s in {%s}" % (home.name,
-                                                      ", ".join(map(str, labels)))))
+                                accepted=frozenset((l,) for l in labels)))
     return tuple(high)
 
 
@@ -546,8 +515,7 @@ def lower_query(cm, query):
             for (label,) in oc.accepted:
                 accepted |= set(c.fiber(label))
             outcomes.append(OutcomeAtom(
-                variables=tuple(c.members), accepted=frozenset(accepted),
-                label=oc.label or c.name))
+                variables=tuple(c.members), accepted=frozenset(accepted)))
         return QueryTerm(outcomes=tuple(outcomes), hard=tuple(hard),
                          soft=tuple(soft))
     return query.map_terms(lower_term)

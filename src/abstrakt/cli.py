@@ -13,7 +13,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache, partial
 
 from .errors import (
@@ -47,6 +47,8 @@ from .abstraction import (
     lower_query,
 )
 from .projection import (
+    FALLBACKS,
+    POLICIES,
     _match_value,
     construct_projected_abstraction,
     load_high,
@@ -80,14 +82,6 @@ class ParsedTerm:
     variable: str
     value: str
     interventions: tuple  # (name, value, sigma flag) triples
-    position: int
-
-
-@dataclass
-class ParsedQuery:
-    terms: tuple
-    conditioning: tuple
-    text: str
 
 
 _WORD_CHARS = set("abcdefghijklmnopqrstuvwxyz"
@@ -128,7 +122,8 @@ class _Scanner:
 def parse_query(text):
     """Parse a query of the form P(term, ... | term, ...) where a term is
     either VAR=value or VAR[iv; iv; ...]=value and an intervention is
-    VAR=value or ~VAR=value."""
+    VAR=value or ~VAR=value. Returns the query's skeleton: a
+    CounterfactualQuery whose terms are ParsedTerms (see bind_query)."""
     s = _Scanner(text)
     word, pos = s.word("'P'")
     if word != "P":
@@ -136,7 +131,7 @@ def parse_query(text):
     s.expect("(", "'(' after P")
 
     def parse_term():
-        name, start = s.word("a variable name")
+        name, _p = s.word("a variable name")
         ivs = []
         if s.take("["):
             while True:
@@ -152,7 +147,7 @@ def parse_query(text):
         s.expect("=", "'=' after the outcome variable")
         value, _p = s.word("an outcome value")
         return ParsedTerm(variable=name, value=value,
-                          interventions=tuple(ivs), position=start)
+                          interventions=tuple(ivs))
 
     def parse_list():
         terms = [parse_term()]
@@ -168,7 +163,7 @@ def parse_query(text):
     s.skip_ws()
     if s.pos != len(s.text):
         raise QuerySyntaxError("unexpected trailing text", s.pos)
-    return ParsedQuery(terms=terms, conditioning=conditioning, text=text)
+    return CounterfactualQuery(terms, conditioning)
 
 
 # ---------------------------------------------------------------------------
@@ -192,13 +187,11 @@ def bind_query(parsed, bind):
                 hard.append(HardIntervention(name, val))
         val = bind(t.variable, t.value, None)
         outcome = OutcomeAtom(variables=(t.variable,),
-                              accepted=frozenset({(val,)}),
-                              label="%s=%s" % (t.variable, val))
+                              accepted=frozenset({(val,)}))
         return QueryTerm(outcomes=(outcome,), hard=tuple(hard),
                          soft=tuple(soft))
 
-    skeleton = CounterfactualQuery(parsed.terms, parsed.conditioning)
-    return skeleton.map_terms(bind_term)
+    return parsed.map_terms(bind_term)
 
 
 def _bind_label(cm, name, token, _sigma=None):
@@ -215,7 +208,6 @@ def _bind_label(cm, name, token, _sigma=None):
 class CommandResult:
     exit_code: int
     payload: dict
-    diagnostics: list = field(default_factory=list)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -237,10 +229,9 @@ def _build_parser():
         if query:
             p.add_argument("--query", required=True, help="query text")
         if policy:
-            p.add_argument("--policy", default="general",
-                           choices=["agnostic", "markovian", "general"])
+            p.add_argument("--policy", default="general", choices=POLICIES)
             p.add_argument("--sigma-fallback", default=None,
-                           choices=["uniform"], dest="sigma_fallback")
+                           choices=FALLBACKS, dest="sigma_fallback")
         p.add_argument("--budget", type=int, default=None,
                        help="cap on exact enumeration size")
 
@@ -271,7 +262,7 @@ def _build_parser():
 
     p = sub.add_parser("estimate",
                        help="identify and evaluate against observational data")
-    common(p, scm=True, clusters="required", query=True, policy=True)
+    common(p, scm=True, clusters="required", query=True)
 
     p = sub.add_parser("sample", help="draw member tuples for a cluster value")
     p.add_argument("--high", required=True, help="projected model JSON file")
@@ -434,7 +425,7 @@ def cmd_identify(args):
         cm = load_clusters(scm, args.clusters)
         g, _report = _projected_graph(scm, cm, args.budget)
         query = bind_query(parsed, partial(_bind_label, cm))
-        decision = abstract_identify(cm, g, query)
+        decision = abstract_identify(g, query)
     else:
         raise ValidationError(
             "identify needs either --graph or both --scm and --clusters")
@@ -461,7 +452,7 @@ def cmd_estimate(args):
     cm = load_clusters(scm, args.clusters)
     g, report = _projected_graph(scm, cm, args.budget)
     query = bind_query(parse_query(args.query), partial(_bind_label, cm))
-    decision = abstract_identify(cm, g, query)
+    decision = abstract_identify(g, query)
     result = _decision_result(decision, args.query)
     if decision.identifiable:
         table = joint_distribution(report.scm, cm.covered_variables(),
@@ -558,8 +549,6 @@ def main():
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         sys.exit(1)
-    for line in result.diagnostics:
-        print(line, file=sys.stderr)
     sys.exit(result.exit_code)
 
 

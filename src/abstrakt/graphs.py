@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainMismatch, UnknownVariable
-from .scm import topological_order, write_json
+from .scm import Diagram, topological_order, write_json
 from .valuation import (
     HardIntervention,
     OutcomeAtom,
@@ -26,24 +26,8 @@ from .valuation import (
 from itertools import combinations, product
 
 
-@dataclass
-class ClusterDiagram:
-    nodes: tuple
-    directed: tuple
-    bidirected: tuple
-    projected: bool = False
-    violators: tuple = ()
-
-    def __post_init__(self):
-        self._pos = {n: i for i, n in enumerate(self.nodes)}
-
-    def position(self, node):
-        if node not in self._pos:
-            raise UnknownVariable("unknown node %r" % node, node=node)
-        return self._pos[node]
-
-
 def make_graph(nodes, directed, bidirected, projected=False, violators=()):
+    """A Diagram from outside input, checked, with edges in node order."""
     nodes = tuple(nodes)
     seen = set()
     for n in nodes:
@@ -72,7 +56,7 @@ def make_graph(nodes, directed, bidirected, projected=False, violators=()):
     for v in violators:
         if isinstance(v, (list, dict)) or v not in pos:
             raise UnknownVariable("violator %r is not a node" % (v,), node=v)
-    return ClusterDiagram(
+    return Diagram(
         nodes=nodes,
         directed=tuple(sorted(d, key=lambda e: (pos[e[0]], pos[e[1]]))),
         bidirected=tuple(sorted(bi, key=lambda e: (pos[e[0]], pos[e[1]]))),

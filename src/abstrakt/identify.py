@@ -483,7 +483,7 @@ def identify_effect(g, query):
 # cluster-level entry point
 
 
-def abstract_identify(cm, g, query, data="observational"):
+def abstract_identify(g, query, data="observational"):
     """Identify a cluster-level query against a projected cluster diagram.
 
     Accepts a single-world counterfactual query over cluster names: one term

@@ -66,6 +66,9 @@ from .valuation import (
 )
 
 POLICIES = ("agnostic", "markovian", "general")
+# The tables a context without reference mass may get; with fallback None
+# it gets none, and a world that meets it is undefined.
+FALLBACKS = ("uniform",)
 
 
 def validate_policy(policy):
@@ -73,6 +76,14 @@ def validate_policy(policy):
         raise DomainMismatch(
             "unknown policy %r; expected one of %s" % (policy, ", ".join(POLICIES)))
     return policy
+
+
+def validate_fallback(fallback):
+    if fallback is not None and fallback not in FALLBACKS:
+        raise DomainMismatch(
+            "unknown fallback %r; expected one of %s, or none"
+            % (fallback, ", ".join(FALLBACKS)))
+    return fallback
 
 
 # ---------------------------------------------------------------------------
@@ -202,6 +213,7 @@ def sigma_machinery(scm, cm, cluster_name, policy, budget=None,
     cluster are projected away. With ``fallback='uniform'`` every context
     without mass gets the uniform table (see _fill_uniform)."""
     validate_policy(policy)
+    validate_fallback(fallback)
     c = cm.cluster(cluster_name)
     scm = _working_model(scm, cm, budget)
     split = DeltaSplit(name=c.name, members=c.members, values=c.values)
@@ -333,6 +345,7 @@ def sigma_distribution(scm, cm, cluster, label, policy="general",
     """Exact reference distribution over a cluster value's member tuples in
     one context (see _context_key). Raises ImpossibleContext when the
     context has probability zero (unless ``fallback='uniform'``)."""
+    cm.cluster(cluster).fiber(label)  # an unknown label raises first
     split = sigma_machinery(scm, cm, cluster, policy, budget, fallback)
     probs = _context_probs(split.sigma[label],
                            _context_key(context, split, cm.by_name, scm),
@@ -385,9 +398,11 @@ def resolve_sigma(scm, cm, query, policy="general", budget=None,
     under the given policy. Markers with the same cluster and label share
     one cell draw across all terms."""
     validate_policy(policy)
+    validate_fallback(fallback)
     splits = {}
 
     def atom_for(marker):
+        cm.cluster(marker.cluster).fiber(marker.label)
         if marker.cluster not in splits:
             splits[marker.cluster] = sigma_machinery(
                 scm, cm, marker.cluster, policy, budget, fallback)
@@ -504,6 +519,7 @@ def construct_projected_abstraction(scm, cm, policy="general", budget=None,
     they can select the right reference table, and they read the shared
     noise blocks when the policy is context sensitive."""
     validate_policy(policy)
+    validate_fallback(fallback)
     report = check_aic(scm, cm, budget)
     working = report.scm
     violators = set(report.violators)
@@ -864,6 +880,8 @@ def high_to_doc(high):
 
 def high_from_doc(doc):
     delta = _require(doc, "delta", "high-level model document")
+    policy = validate_policy(delta.get("policy", "general"))
+    fallback = validate_fallback(delta.get("fallback"))
     scm = validate_scm({k: v for k, v in doc.items() if k != "delta"})
     splits = {}
     for entry in _items(delta, "splits", "delta", optional=True):
@@ -907,13 +925,11 @@ def high_from_doc(doc):
                 for c in _items(item, "contexts", where)
                 if c.get("member") is not None}
         splits[s.name] = s
-    fallback = delta.get("fallback")
     if fallback == "uniform":
         # older documents list only the tables with mass
         for s in splits.values():
             _fill_uniform(s, splits)
-    return HighLevelScm(scm=scm, splits=splits,
-                        policy=delta.get("policy", "general"),
+    return HighLevelScm(scm=scm, splits=splits, policy=policy,
                         fallback=fallback)
 
 

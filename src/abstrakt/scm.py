@@ -308,12 +308,24 @@ class DiscreteScm:
 
 @dataclass
 class Diagram:
-    """A causal diagram over endogenous variables: directed edges from
-    structural parenthood, bidirected edges from shared exogenous blocks."""
+    """A causal diagram: directed edges from structural parenthood,
+    bidirected edges from shared exogenous noise. Its nodes are a model's
+    variables or a cluster map's clusters; a projected cluster diagram
+    also names the violators whose rewrite rules it carries."""
 
     nodes: tuple
     directed: tuple    # of (parent, child) pairs
     bidirected: tuple  # of unordered pairs stored in node-declaration order
+    projected: bool = False
+    violators: tuple = ()
+
+    def __post_init__(self):
+        self._pos = {n: i for i, n in enumerate(self.nodes)}
+
+    def position(self, node):
+        if node not in self._pos:
+            raise UnknownVariable("unknown node %r" % node, node=node)
+        return self._pos[node]
 
 
 def _require(doc, key, where):

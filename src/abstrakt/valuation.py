@@ -111,17 +111,6 @@ def _cell_grid(tables):
                     for ctx, probs in tables.items()}
 
 
-def constant_soft_intervention(targets, candidates, probs, share_key, label=""):
-    """A context-free stochastic intervention with a single table."""
-    probs = tuple(Fraction(p) for p in probs)
-    if sum(probs, Fraction(0)) != 1:
-        raise DomainMismatch("stochastic intervention weights must sum to 1")
-    breaks, cell_map = _cell_grid({((), None): probs})
-    return SoftIntervention(targets=tuple(targets), share_key=share_key,
-                            candidates=tuple(tuple(c) for c in candidates),
-                            breaks=breaks, cell_map=cell_map, label=label)
-
-
 @dataclass(frozen=True)
 class OutcomeAtom:
     """A constraint on a world: the joint value of ``variables`` must lie in
@@ -130,7 +119,6 @@ class OutcomeAtom:
 
     variables: tuple
     accepted: frozenset
-    label: str = ""
 
 
 @dataclass

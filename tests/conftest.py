@@ -7,6 +7,7 @@ from itertools import product
 import pytest
 
 import abstrakt as ab
+from abstrakt.valuation import _cell_grid
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -262,6 +263,14 @@ def all_dag_structures(max_nodes):
             edges = [slots[i] for i in range(len(slots)) if mask >> i & 1]
             out.append((nodes, edges))
     return out
+
+
+def constant_soft_intervention(targets, candidates, probs, share_key):
+    """A context-free stochastic intervention with a single table."""
+    breaks, cell_map = _cell_grid({((), None): tuple(map(Fraction, probs))})
+    return ab.SoftIntervention(targets=tuple(targets), share_key=share_key,
+                               candidates=tuple(map(tuple, candidates)),
+                               breaks=breaks, cell_map=cell_map)
 
 
 def atom(variable, value):

@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 import abstrakt as ab
 from abstrakt import valuation
-from conftest import (atom, binary_block, build_lossy_chain, fixture_path,
+from conftest import (atom, binary_block, build_lossy_chain,
+                      constant_soft_intervention, fixture_path,
                       identity_clusters, term, query)
 
 
@@ -61,25 +62,6 @@ class TestClusterValidation:
                             insurance_cluster_doc()["clusters"][2]]}
         cm = ab.validate_clusters(insurance, doc)
         assert cm.excluded == ("Z",)
-
-
-class TestTau:
-    def test_apply_tau(self, insurance_cm):
-        got = ab.apply_tau(insurance_cm, {"Z": "z1", "X": "x2", "Y": 0})
-        assert got == {"Z": "z1", "XH": "xC", "Y": 0}
-
-    def test_apply_tau_partial_cluster(self, cholesterol_cm):
-        # TC has two members; covering only one is an error
-        with pytest.raises(ab.IncompleteAssignment):
-            ab.apply_tau(cholesterol_cm, {"X": 0, "HDL": 0, "Y": 1})
-
-    def test_preimage(self, insurance_cm):
-        lows = ab.preimage(insurance_cm, {"XH": "xC"})
-        assert lows == [{"X": "x1"}, {"X": "x2"}]
-
-    def test_preimage_unknown_cluster(self, insurance_cm):
-        with pytest.raises(ab.UnknownVariable):
-            ab.preimage(insurance_cm, {"QQ": "xC"})
 
 
 def assert_witnesses_replay(scm, cm):
@@ -291,13 +273,25 @@ class TestQueryTranslation:
         for hard, soft in (
                 ((ab.HardIntervention("HDL", 0),), ()),
                 ((ab.HardIntervention("W", 0),), ()),
-                ((), (ab.constant_soft_intervention(
+                ((), (constant_soft_intervention(
                     ("HDL", "LDL"), [(0, 0), (1, 1)], [Fraction(1, 2)] * 2,
                     share_key="half"),)),
                 ((), ("X=1",))):
             with pytest.raises(ab.NotClusterUnion):
                 ab.translate_query(cholesterol_cm, query([ab.QueryTerm(
                     outcomes=y1, hard=hard, soft=soft)]))
+
+    def test_translate_rejects_one_tuple_of_a_lossy_label(self,
+                                                           insurance_cm):
+        """A hard setting of one member tuple of a label that covers
+        several (insurance X=x1 under XH=xC) has no cluster-level setting;
+        the tuple of a one-tuple label lifts to that label."""
+        with pytest.raises(ab.NotClusterUnion):
+            ab.translate_query(insurance_cm, query([term([("Y", 1)],
+                                                         [("X", "x1")])]))
+        lifted = ab.translate_query(insurance_cm, query([term(
+            [("Y", 1)], [("X", "x3")])]))
+        assert lifted.terms[0].hard == (ab.HardIntervention("XH", "xE"),)
 
     def test_lower_singleton_label_is_hard(self, insurance_cm):
         high = query([term([("Y", 1)], [("XH", "xE")])])

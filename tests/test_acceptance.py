@@ -225,8 +225,7 @@ def test_07_estimation_pipeline_recovers_cluster_effect(insurance,
     pushed-forward observational table reproduces the constructed
     model's interventional answer, in process and through the CLI."""
     g = projected_graph(insurance, insurance_cm)
-    dec = ab.abstract_identify(insurance_cm, g,
-                               query([term([("Y", 1)], [("XH", "xC")])]))
+    dec = ab.abstract_identify(g, query([term([("Y", 1)], [("XH", "xC")])]))
     assert dec.identifiable
     pushed = ab.marginal_pushforward(
         ab.joint_distribution(insurance, ("Z", "X", "Y")), insurance_cm)

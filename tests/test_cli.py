@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 import abstrakt as ab
+from abstrakt import projection
 from abstrakt.cli import _build_parser, parse_query, run
 from conftest import binary_block, context_after_target_docs, fixture_path
 
@@ -329,6 +330,21 @@ class TestAbstractAndDownstream:
         r = run(["sample", "--high", high_path, "--value", "XH=bogus"])
         assert r.exit_code == 2
 
+    @pytest.mark.parametrize("field", ["policy", "fallback"])
+    def test_unknown_delta_setting_exits_2(self, high_path, tmp_path, field):
+        with open(high_path) as fh:
+            doc = json.load(fh)
+        doc["delta"][field] = "bogus"
+        bad = str(tmp_path / "bad.json")
+        with open(bad, "w") as fh:
+            json.dump(doc, fh)
+        for argv in (["sample", "--high", bad, "--value", "XH=xC",
+                      "--context", '{"parents": {"Z": "z1"}}'],
+                     ["verify", "--scm", INS, "--high", bad]):
+            r = run(argv)
+            assert r.exit_code == 2
+            assert r.payload["error"]["kind"] == "DomainMismatch"
+
 
 class TestCdag:
     def test_plain(self):
@@ -425,6 +441,15 @@ class TestEstimate:
         assert r.exit_code == 5
         assert r.payload["identifiable"] is False
 
+    @pytest.mark.parametrize("option", [["--policy", "general"],
+                                        ["--sigma-fallback", "uniform"]])
+    def test_takes_no_reference_options(self, option):
+        """estimate reads the observational table only, never a reference
+        table, so it takes no policy or fallback."""
+        r = run(["estimate", "--scm", INS, "--clusters", INS_CM,
+                 "--query", "P(Y[XH=xC]=1)"] + option)
+        assert r.exit_code == 2
+
 
 def _noiseless_mediator_docs():
     """Z -> W -> {X, Y} and X -> Y, where W = Z reads no noise of its own.
@@ -505,6 +530,14 @@ class TestParserReuse:
 
     def test_one_parser_per_process(self):
         assert _build_parser() is _build_parser()
+
+    def test_reference_choices_come_from_projection(self):
+        sub = next(a for a in _build_parser()._actions
+                   if a.dest == "command")
+        for name in ("eval", "abstract"):
+            choices = {a.dest: a.choices for a in sub.choices[name]._actions}
+            assert choices["policy"] is projection.POLICIES
+            assert choices["sigma_fallback"] is projection.FALLBACKS
 
     def test_cached_parser_keeps_no_state(self):
         cached = [run(list(argv)) for argv in self.CALLS]

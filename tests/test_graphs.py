@@ -4,13 +4,14 @@ and the graph-vs-model consistency check."""
 import math
 import random
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import pytest
 
 import abstrakt as ab
 from abstrakt import graphs
-from conftest import (build_dag_model, identity_clusters, term, query)
+from conftest import (build_dag_model, fixture_path, identity_clusters, term,
+                      query)
 
 
 class TestMakeGraph:
@@ -309,6 +310,37 @@ class TestModelConsistencyCheck:
                             table_by_prob_query)
         assert [ab.ctfbn_check(g, fresh(), max_terms=3)
                 for g in (cdag, projected, pruned)] == reports
+
+
+class TestInducedDiagram:
+    """A model's own diagram (``induce_diagram``) goes to ctfbn_check and
+    identify_effect as it is: the report and the decisions are the ones
+    its identity-cluster diagram gives."""
+
+    @staticmethod
+    def models():
+        out = [ab.load_scm(fixture_path(name + ".json"))
+               for name in ("insurance", "hospital", "cholesterol")]
+        rng = random.Random(7)
+        for shared in ((), ("V1", "V3"), ("V2", "V4")):
+            nodes = ["V1", "V2", "V3", "V4"]
+            slots = list(combinations(nodes, 2))
+            edges = [e for e in slots if rng.random() < 0.5]
+            out.append(build_dag_model(nodes, edges, rng, shared=shared))
+        return out
+
+    def test_same_as_identity_clusters(self):
+        for scm in self.models():
+            own = ab.induce_diagram(scm)
+            via = ab.build_cdag(own, identity_clusters(scm))
+            assert ab.ctfbn_check(own, scm) == ab.ctfbn_check(via, scm)
+            for x, y in permutations(scm.variable_names(), 2):
+                rest = [v for v in scm.variable_names() if v not in (x, y)]
+                for given in ({}, {v: scm.domain(v)[0] for v in rest[:1]}):
+                    q = ab.IdQuery(outcome={y: scm.domain(y)[-1]},
+                                   do={x: scm.domain(x)[0]}, given=given)
+                    assert ab.identify_effect(own, q) == \
+                        ab.identify_effect(via, q)
 
 
 class TestReportFormat:

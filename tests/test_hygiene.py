@@ -1,23 +1,25 @@
 """Source hygiene: no module of the package imports a name it never uses,
-binds a local it never reads or gives a module-level private function a
+binds a local it never reads or gives a module-level function a
 parameter it never reads, no module-level private name of the package
-goes unread, exact sums walk the exogenous states in one loop, the
-evaluator names no reference policy, the CLI reads no reference-table
-context, and importing the package loads nothing outside the standard
-library."""
+goes unread, every name the package exports is read by one of its
+modules or named in README, exact sums walk the exogenous states in one
+loop, the evaluator names no reference policy, the CLI reads no
+reference-table context, and importing the package loads nothing outside
+the standard library."""
 
 import ast
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tokenize
 
 import pytest
 
-PACKAGE = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir,
-                                       "src", "abstrakt"))
+ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
+PACKAGE = os.path.join(ROOT, "src", "abstrakt")
 # __init__ imports names only to re-export them
 MODULES = sorted(f for f in os.listdir(PACKAGE)
                  if f.endswith(".py") and f != "__init__.py")
@@ -87,12 +89,13 @@ def test_no_unused_locals(module):
 
 def unused_private_parameters(source):
     """(function, parameter) pairs of the parameters a module-level
-    ``_private`` function never reads (nested functions count as reading
-    what they load); parameters starting with ``_`` are exempt."""
+    function, public or ``_private``, never reads (nested functions count
+    as reading what they load); parameters starting with ``_`` and
+    ``__dunder__`` functions are exempt."""
     found = []
     for fn in ast.parse(source).body:
         if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) \
-                or not fn.name.startswith("_") or fn.name.startswith("__"):
+                or fn.name.startswith("__"):
             continue
         a = fn.args
         params = [p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs,
@@ -110,13 +113,15 @@ def test_detects_unused_private_parameter():
               "    def g():\n"
               "        return a + d\n"
               "    return g\n"
-              "def public(x):\n"
+              "def public(x, y):\n"
+              "    return y\n"
+              "def __getattr__(name):\n"
               "    return 1\n"
               "class K:\n"
               "    def _m(self, y):\n"
               "        return 1\n")
     assert unused_private_parameters(source) == [
-        ("_f", "b"), ("_f", "rest"), ("_f", "kw")]
+        ("_f", "b"), ("_f", "rest"), ("_f", "kw"), ("public", "x")]
 
 
 @pytest.mark.parametrize("module", MODULES)
@@ -166,6 +171,47 @@ def test_no_orphaned_private_names():
             with open(os.path.join(PACKAGE, module), encoding="utf-8") as fh:
                 sources[module] = fh.read()
     assert orphaned_private_names(sources) == []
+
+
+def unread_exports(init_source, sources, readme):
+    """The names ``__init__`` re-exports that no module of ``sources``
+    reads (a Name or Attribute load) and the README text does not name as
+    a word."""
+    exported = [alias.asname or alias.name
+                for node in ast.parse(init_source).body
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    read = set()
+    for source in sources.values():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) \
+                    and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    named = set(re.findall(r"\w+", readme))
+    return [name for name in exported
+            if name not in read and name not in named]
+
+
+def test_detects_unread_export():
+    init = "from .a import used, documented, attr, stored, gone\n"
+    sources = {"b.py": "used(1)\nx.attr\nx.stored = 2\n"}
+    readme = "Call `documented(...)`; not `gone_too`."
+    assert unread_exports(init, sources, readme) == ["stored", "gone"]
+
+
+def test_every_export_is_read_or_documented():
+    """The package exports only what its own modules read or README
+    documents: an export only the tests call belongs in the tests."""
+    sources = {}
+    for module in MODULES:
+        with open(os.path.join(PACKAGE, module), encoding="utf-8") as fh:
+            sources[module] = fh.read()
+    with open(os.path.join(PACKAGE, "__init__.py"), encoding="utf-8") as fh:
+        init = fh.read()
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        readme = fh.read()
+    assert unread_exports(init, sources, readme) == []
 
 
 def enumeration_calls(source):

@@ -322,7 +322,7 @@ class TestAbstractIdentify:
     def test_insurance_effect(self, insurance, insurance_cm):
         g = self._projected(insurance, insurance_cm)
         hq = query([term([("Y", 1)], [("XH", "xC")])])
-        dec = ab.abstract_identify(insurance_cm, g, hq)
+        dec = ab.abstract_identify(g, hq)
         assert dec.identifiable
         pushed = ab.marginal_pushforward(
             ab.joint_distribution(insurance, ("Z", "X", "Y")), insurance_cm)
@@ -333,18 +333,18 @@ class TestAbstractIdentify:
                                                  hospital_cm):
         g = self._projected(hospital, hospital_cm)
         hq = query([term([("Y", 1)], [("XH", "xC")])])
-        dec = ab.abstract_identify(hospital_cm, g, hq)
+        dec = ab.abstract_identify(g, hq)
         assert not dec.identifiable
 
     def test_rejects_other_data_regimes(self, insurance, insurance_cm):
         g = self._projected(insurance, insurance_cm)
         hq = query([term([("Y", 1)], [("XH", "xC")])])
         with pytest.raises(ab.UnsupportedData):
-            ab.abstract_identify(insurance_cm, g, hq, data="interventional")
+            ab.abstract_identify(g, hq, data="interventional")
 
     def test_rejects_cross_world_queries(self, insurance, insurance_cm):
         g = self._projected(insurance, insurance_cm)
         hq = query([term([("Y", 1)], [("XH", "xC")]),
                     term([("Y", 0)], [("XH", "xE")])])
         with pytest.raises(ab.UnsupportedData):
-            ab.abstract_identify(insurance_cm, g, hq)
+            ab.abstract_identify(g, hq)

@@ -196,6 +196,39 @@ class TestSigmaDistribution:
             ab.sigma_distribution(insurance, insurance_cm, "XH", "xC",
                                   policy="optimistic")
 
+    def test_bad_fallback(self, insurance, insurance_cm):
+        """A fallback other than None or 'uniform' is refused wherever a
+        fallback is accepted, as an unknown policy is."""
+        z1 = {"parents": {"Z": "z1"}}
+        marker = sigma_marker_query([("Y", 1)], "XH", "xC")
+        for call in (
+                lambda: ab.sigma_distribution(insurance, insurance_cm, "XH",
+                                              "xC", context=z1,
+                                              fallback="bogus"),
+                lambda: ab.resolve_sigma(insurance, insurance_cm, marker,
+                                         fallback="bogus"),
+                lambda: ab.construct_projected_abstraction(
+                    insurance, insurance_cm, fallback="bogus")):
+            with pytest.raises(ab.DomainMismatch):
+                call()
+
+    def test_unknown_label_raises_before_the_tables(self, insurance,
+                                                    insurance_cm,
+                                                    monkeypatch):
+        """A label the cluster does not have is an UnknownHighValue, from
+        sigma_distribution and resolve_sigma alike, raised before any
+        reference table is computed."""
+        def no_tables(*args, **kwargs):
+            raise AssertionError("reference tables computed")
+
+        monkeypatch.setattr(projection, "sigma_machinery", no_tables)
+        with pytest.raises(ab.UnknownHighValue):
+            ab.sigma_distribution(insurance, insurance_cm, "XH", "bogus",
+                                  context={"parents": {"Z": "z1"}})
+        with pytest.raises(ab.UnknownHighValue):
+            ab.resolve_sigma(insurance, insurance_cm, sigma_marker_query(
+                [("Y", 1)], "XH", "bogus"))
+
 
     def test_unknown_parent_label(self, insurance, insurance_cm,
                                   insurance_high):
@@ -721,6 +754,15 @@ class TestSerialization:
         assert got == Fraction(149, 250)
         res = ab.verify_partial_projection(insurance, again)
         assert res.passed
+
+    @pytest.mark.parametrize("field", ["policy", "fallback"])
+    def test_unknown_delta_setting_is_refused(self, insurance_high, field):
+        """A document whose reference policy or fallback is unknown does
+        not load."""
+        doc = json.loads(json.dumps(ab.high_to_doc(insurance_high)))
+        doc["delta"][field] = "bogus"
+        with pytest.raises(ab.DomainMismatch):
+            ab.high_from_doc(doc)
 
     @pytest.mark.parametrize("fallback", [None, "uniform"])
     @pytest.mark.parametrize("policy", POLICIES)

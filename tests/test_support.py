@@ -25,8 +25,8 @@ import abstrakt as ab
 from abstrakt import abstraction, projection, scm as scm_module, valuation
 from abstrakt.cli import run
 from conftest import (atom, binary_block, build_dag_model,
-                      build_lossy_chain, fixture_path, identity_clusters,
-                      query, term)
+                      build_lossy_chain, constant_soft_intervention,
+                      fixture_path, identity_clusters, query, term)
 
 FIXTURES = ("insurance", "cholesterol", "hospital")
 POLICIES = ("agnostic", "markovian", "general")
@@ -458,7 +458,7 @@ def dag_terms(draw, nodes, outcome=True):
         v = draw(st.sampled_from(loose))
         den = draw(st.integers(1, 12))
         p = Fraction(draw(st.integers(0, den)), den)
-        soft = (ab.constant_soft_intervention(
+        soft = (constant_soft_intervention(
             (v,), [(0,), (1,)], (p, 1 - p), share_key=("soft", v, p)),)
     outcomes = () if target is None else (
         ab.OutcomeAtom(variables=(target,),
@@ -981,7 +981,7 @@ def dag_world_cases(draw):
     if loose and draw(st.booleans()):
         v = draw(st.sampled_from(loose))
         p = Fraction(draw(st.integers(0, 6)), 6)
-        soft = (ab.constant_soft_intervention(
+        soft = (constant_soft_intervention(
             (v,), [(0,), (1,)], (p, 1 - p), share_key=("soft", v, p)),)
     if draw(st.sampled_from([True, True, True, False])):
         soft += (ab.SigmaMarker(marked, draw(BITS)),)
@@ -1187,7 +1187,7 @@ class TestCounterfactualTable:
         solves its worlds uncached, with the same answers."""
         monkeypatch.setattr(valuation, "CACHE_LIMIT", 3)
         model = fresh(insurance)
-        soft = ab.constant_soft_intervention(
+        soft = constant_soft_intervention(
             ("X",), [("x1",), ("x2",), ("x3",)],
             (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)),
             share_key=("soft", "X"))
@@ -1241,7 +1241,7 @@ class TestCounterfactualTable:
         fewer cell draws runs it once per distinct row index and draw."""
         runs = counted_programs(monkeypatch)
         visited = count_states(monkeypatch)
-        soft = ab.constant_soft_intervention(
+        soft = constant_soft_intervention(
             ("X",), [("x1",), ("x2",), ("x3",)],
             (Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)),
             share_key=("soft", "X"))
