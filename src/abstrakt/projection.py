@@ -62,6 +62,7 @@ from .valuation import (
     RhoContext,
     SoftIntervention,
     _cell_grid,
+    _relevance,
     counterfactual_table,
 )
 
@@ -635,7 +636,15 @@ class ProjectionCheck:
 def verify_partial_projection(low, high, budget=None):
     """Replay every unit of the low model under every whole-cluster hard
     intervention and check that the high model, fed the matching cells,
-    reproduces every cluster label exactly."""
+    reproduces every cluster label exactly.
+
+    A fast pass decides each intervention first, on the noise blocks its
+    cases read: the low world's blocks under it (valuation._relevance), the
+    blocks of the high mechanisms it leaves free, and those of every flagged
+    cluster's shared members. Every other block stays at its first positive
+    row, which no verdict of the intervention reads, so when every state of
+    the pass agrees, every unit does. Otherwise the full replay runs and
+    counts every mismatch, showing the first few in unit order."""
     splits = high.splits
     names = [v.name for v in high.scm.endogenous]
     working = _working_model(
@@ -646,6 +655,24 @@ def verify_partial_projection(low, high, budget=None):
     stops = [(high_topo[:i], splits[name])
              for i, name in enumerate(high_topo)
              if splits[name].block is not None]
+    # the noise the high model reads outside its cells comes from the unit
+    cell_blocks = {split.block for _before, split in stops}
+    for k in dict.fromkeys([
+            *(k for name in names
+              for k in high.scm.mechanisms[name].exo_parents),
+            *(k for _before, split in stops for k in split.rho_members)]):
+        if k[0] in cell_blocks:
+            continue
+        mine = working.member_index.get(k)
+        theirs = high.scm.member_index.get(k)
+        if mine is None:
+            raise UnknownVariable(
+                "the high model reads noise member %s.%s, which the low model "
+                "lacks" % k, member=k)
+        if theirs is not None and mine.domain != theirs.domain:
+            raise DomainMismatch(
+                "noise member %s.%s has another domain in the low model than "
+                "in the high model" % k, member=k)
 
     # the interventions are every subset of clusters, each with every joint
     # value of its members; they are counted before they are listed
@@ -671,46 +698,76 @@ def verify_partial_projection(low, high, budget=None):
                   for label in split.lossy_labels()
                   for mname in split.component[label].values()}
 
+    def mismatch(unit, chosen, x):
+        """The mismatch record of one unit under one intervention, or None
+        when the high model reproduces every label."""
+        env = working.solve(unit, dict(x))
+        want = {name: splits[name].label_of(
+            tuple(env[m] for m in splits[name].members))
+            for name in names}
+
+        unit_h = {**unit, **zero_cells}
+        env_h = {name: want[name] for name in chosen}
+        trouble = None
+        for before, split in stops:
+            raw = tuple(env[m] for m in split.members)
+            actual = split.label_of(raw)
+            fiber = split.fiber(actual)
+            if len(fiber) > 1:
+                idx = fiber.index(raw)
+                high.scm.solve(unit_h, env_h, before)
+                ctx = split.context(env_h, unit)
+                mname = split.component[actual].get(ctx)
+                if mname is None:
+                    trouble = ("context %r absent for %s=%s"
+                               % (ctx, split.name, actual))
+                else:
+                    unit_h[(split.block, mname)] = idx
+        high.scm.solve(unit_h, env_h)
+        bad = [name for name in names if env_h[name] != want[name]]
+        if not (bad or trouble):
+            return None
+        return {
+            "clusters": bad, "intervention": dict(x),
+            "unit": {"%s.%s" % k: v for k, v in unit.items()},
+            "got": {n: env_h[n] for n in bad},
+            "want": {n: want[n] for n in bad},
+            "note": trouble,
+        }
+
+    # the blocks read by an intervention's cases, as sorted positions; the
+    # high tables are what is under test, so all of their noise counts
+    shared = {b for _before, split in stops for b, _m in split.rho_members}
+    high_reads = {name: {b for b, _m in high.scm.mechanisms[name].exo_parents
+                         if b not in cell_blocks} for name in names}
+
+    def reads(chosen, x):
+        blocks = shared.union(*(high_reads[name] for name in names
+                                if name not in chosen))
+        return set(_relevance(working, working.variable_names(), x)[1]) | {
+            working.block_position[b] for b in blocks}
+
+    first_rows = working.exogenous_assignment(
+        range(len(working.blocks)), [0] * len(working.blocks))
+    if not any(mismatch({**first_rows, **part}, chosen, x) is not None
+               for chosen, x in subsets
+               for _idx, part, _w in working.exogenous_support(
+                   reads(chosen, x))):
+        return ProjectionCheck(
+            checked=working.exogenous_support_size() * len(subsets),
+            mismatch_count=0, mismatches=[])
+
     checked = 0
     mismatch_count = 0
     mismatches = []
     for _idx, unit, _p in working.exogenous_support():
         for chosen, x in subsets:
-            env = working.solve(unit, dict(x))
-            want = {name: splits[name].label_of(
-                tuple(env[m] for m in splits[name].members))
-                for name in names}
-
-            unit_h = {**unit, **zero_cells}
-            env_h = {name: want[name] for name in chosen}
-            trouble = None
-            for before, split in stops:
-                raw = tuple(env[m] for m in split.members)
-                actual = split.label_of(raw)
-                fiber = split.fiber(actual)
-                if len(fiber) > 1:
-                    idx = fiber.index(raw)
-                    high.scm.solve(unit_h, env_h, before)
-                    ctx = split.context(env_h, unit)
-                    mname = split.component[actual].get(ctx)
-                    if mname is None:
-                        trouble = ("context %r absent for %s=%s"
-                                   % (ctx, split.name, actual))
-                    else:
-                        unit_h[(split.block, mname)] = idx
-            high.scm.solve(unit_h, env_h)
             checked += 1
-            bad = [name for name in names if env_h[name] != want[name]]
-            if bad or trouble:
+            found = mismatch(unit, chosen, x)
+            if found is not None:
                 mismatch_count += 1
                 if len(mismatches) < MISMATCHES_SHOWN:
-                    mismatches.append({
-                        "clusters": bad, "intervention": dict(x),
-                        "unit": {"%s.%s" % k: v for k, v in unit.items()},
-                        "got": {n: env_h[n] for n in bad},
-                        "want": {n: want[n] for n in bad},
-                        "note": trouble,
-                    })
+                    mismatches.append(found)
     return ProjectionCheck(checked=checked, mismatch_count=mismatch_count,
                            mismatches=mismatches)
 
@@ -921,16 +978,57 @@ def high_from_doc(doc):
             label = _scalar(_require(item, "label", where), "label of %s",
                             where)
             s.component[label] = {
-                _ctx_from_doc(c): c["member"]
+                _ctx_from_doc(c): _scalar(c["member"], "cell member of %s",
+                                          where)
                 for c in _items(item, "contexts", where)
                 if c.get("member") is not None}
+        _check_split(s, scm, where)
+        if s.name in splits:
+            raise DomainMismatch("two splits for cluster %r" % (s.name,))
         splits[s.name] = s
+    for name in dict.fromkeys([*scm.var_index, *splits]):
+        if (name in splits) != (name in scm.var_index):
+            raise DomainMismatch(
+                "delta must hold one split per model variable, and %r %s"
+                % (name, "has none" if name in scm.var_index else
+                   "is not a model variable"))
     if fallback == "uniform":
         # older documents list only the tables with mass
         for s in splits.values():
             _fill_uniform(s, splits)
     return HighLevelScm(scm=scm, splits=splits, policy=policy,
                         fallback=fallback)
+
+
+def _check_split(split, scm, where):
+    """Refuse a loaded split that does not fit its model: a violator flag
+    that is not a boolean, a block that is not one of the model's, or cells
+    that are not exactly the block's members, listed under every lossy
+    label, each ranging over the positions of its label's member tuples."""
+    if not isinstance(split.violator, bool):
+        raise DomainMismatch("violator of %s must be a boolean" % where)
+    members = {}
+    if split.block is not None:
+        if not (isinstance(split.block, str)
+                and split.block in scm.block_index):
+            raise DomainMismatch("block of %s must name a block of the "
+                                 "model, not %r" % (where, split.block))
+        members = {m.name: m.domain
+                   for m in scm.block_index[split.block].members}
+    for label, cells in split.component.items():
+        domain = tuple(range(len(split.fiber(label))))
+        for name in cells.values():
+            if members.get(name) != domain:
+                raise DomainMismatch(
+                    "cell %r of %s is not a member of its block with domain "
+                    "%r" % (name, where, list(domain)))
+    named = {name for cells in split.component.values()
+             for name in cells.values()}
+    if named != set(members) or members and \
+            set(split.component) != set(split.lossy_labels()):
+        raise DomainMismatch("the cells of %s must name every member of "
+                             "block %r under every lossy label"
+                             % (where, split.block))
 
 
 def load_high(path):

@@ -7,6 +7,7 @@ from itertools import product
 import pytest
 
 import abstrakt as ab
+from abstrakt.abstraction import _working_model
 from abstrakt.valuation import _cell_grid
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -263,6 +264,68 @@ def all_dag_structures(max_nodes):
             edges = [slots[i] for i in range(len(slots)) if mask >> i & 1]
             out.append((nodes, edges))
     return out
+
+
+def reference_verify(low, high, shown=10):
+    """The replay of a projected model, unit by unit: every exogenous unit
+    of the low model under every whole-cluster hard intervention, solved
+    on both models with the dict solver. Returns (checked, mismatch_count,
+    the first ``shown`` mismatches), the oracle of
+    ab.verify_partial_projection."""
+    splits = high.splits
+    names = [v.name for v in high.scm.endogenous]
+    working = _working_model(
+        low, [m for name in names for m in splits[name].members])
+    high_topo = high.scm.topological_order_names()
+    stops = [(high_topo[:i], splits[name])
+             for i, name in enumerate(high_topo)
+             if splits[name].block is not None]
+    subsets = []
+    for mask in range(1 << len(names)):
+        chosen = [names[i] for i in range(len(names)) if mask >> i & 1]
+        members = [m for name in chosen for m in splits[name].members]
+        for combo in product(*(working.domain(m) for m in members)):
+            subsets.append((chosen, dict(zip(members, combo))))
+    zero_cells = {(split.block, mname): 0 for _before, split in stops
+                  for label in split.lossy_labels()
+                  for mname in split.component[label].values()}
+    checked, count, mismatches = 0, 0, []
+    for _idx, unit, _p in working.exogenous_support():
+        for chosen, x in subsets:
+            env = working.solve(unit, dict(x))
+            want = {name: splits[name].label_of(
+                tuple(env[m] for m in splits[name].members))
+                for name in names}
+            unit_h = {**unit, **zero_cells}
+            env_h = {name: want[name] for name in chosen}
+            trouble = None
+            for before, split in stops:
+                raw = tuple(env[m] for m in split.members)
+                actual = split.label_of(raw)
+                if len(split.fiber(actual)) > 1:
+                    high.scm.solve(unit_h, env_h, before)
+                    ctx = split.context(env_h, unit)
+                    mname = split.component[actual].get(ctx)
+                    if mname is None:
+                        trouble = ("context %r absent for %s=%s"
+                                   % (ctx, split.name, actual))
+                    else:
+                        unit_h[(split.block, mname)] = \
+                            split.fiber(actual).index(raw)
+            high.scm.solve(unit_h, env_h)
+            checked += 1
+            bad = [name for name in names if env_h[name] != want[name]]
+            if bad or trouble:
+                count += 1
+                if len(mismatches) < shown:
+                    mismatches.append({
+                        "clusters": bad, "intervention": dict(x),
+                        "unit": {"%s.%s" % k: v for k, v in unit.items()},
+                        "got": {n: env_h[n] for n in bad},
+                        "want": {n: want[n] for n in bad},
+                        "note": trouble,
+                    })
+    return checked, count, mismatches
 
 
 def constant_soft_intervention(targets, candidates, probs, share_key):

@@ -298,6 +298,68 @@ class TestAbstractAndDownstream:
         assert r.payload["mismatch_count"] == 0
         assert r.payload["mismatches"] == []
 
+    @pytest.mark.parametrize("edit", [
+        "drop Z split", "rename block", "array block", "drop cell member",
+        "unknown cell member", "cell domain", "violator text",
+        "extra split"])
+    def test_delta_that_misfits_its_model_exits_2(self, high_path, tmp_path,
+                                                  edit):
+        """A document whose delta does not fit the model it ships with is
+        refused on load, before the replay reads it."""
+        with open(high_path) as fh:
+            doc = json.load(fh)
+        splits = doc["delta"]["splits"]
+        xh = next(e for e in splits if e["cluster"] == "XH")
+        context = xh["cells"][0]["contexts"][0]
+        if edit == "drop Z split":
+            splits.remove(next(e for e in splits if e["cluster"] == "Z"))
+        elif edit == "rename block":
+            xh["block"] = "XH__v"
+        elif edit == "array block":
+            xh["block"] = [xh["block"]]
+        elif edit == "drop cell member":
+            del context["member"]
+        elif edit == "unknown cell member":
+            context["member"] = "XH__u__nowhere"
+        elif edit == "cell domain":
+            # xC gains a third member tuple, so its cells need a domain of 3
+            xh["values"][0]["tuples"].append(["x9"])
+        elif edit == "violator text":
+            xh["violator"] = "yes"
+        else:
+            splits.append(dict(xh, cluster="W"))
+        bad = str(tmp_path / "bad.json")
+        with open(bad, "w") as fh:
+            json.dump(doc, fh)
+        r = run(["verify", "--scm", INS, "--high", bad])
+        assert r.exit_code == 2, r.payload
+        assert r.payload["error"]["kind"] == "DomainMismatch"
+
+    @pytest.mark.parametrize("edit", ["rename", "domain"])
+    def test_low_model_the_high_model_cannot_read_exits_2(
+            self, high_path, tmp_path, edit):
+        """verify refuses a low model that lacks a noise member the high
+        model reads outside its cells, or gives it another domain."""
+        with open(INS) as fh:
+            doc = json.load(fh)
+        block = next(b for b in doc["blocks"] if b["name"] == "UZ")
+        z = next(m for m in doc["mechanisms"] if m["variable"] == "Z")
+        if edit == "rename":
+            block["name"] = "UZ2"
+            z["exo_parents"][0]["block"] = "UZ2"
+        else:
+            block["members"][0]["domain"] = ["z1", "z3"]
+            block["table"][1]["values"] = ["z3"]
+            z["table"][1]["parents"] = ["z3"]
+        low = str(tmp_path / "low.json")
+        with open(low, "w") as fh:
+            json.dump(doc, fh)
+        r = run(["verify", "--scm", low, "--high", high_path])
+        assert r.exit_code == 2, r.payload
+        assert r.payload["error"]["kind"] == (
+            "UnknownVariable" if edit == "rename" else "DomainMismatch")
+        assert "UZ.UZ" in r.payload["error"]["message"]
+
     def test_sample(self, high_path):
         args = ["sample", "--high", high_path, "--value", "XH=xC",
                 "--context", '{"parents": {"Z": "z1"}}',

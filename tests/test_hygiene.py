@@ -248,8 +248,9 @@ def test_detects_enumeration_calls():
 
 # Every exact sum over exogenous states goes through valuation's table
 # loop. The support itself pairs states with assignments; check_aic's
-# witness walk must report a whole unit; verify's global replay waits for
-# a local check to replace it.
+# witness walk must report a whole unit; verify walks, per intervention,
+# the blocks its cases read, and replays every unit only after a failure
+# (a local check per cluster may replace both).
 ENUMERATION_LOOPS = {
     ("valuation.py", "_tabulate"),
     ("scm.py", "DiscreteScm.exogenous_support"),
