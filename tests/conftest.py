@@ -7,8 +7,8 @@ from itertools import product
 import pytest
 
 import abstrakt as ab
+from abstrakt import valuation
 from abstrakt.abstraction import _working_model
-from abstrakt.valuation import _cell_grid
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -328,9 +328,39 @@ def reference_verify(low, high, shown=10):
     return checked, count, mismatches
 
 
+def reference_tabulate(scm, terms, setups, reads, budget=None):
+    """The joint walk of a counterfactual table: every state of the blocks
+    some term reads times every joint cell draw, each term's world solved
+    afresh by its compiled program. Returns the common denominator and a
+    dict from per-term worlds to integer weights, keys in the order the
+    walk meets them and an undefined world holding its ImpossibleContext;
+    the oracle of valuation._tabulate, whose factored walk must give the
+    same weights."""
+    blocks = sorted(set().union(*(s.blocks for s in setups)))
+    at = {b: i for i, b in enumerate(blocks)}
+    den, cells = valuation._draws(scm, terms, budget, blocks)
+    worlds = [(valuation._compile(scm, s, out), [at[b] for b in s.blocks],
+               [a.share_key for a in s.atoms])
+              for s, out in zip(setups, reads)]
+    weights = {}
+    for u_idx, pu in scm.exogenous_states(blocks):
+        for choice, w in valuation._choices(cells, list(cells)):
+            key = []
+            for program, own, shares in worlds:
+                try:
+                    key.append(program(tuple(u_idx[i] for i in own),
+                                       tuple(choice[k] for k in shares)))
+                except ab.ImpossibleContext as err:
+                    key.append(err)
+            key = tuple(key)
+            weights[key] = weights.get(key, 0) + pu * w
+    return den, weights
+
+
 def constant_soft_intervention(targets, candidates, probs, share_key):
     """A context-free stochastic intervention with a single table."""
-    breaks, cell_map = _cell_grid({((), None): tuple(map(Fraction, probs))})
+    breaks, cell_map = valuation._cell_grid(
+        {((), None): tuple(map(Fraction, probs))})
     return ab.SoftIntervention(targets=tuple(targets), share_key=share_key,
                                candidates=tuple(map(tuple, candidates)),
                                breaks=breaks, cell_map=cell_map)

@@ -90,6 +90,40 @@ class TestSeparation:
         with pytest.raises(ab.ValidationError):
             ab.d_separated(g, ("A",), ("A",), ())
 
+    def test_matches_networkx(self):
+        """On random small mixed graphs, with every bidirected edge
+        expanded into a latent common parent, separation agrees with
+        networkx's d-separation for every pair of nodes under every
+        conditioning set, and for random disjoint sets of several nodes."""
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(5)
+        for _trial in range(60):
+            nodes = ["V%d" % i for i in range(rng.randint(2, 6))]
+            pairs = list(combinations(nodes, 2))
+            directed = [p for p in pairs if rng.random() < 0.4]
+            bidirected = [p for p in pairs if rng.random() < 0.25]
+            g = ab.make_graph(nodes, directed, bidirected)
+            dag = nx.DiGraph()
+            dag.add_nodes_from(nodes)
+            dag.add_edges_from(directed)
+            for a, b in bidirected:
+                dag.add_edges_from([(("L", a, b), a), (("L", a, b), b)])
+            for a, b in pairs:
+                others = [v for v in nodes if v not in (a, b)]
+                for k in range(len(others) + 1):
+                    for zs in combinations(others, k):
+                        assert ab.d_separated(g, (a,), (b,), zs) == \
+                            nx.is_d_separator(dag, {a}, {b}, set(zs)), \
+                            (directed, bidirected, a, b, zs)
+            for _ in range(10):
+                order = rng.sample(nodes, len(nodes))
+                i = rng.randint(1, len(nodes) - 1)
+                j = rng.randint(i + 1, len(nodes))
+                xs, ys, zs = order[:i], order[i:j], order[j:]
+                assert ab.d_separated(g, xs, ys, zs) == \
+                    nx.is_d_separator(dag, set(xs), set(ys), set(zs)), \
+                    (directed, bidirected, xs, ys, zs)
+
     def test_separation_implies_independence(self):
         # on fully observed random models, every m-separation must show up
         # as an exact conditional independence in the joint table

@@ -247,7 +247,9 @@ def test_detects_enumeration_calls():
 
 
 # Every exact sum over exogenous states goes through valuation's table
-# loop. The support itself pairs states with assignments; check_aic's
+# walker, whose joint walk and factored walk (the private noise of each
+# term summed first, the shared noise walked once) both live in
+# _tabulate. The support itself pairs states with assignments; check_aic's
 # witness walk must report a whole unit; verify walks, per intervention,
 # the blocks its cases read, and replays every unit only after a failure
 # (a local check per cluster may replace both).

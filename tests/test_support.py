@@ -17,6 +17,7 @@ import json
 import random
 import time
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,7 +27,8 @@ from abstrakt import abstraction, projection, scm as scm_module, valuation
 from abstrakt.cli import run
 from conftest import (atom, binary_block, build_dag_model,
                       build_lossy_chain, constant_soft_intervention,
-                      fixture_path, identity_clusters, query, term)
+                      fixture_path, identity_clusters, query,
+                      reference_tabulate, term)
 
 FIXTURES = ("insurance", "cholesterol", "hospital")
 POLICIES = ("agnostic", "markovian", "general")
@@ -363,6 +365,30 @@ class TestBudgetGate:
         assert time.perf_counter() - start < 1.0
         assert err.value.details["required"] == 2 ** self.N_BLOCKS
         assert err.value.details["budget"] == 1000
+
+    def test_two_term_query_refused_before_enumeration(self, wide_doc,
+                                                       monkeypatch):
+        """Two terms that read disjoint halves of the blocks share no
+        noise, so their table would be walked factored, over 2 * 2**12
+        private states; the gate still counts the full support, and
+        refuses before any state is enumerated."""
+        half = self.N_BLOCKS // 2
+        terms = [term([("V%d" % i, 1) for i in range(half)]),
+                 term([("V%d" % i, 1) for i in range(half, self.N_BLOCKS)])]
+        model = ab.validate_scm(wide_doc)
+
+        def refused(self, blocks=None):
+            raise AssertionError("states enumerated past the budget gate")
+        monkeypatch.setattr(ab.DiscreteScm, "exogenous_states", refused)
+        start = time.perf_counter()
+        for ask in (lambda: ab.prob_query(model, query(terms), budget=1000),
+                    lambda: ab.counterfactual_table(model, terms,
+                                                    budget=1000)):
+            with pytest.raises(ab.SizeExceeded) as err:
+                ask()
+            assert err.value.details["required"] == 2 ** self.N_BLOCKS
+            assert err.value.details["budget"] == 1000
+        assert time.perf_counter() - start < 1.0
 
     def test_eval_exits_4(self, wide_doc, tmp_path):
         path = str(tmp_path / "wide.json")
@@ -1255,15 +1281,219 @@ class TestCounterfactualTable:
             ([drawn], [("Y",)], 8, [24]),
             # all six blocks; under X=x1, Y's table varies with UY1 only
             ([observed, pinned], [("Y",), ("Y",)], 144, [144, 2]),
-            # all six blocks times X's cells; the observed term has no
-            # cell draw and the drawn one reads Y's blocks only
-            ([observed, drawn], [("Y",), ("Y",)], 144, [144, 24]),
+            # Y's blocks are shared; UZ, UX1 and UX2 are the observed
+            # term's private blocks and X's cells the drawn term's, so the
+            # walk is factored: 8 shared states, then per term its own
+            # shared states and its private ones, 8 + 18 and 8 + 1 (the
+            # empty state), where the joint walk met 144 states 3 times
+            ([observed, drawn], [("Y",), ("Y",)], 43, [144, 24]),
         ]
         for terms, reads, states, want in cases:
             del runs[:], visited[:]
             ab.counterfactual_table(fresh(insurance), terms, reads)
             assert len(visited) == states
             assert runs == want
+
+
+# ---------------------------------------------------------------------------
+# the factored walk against the joint walk
+
+
+@st.composite
+def walk_cases(draw):
+    """A lossy chain (at times confounded, at times with A's noise fixed so
+    that contexts of B have no mass) with its clusters, a DAG model with a
+    shared block and identity clusters, the dead-context model or the
+    insurance model, whose worlds read private blocks; and a query of one
+    to three cluster-level terms, conditioned on at most one, each an
+    outcome on a cluster, at times under a tilde setting of another
+    cluster (one draw for every term that names the same cluster and
+    label) and under hard settings of others. It is resolved on the low
+    model under a drawn policy and fallback, or asked of the projected
+    model; then most terms get a constant stochastic setting of a free
+    variable, private to the term or shared with another term that draws
+    the same one."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    kind = draw(st.sampled_from(["chain", "dag", "dead", "insurance"]))
+    if kind == "insurance":
+        low = ab.load_scm(fixture_path("insurance.json"))
+        cm = ab.load_clusters(low, fixture_path("insurance_clusters.json"))
+    elif kind == "chain":
+        low, cm = build_lossy_chain(
+            rng, draw(st.booleans()),
+            draw(st.sampled_from([None, Fraction(0), Fraction(1)])))
+    elif kind == "dead":
+        low, cm = dead_context_model()
+    else:
+        n = draw(st.integers(2, 4))
+        nodes = ["V%d" % (i + 1) for i in range(n)]
+        slots = [(a, b) for i, a in enumerate(nodes) for b in nodes[i + 1:]]
+        edges = [e for e in slots if draw(st.booleans())]
+        shared = draw(st.lists(st.sampled_from(nodes), min_size=2,
+                               unique=True))
+        low = build_dag_model(nodes, edges, rng, shared=tuple(shared))
+        cm = identity_clusters(low)
+    policy = draw(st.sampled_from(POLICIES))
+    fallback = draw(st.sampled_from([None, "uniform"]))
+
+    @st.composite
+    def cluster_terms(draw):
+        c = draw(st.sampled_from(cm.clusters))
+        others = [d.name for d in cm.clusters if d is not c]
+        soft = ()
+        if draw(st.booleans()):
+            d = draw(st.sampled_from(others))
+            soft = (ab.SigmaMarker(d, draw(st.sampled_from(
+                cm.cluster(d).labels()))),)
+            others.remove(d)
+        pinned = draw(st.lists(st.sampled_from(others), unique=True,
+                               max_size=2)) if others else []
+        return ab.QueryTerm(
+            outcomes=(cluster_atom(c, draw(st.sampled_from(c.labels()))),),
+            hard=tuple(ab.HardIntervention(d, draw(st.sampled_from(
+                cm.cluster(d).labels()))) for d in pinned),
+            soft=soft)
+
+    q = query(draw(st.lists(cluster_terms(), min_size=1, max_size=3)),
+              draw(st.lists(cluster_terms(), max_size=1)))
+    if draw(st.booleans()):
+        high = ab.construct_projected_abstraction(low, cm, policy=policy,
+                                                  fallback=fallback)
+        model, resolve = high.scm, lambda p: ab.resolve_sigma_high(high, p)
+    else:
+        model, resolve = low, lambda p: ab.resolve_sigma(
+            low, cm, ab.lower_query(cm, p), policy=policy, fallback=fallback)
+    try:
+        q = resolve(q)
+    except ab.ImpossibleContext:
+        # a tilde label with no mass in any context
+        q = resolve(q.map_terms(lambda t: ab.QueryTerm(outcomes=t.outcomes,
+                                                       hard=t.hard)))
+
+    def with_draw(t):
+        taken = {h.variable for h in t.hard} | {
+            v for a in t.soft for v in a.targets} | {
+            v for oc in t.outcomes for v in oc.variables}
+        free = [v for v in model.variable_names() if v not in taken]
+        if not free or not draw(st.sampled_from([True, True, False])):
+            return t
+        v = draw(st.sampled_from(free))
+        dom = model.domain(v)
+        weights = draw(st.lists(st.integers(0, 3), min_size=len(dom),
+                                max_size=len(dom)).filter(any))
+        probs = tuple(Fraction(w, sum(weights)) for w in weights)
+        soft = constant_soft_intervention([v], [(x,) for x in dom], probs,
+                                          share_key=("soft", v, probs))
+        return ab.QueryTerm(outcomes=t.outcomes, hard=t.hard,
+                            soft=t.soft + (soft,))
+
+    return model, q.map_terms(with_draw)
+
+
+def tabulated(tabulate, model, terms, numbered):
+    """``tabulate``'s table of what ``terms`` show, their setups numbered
+    for the world cache or not."""
+    reads = [tuple(v for oc in t.outcomes for v in oc.variables)
+             for t in terms]
+    setups = [valuation._term_setup(model, t) for t in terms]
+    if numbered:
+        setups = [valuation._numbered(model, s, r)
+                  for s, r in zip(setups, reads)]
+    return tabulate(model, terms, setups, reads, None)
+
+
+def with_messages(weights):
+    """A table's (key, weight) pairs with each undefined world replaced by
+    its error message, keys that then coincide summed, in first-met
+    order."""
+    out = {}
+    for key, w in weights.items():
+        key = tuple(("undefined", world.message)
+                    if isinstance(world, ab.ImpossibleContext) else world
+                    for world in key)
+        out[key] = out.get(key, 0) + w
+    return list(out.items())
+
+
+def answer(fn, *args):
+    """``fn(*args)``, or the kind and message of the package error it
+    raises."""
+    try:
+        return fn(*args)
+    except ab.AbstraktError as err:
+        return err.kind, err.message
+
+
+class TestFactoredWalk:
+    """valuation._tabulate sums each term's private noise into factors
+    before it joins the terms (see valuation._factoring); the joint walk
+    of tests/conftest.py is its oracle."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(walk_cases())
+    def test_tables_and_answers_match_the_joint_walk(self, case):
+        model, q = case
+        terms = list(q.terms) + list(q.conditioning)
+        for numbered in (False, True):
+            den, got = tabulated(valuation._tabulate, fresh(model), terms,
+                                 numbered)
+            want_den, want = tabulated(reference_tabulate, fresh(model),
+                                       terms, numbered)
+            assert den == want_den
+            if any(isinstance(world, ab.ImpossibleContext)
+                   for key in want for world in key):
+                # the keys keep the joint walk's order, which decides the
+                # error a query raises
+                assert with_messages(got) == with_messages(want)
+            else:
+                assert got == want
+        with mock.patch.object(valuation, "_tabulate", reference_tabulate):
+            want_table = answer(ab.counterfactual_table, fresh(model), terms)
+            want = answer(ab.prob_query, fresh(model), q)
+        assert answer(ab.counterfactual_table, fresh(model), terms) == \
+            want_table
+        assert answer(ab.prob_query, fresh(model), q) == want
+        # and on a model whose world cache holds the terms' worlds
+        warm = fresh(model)
+        for t in terms:
+            answer(ab.prob_query, warm, query([t]))
+        answer(ab.prob_query, warm, query(terms[::-1]))
+        assert answer(ab.prob_query, warm, q) == want
+        assert answer(ab.prob_query, warm, q) == want
+
+    def test_undefined_worlds_take_the_joint_walk(self):
+        """On the dead-context model ~XH=xC is undefined where ZH=z2. Next
+        to Y under a stochastic setting of X, private cells against UZ and
+        the tilde cells, the table is one to factor; its undefined worlds
+        send it to the joint walk, so its keys come in the joint walk's
+        order and the query raises the joint walk's error."""
+        model, cm = dead_context_model()
+        tilde = ab.resolve_sigma(model, cm, ab.lower_query(cm, query([
+            ab.QueryTerm(outcomes=(cluster_atom(cm.cluster("YH"), 1),),
+                         soft=(ab.SigmaMarker("XH", "xC"),))])),
+            policy="markovian").terms[0]
+        drawn = ab.QueryTerm(outcomes=(atom("Y", 0),), soft=(
+            constant_soft_intervention(
+                ("X",), [("x1",), ("x2",), ("x3",)],
+                (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)),
+                share_key=("soft", "X")),))
+        terms = [drawn, tilde]
+        setups = [valuation._term_setup(model, t) for t in terms]
+        blocks = sorted(set().union(*(s.blocks for s in setups)))
+        _den, cells = valuation._draws(model, terms, None, blocks)
+        assert valuation._factoring(model, setups, cells) is not None
+        for numbered in (False, True):
+            den, got = tabulated(valuation._tabulate, fresh(model), terms,
+                                 numbered)
+            want_den, want = tabulated(reference_tabulate, fresh(model),
+                                       terms, numbered)
+            assert den == want_den
+            assert with_messages(got) == with_messages(want)
+        with pytest.raises(ab.ImpossibleContext) as err:
+            ab.prob_query(fresh(model), query(terms))
+        with mock.patch.object(valuation, "_tabulate", reference_tabulate):
+            assert answer(ab.prob_query, fresh(model), query(terms)) == \
+                (err.value.kind, err.value.message)
 
 
 # ---------------------------------------------------------------------------

@@ -143,6 +143,38 @@ class TestStochasticInterventions:
         assert p_y1((1, 0, 0)) == Fraction(9, 10)
         assert p_y1((0, 1, 0)) == Fraction(1, 10)
 
+    @staticmethod
+    def _same_table(targets):
+        # x1 with 3/4 and x2 with 1/4, under the share key ("k",)
+        return constant_soft_intervention(
+            targets, (("x1",), ("x2",)), (Fraction(3, 4), Fraction(1, 4)),
+            share_key=("k",))
+
+    def test_equal_interventions_share_a_key(self, insurance):
+        """Two equal interventions under one key are one draw, in one term
+        or across two: P(Y=1) = 3/4 * 9/10 + 1/4 * 1/10 = 7/10."""
+        a, b = self._same_table(("X",)), self._same_table(("X",))
+        y1 = (atom("Y", 1),)
+        for q in (query([ab.QueryTerm(outcomes=y1, soft=(a, b))]),
+                  query([ab.QueryTerm(outcomes=y1, soft=(a,)),
+                         ab.QueryTerm(outcomes=y1, soft=(b,))])):
+            assert ab.prob_query(insurance, q) == Fraction(7, 10)
+
+    def test_key_shared_by_different_targets_is_refused(self, insurance):
+        """Interventions on X and on Z that agree on candidates, breaks
+        and cell maps cannot share one key: in one term the second was
+        dropped (7/10, the answer for X's alone), across two terms a
+        mechanism lookup failed."""
+        on_x, on_z = self._same_table(("X",)), self._same_table(("Z",))
+        y1 = (atom("Y", 1),)
+        for terms in ([ab.QueryTerm(outcomes=y1, soft=(on_x, on_z))],
+                      [ab.QueryTerm(outcomes=y1, soft=(on_x,)),
+                       ab.QueryTerm(outcomes=y1, soft=(on_z,))]):
+            with pytest.raises(ab.DomainMismatch, match="share key"):
+                ab.prob_query(insurance, query(terms))
+            with pytest.raises(ab.DomainMismatch, match="share key"):
+                ab.counterfactual_table(insurance, terms)
+
 
 class TestJointTables:
     def test_observational_table(self, insurance):
