@@ -211,15 +211,15 @@ def ancestors(g, targets):
 
 def d_separated(g, xs, ys, zs):
     """Separation in a mixed graph: no active path between the sets given
-    the conditioning set, where colliders are opened by conditioned
-    descendants and every arrowhead-to-arrowhead meeting counts as a
-    collider."""
+    the conditioning set, where every arrowhead-to-arrowhead meeting
+    counts as a collider. The walk may revisit nodes, so it opens a
+    collider only when the collider itself is conditioned: a conditioned
+    descendant opens it by a walk down to that descendant and back."""
     xs, ys, zs = set(xs), set(ys), set(zs)
     for n in xs | ys | zs:
         g.position(n)
     if xs & ys or xs & zs or ys & zs:
         raise DomainMismatch("separation sets must be disjoint")
-    an_z = ancestors(g, zs) if zs else set()
 
     edges = {n: [] for n in g.nodes}
     for a, b in g.directed:
@@ -242,11 +242,9 @@ def d_separated(g, xs, ys, zs):
         if n in ys:
             return False
         for (m, head_here, head_there) in edges[n]:
-            if head and head_here:
-                ok = n in an_z
-            else:
-                ok = n not in zs
-            if not ok:
+            # a collider passes only when conditioned, any other node
+            # only when not
+            if (head and head_here) != (n in zs):
                 continue
             state = (m, head_there)
             if state not in seen:

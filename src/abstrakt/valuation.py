@@ -546,207 +546,142 @@ def _choices(draws, keys):
     return out
 
 
-# The fixed work of the factored walk per term (its draw lists, factor
-# tables and state passes), in (state, draw) pairs of the joint walk. On the
-# insurance tables a two-term table with 3 and 3 private pairs ran 44%
-# slower factored, one with 2 and 24 ran 5% faster.
-_TERM_PAIRS = 6
-
-
-def _factoring(scm, setups, draws):
-    """How a table of several terms is walked. A block or share key is
-    shared when two or more terms read it, else private to its one
-    reader. The joint walk meets every shared pair (state and cell draw of
-    the shared blocks and keys) times every term's private pairs; the
-    factored walk meets each term's private pairs once per shared pair of
-    that term's own shared blocks and keys, then each shared pair once,
-    and pays _TERM_PAIRS per term. Returns None when the joint walk costs
-    no more, else the shared blocks, the shared keys, and per term its own
-    shared blocks, its own shared keys, its private blocks and its private
-    keys."""
-    rows = scm._block_rows()[0]
-    if len(setups) == 2:
-        # Both terms read every shared block and key. Most tables have two
-        # terms, and most of those are walked jointly, so that is decided
-        # here without the general pass below.
-        s, t = setups
-        common = a = b = 1
-        for x in s.blocks:
-            if x in t.blocks:
-                common *= len(rows[x])
-            else:
-                a *= len(rows[x])
-        for x in t.blocks:
-            if x not in s.blocks:
-                b *= len(rows[x])
-        if s.atoms or t.atoms:
-            mine = {x.share_key for x in s.atoms}
-            theirs = {x.share_key for x in t.atoms}
-            for k in mine & theirs:
-                common *= len(draws[k])
-            for k in mine - theirs:
-                a *= len(draws[k])
-            for k in theirs - mine:
-                b *= len(draws[k])
-        if common * (1 + a + b) + 2 * _TERM_PAIRS >= common * a * b:
-            return None
-    seen, shared = set(), set()
-    seen_keys, shared_keys = set(), set()
-    for s in setups:
-        shared.update(seen.intersection(s.blocks))
-        seen.update(s.blocks)
-        mine = {a.share_key for a in s.atoms}
-        shared_keys |= seen_keys & mine
-        seen_keys |= mine
-    common = math.prod(len(rows[b]) for b in shared) * \
-        math.prod(len(draws[k]) for k in shared_keys)
-    joint = common
-    factored = common + _TERM_PAIRS * len(setups)
-    parts = []
-    for s in setups:
-        own = [b for b in s.blocks if b in shared]
-        own_keys = [a.share_key for a in s.atoms
-                    if a.share_key in shared_keys]
-        private = [b for b in s.blocks if b not in shared]
-        private_keys = [a.share_key for a in s.atoms
-                        if a.share_key not in shared_keys]
-        alone = math.prod(len(rows[b]) for b in private) * \
-            math.prod(len(draws[k]) for k in private_keys)
-        joint *= alone
-        factored += alone * math.prod(len(rows[b]) for b in own) * \
-            math.prod(len(draws[k]) for k in own_keys)
-        parts.append((own, own_keys, private, private_keys))
-    if factored >= joint:
-        return None
-    return sorted(shared), [k for k in draws if k in shared_keys], parts
-
-
 def _tabulate(scm, terms, setups, reads, budget):
     """The one walker of the exogenous states: it sums the states of the
     blocks some term's world reads times the cell draws, and returns the
     common denominator and a dict from per-term tuples of ``reads`` to
     integer weights that sum to it, where an undefined world holds the
-    ImpossibleContext its program raised. A numbered term (see _numbered)
-    keeps its worlds in the model's world cache and compiles its program
-    on its first miss.
+    ImpossibleContext its program raised.
 
-    A table whose private noise (blocks and cell draws one term alone
-    reads) makes it cheaper (see _factoring) is walked factored, as
-    variable elimination of the private noise: each term sums its private
-    states and draws into one {world: weight} factor per state and draw of
-    its own shared blocks and keys, and one pass over the shared states
-    and draws joins the terms' factors by product. Any other table, and
-    one whose factors hold an undefined world, is walked jointly: every
-    state of every block with every draw, so the keys come in the order
-    that decides which error a query raises. There a term that reads
-    fewer blocks or cell draws than the walk keeps its worlds in a memo
-    for the call; the rest meet each world once and keep none. Memos are
-    keyed by term number, own row indices and cell draws, and stop at
-    CACHE_LIMIT."""
+    A block or share key that one term alone reads is that term's private
+    noise, and is summed out before the terms are joined (variable
+    elimination): at each point (state and cell draw) of the term's own
+    shared blocks and keys, its worlds over its private states and draws
+    make one {world: weight} factor, and one pass over the shared states
+    and draws joins the terms' factors by product. A term keeps its
+    factors for the call only where its own shared blocks or keys are
+    fewer than the walk's; a term that meets each point once keeps none,
+    and lists its private states only when it sums them at more than one
+    point. Each world comes from _world, through the world cache for a
+    numbered term.
+
+    The joint walk is this walk with nothing private: every state of
+    every block with every draw. A table of one term meets its worlds in
+    the joint walk's order; a table of several whose factors hold an
+    undefined world is walked again jointly, so that its keys come in the
+    order that decides which error a query raises."""
     blocks = sorted(set().union(*(s.blocks for s in setups)))
     den, draws = _draws(scm, terms, budget, blocks)
+    readers = {}
     for setup, out in zip(setups, reads):
         if setup.number is None:
             setup.program = _compile(scm, setup, out)
-    plan = _factoring(scm, setups, draws) if len(setups) > 1 else None
-    if plan is not None:
-        shared, shared_keys, parts = plan
-        at = {b: i for i, b in enumerate(shared)}
-        joins = []
-        undefined = False
-        for setup, out, (own, own_keys, private, private_keys) in zip(
-                setups, reads, parts):
-            memo = None if setup.number is None else scm._world_cache
+        for x in setup.blocks:
+            readers[x] = readers.get(x, 0) + 1
+        for a in setup.atoms:
+            readers[a.share_key] = readers.get(a.share_key, 0) + 1
+    shared = {x for x, n in readers.items() if n > 1}
+    while True:
+        walk = [b for b in blocks if b in shared]
+        keys = [k for k in draws if k in shared]
+        plans = []
+        for setup, out in zip(setups, reads):
+            own = [b for b in setup.blocks if b in shared]
             shares = [a.share_key for a in setup.atoms]
-            # row indices over own + private blocks, in the setup's order
-            pick = _reader([own.index(b) if b in at
-                            else len(own) + private.index(b)
-                            for b in setup.blocks])
-            mixed = [(tuple([c[k] for k in own_keys]),
-                      tuple([{**c, **p}[k] for k in shares]), w)
-                     for c, _w in _choices(draws, own_keys)
-                     for p, w in _choices(draws, private_keys)]
-            factors = {}
-            groups = []
-            for sh_idx, _w in scm.exogenous_states(own):
-                groups.append((sh_idx, [
-                    (cells, w, factors.setdefault((sh_idx, sh_cells), {}))
-                    for sh_cells, cells, w in mixed]))
-            for p_idx, pp in scm.exogenous_states(private):
-                for sh_idx, runs in groups:
-                    sub_idx = pick(sh_idx + p_idx)
-                    for cells, w, factor in runs:
-                        if memo is not None:
-                            sig = (setup.number, sub_idx, cells)
-                            world = memo.get(sig)
-                            if world is not None:
-                                factor[world] = factor.get(world, 0) + pp * w
-                                continue
-                            if setup.program is None:
-                                setup.program = _compile(scm, setup, out)
-                        try:
-                            world = setup.program(sub_idx, cells)
-                        except ImpossibleContext as err:
-                            world = err.with_traceback(None)
-                        if memo is not None and len(memo) < CACHE_LIMIT:
-                            memo[sig] = world
-                        factor[world] = factor.get(world, 0) + pp * w
-            if any(isinstance(world, ImpossibleContext)
-                   for factor in factors.values() for world in factor):
-                undefined = True
-                break
-            joins.append((_reader([at[b] for b in own]), own_keys,
-                          {sig: tuple(factor.items())
-                           for sig, factor in factors.items()}))
-        if not undefined:
-            weights = {}
-            shared_draws = _choices(draws, shared_keys)
-            for s_idx, ps in scm.exogenous_states(shared):
-                for choice, wd in shared_draws:
-                    combos = [((), ps * wd)]
-                    for own_pick, keys, table in joins:
-                        factor = table[
-                            own_pick(s_idx), tuple([choice[k] for k in keys])]
-                        combos = [(key + (world,), w * fw)
-                                  for key, w in combos for world, fw in factor]
-                    for key, w in combos:
-                        weights[key] = weights.get(key, 0) + w
+            own_keys = [k for k in shares if k in shared]
+            states = pick = None
+            cells_at = {(): [((), 1)]}
+            if len(own) < len(setup.blocks) or len(own_keys) < len(shares):
+                private = [b for b in setup.blocks if b not in shared]
+                if shares:
+                    # per own shared draw, the term's cells (in its atoms'
+                    # order) and weight at each of its private draws
+                    alone = _choices(draws, [k for k in draws if k in shares
+                                             and k not in shared])
+                    cells_at = {
+                        tuple([c[k] for k in own_keys]):
+                        [(tuple([c[k] if k in c else p[k] for k in shares]),
+                          w) for p, w in alone]
+                        for c, _w in _choices(draws, own_keys)}
+                states = [((), 1)]
+                if private:
+                    states = scm.exogenous_states(private)
+                    if own or own_keys:
+                        states = list(states)
+                    if own:
+                        # row indices over own + private blocks, in the
+                        # setup's order
+                        pick = _reader([own.index(b) if b in shared
+                                        else len(own) + private.index(b)
+                                        for b in setup.blocks])
+            table = {} if len(own) < len(walk) or len(own_keys) < len(keys) \
+                else None
+            plans.append((setup, out, _reader([walk.index(b) for b in own]),
+                          _reader([keys.index(k) for k in own_keys]),
+                          table, states, cells_at, pick))
+        weights = {}
+        walk_draws = [(tuple([c[k] for k in keys]), w)
+                      for c, w in _choices(draws, keys)]
+        for s_idx, ps in scm.exogenous_states(walk) if walk else [((), 1)]:
+            for choice, wd in walk_draws:
+                combos = [((), ps * wd)]
+                for (setup, out, own_pick, own_cells, table, states,
+                     cells_at, pick) in plans:
+                    sh_idx = own_pick(s_idx)
+                    sh_cells = own_cells(choice)
+                    factor = None if table is None \
+                        else table.get((sh_idx, sh_cells))
+                    if factor is None:
+                        if states is None:
+                            factor = ((_world(scm, setup, out, sh_idx,
+                                              sh_cells), 1),)
+                        else:
+                            factor = {}
+                            for p_idx, pp in states:
+                                sub_idx = sh_idx + p_idx if pick is None \
+                                    else pick(sh_idx + p_idx)
+                                for cells, w in cells_at[sh_cells]:
+                                    world = _world(scm, setup, out, sub_idx,
+                                                   cells)
+                                    factor[world] = \
+                                        factor.get(world, 0) + pp * w
+                            factor = tuple(factor.items())
+                        if table is not None:
+                            table[sh_idx, sh_cells] = factor
+                    combos = [(key + (world,), w * fw) for key, w in combos
+                              for world, fw in factor]
+                for key, w in combos:
+                    weights[key] = weights.get(key, 0) + w
+        # only a stochastic intervention's context can leave a world
+        # undefined
+        if len(setups) == 1 or len(shared) == len(readers) or not draws \
+                or not any(isinstance(world, ImpossibleContext)
+                           for key in weights for world in key):
             return den, weights
-    at = {b: i for i, b in enumerate(blocks)}
-    plans = []
-    for setup, out in zip(setups, reads):
-        memo = scm._world_cache
-        if setup.number is None:
-            memo = {} if len(setup.blocks) < len(blocks) \
-                or len(setup.atoms) < len(draws) else None
-        plans.append((_reader([at[b] for b in setup.blocks]),
-                      [a.share_key for a in setup.atoms], setup, out, memo))
-    draws = _choices(draws, draws)
-    weights = {}
-    for u_idx, pu in scm.exogenous_states(blocks):
-        for choice, w in draws:
-            key = []
-            for pick, shares, setup, out, memo in plans:
-                cells = tuple([choice[k] for k in shares])
-                sub_idx = pick(u_idx)
-                if memo is not None:
-                    sig = (setup.number, sub_idx, cells)
-                    world = memo.get(sig)
-                    if world is not None:
-                        key.append(world)
-                        continue
-                    if setup.program is None:
-                        setup.program = _compile(scm, setup, out)
-                try:
-                    world = setup.program(sub_idx, cells)
-                except ImpossibleContext as err:
-                    world = err.with_traceback(None)
-                if memo is not None and len(memo) < CACHE_LIMIT:
-                    memo[sig] = world
-                key.append(world)
-            key = tuple(key)
-            weights[key] = weights.get(key, 0) + pu * w
-    return den, weights
+        shared = set(readers)
+
+
+def _world(scm, setup, out, sub_idx, cells):
+    """A term's world at its own row indices and cell draws, an undefined
+    one as the ImpossibleContext its program raised. A numbered term (see
+    _numbered) keeps its worlds in the model's world cache, keyed by term
+    number, own row indices and cell draws, while it holds fewer than
+    CACHE_LIMIT, and compiles its program on its first miss."""
+    memo = None if setup.number is None else scm._world_cache
+    if memo is not None:
+        sig = (setup.number, sub_idx, cells)
+        world = memo.get(sig)
+        if world is not None:
+            return world
+        if setup.program is None:
+            setup.program = _compile(scm, setup, out)
+    try:
+        world = setup.program(sub_idx, cells)
+    except ImpossibleContext as err:
+        world = err.with_traceback(None)
+    if memo is not None and len(memo) < CACHE_LIMIT:
+        memo[sig] = world
+    return world
 
 
 def _holds(worlds, terms):
@@ -798,13 +733,14 @@ def prob_query(scm, query, budget=None):
 
 
 def counterfactual_table(scm, terms, reads=None, budget=None):
-    """Joint integer weights of what the worlds of ``terms`` show, from one
-    enumeration of the shared exogenous draw and cells: the common
+    """Joint integer weights of what the worlds of ``terms`` show over the
+    shared exogenous draw and cells, from one walk that sums each term's
+    private noise before it joins the terms (see _tabulate): the common
     denominator and a dict from per-term tuples of ``reads`` (default: each
     term's outcome variables; accepted sets are not applied) to weights.
     ``reads`` may name noise members by (block, member) key. No world is
-    kept past the call (see _tabulate); a world undefined in any state
-    raises its ImpossibleContext."""
+    kept past the call; a world undefined in any state raises its
+    ImpossibleContext."""
     if not terms:
         raise DomainMismatch("query has no terms")
     if reads is None:

@@ -76,6 +76,20 @@ class TestSeparation:
                           (("A", "B"), ("C", "B"), ("B", "D")), ())
         assert not ab.d_separated(g, ("A",), ("C",), ("D",))
 
+    def test_deeper_descendant_opens(self):
+        """A walk down B -> E -> D to the conditioned D and back opens the
+        collider at B."""
+        g = ab.make_graph(("A", "B", "C", "D", "E"),
+                          (("A", "B"), ("C", "B"), ("B", "E"), ("E", "D")),
+                          ())
+        assert not ab.d_separated(g, ("A",), ("C",), ("D",))
+
+    def test_descendant_opens_a_bidirected_collider(self):
+        g = ab.make_graph(("A", "B", "C", "D"), (("C", "B"), ("B", "D")),
+                          (("A", "B"),))
+        assert ab.d_separated(g, ("A",), ("C",), ())
+        assert not ab.d_separated(g, ("A",), ("C",), ("D",))
+
     def test_bidirected_connects(self):
         g = ab.make_graph(("A", "B"), (), (("A", "B"),))
         assert not ab.d_separated(g, ("A",), ("B",), ())

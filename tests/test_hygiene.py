@@ -247,12 +247,12 @@ def test_detects_enumeration_calls():
 
 
 # Every exact sum over exogenous states goes through valuation's table
-# walker, whose joint walk and factored walk (the private noise of each
-# term summed first, the shared noise walked once) both live in
-# _tabulate. The support itself pairs states with assignments; check_aic's
-# witness walk must report a whole unit; verify walks, per intervention,
-# the blocks its cases read, and replays every unit only after a failure
-# (a local check per cluster may replace both).
+# walker, _tabulate: one walk that sums each term's private noise first
+# and walks the shared noise once (the joint walk is that walk with
+# nothing private). The support itself pairs states with assignments;
+# check_aic's witness walk must report a whole unit; verify walks, per
+# intervention, the blocks its cases read, and replays every unit only
+# after a failure (a local check per cluster may replace both).
 ENUMERATION_LOOPS = {
     ("valuation.py", "_tabulate"),
     ("scm.py", "DiscreteScm.exogenous_support"),

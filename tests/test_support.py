@@ -16,6 +16,7 @@ import itertools
 import json
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -1279,20 +1280,44 @@ class TestCounterfactualTable:
             ([observed], [("X", ("UZ", "UZ"))], 18, [18]),
             # Y under X's cell: Y's three blocks times three cells
             ([drawn], [("Y",)], 8, [24]),
-            # all six blocks; under X=x1, Y's table varies with UY1 only
-            ([observed, pinned], [("Y",), ("Y",)], 144, [144, 2]),
+            # all six blocks; under X=x1, Y's table varies with UY1 only,
+            # so UY1 is shared and the other five blocks are the observed
+            # term's private ones: UY1's 2 states, then the 72 private
+            # states listed once and summed at each of them
+            ([observed, pinned], [("Y",), ("Y",)], 74, [144, 2]),
             # Y's blocks are shared; UZ, UX1 and UX2 are the observed
-            # term's private blocks and X's cells the drawn term's, so the
-            # walk is factored: 8 shared states, then per term its own
-            # shared states and its private ones, 8 + 18 and 8 + 1 (the
-            # empty state), where the joint walk met 144 states 3 times
-            ([observed, drawn], [("Y",), ("Y",)], 43, [144, 24]),
+            # term's private blocks and X's cells the drawn term's: 8
+            # shared states, then the observed term's 18 private states,
+            # listed once and summed at each of them, where the joint walk
+            # met 144 states 3 times
+            ([observed, drawn], [("Y",), ("Y",)], 26, [144, 24]),
         ]
         for terms, reads, states, want in cases:
             del runs[:], visited[:]
             ab.counterfactual_table(fresh(insurance), terms, reads)
             assert len(visited) == states
             assert runs == want
+
+    def test_terms_that_meet_each_world_once_keep_nothing(self):
+        """A term that meets each of its worlds once keeps no memo, no
+        factor table and no list of states. On a chain of 12 binary noise
+        blocks, a table of one term, and one of two terms that both read
+        every block, stay far below what listing the 4096 states takes
+        in traced memory."""
+        nodes = ["V%d" % i for i in range(12)]
+        model = build_dag_model(nodes, list(zip(nodes, nodes[1:])),
+                                random.Random(3))
+        assert model.exogenous_support_size() == 2 ** 12
+        last = ab.QueryTerm(outcomes=(atom("V11", 0),))
+        for terms in ([last], [last, last]):
+            ab.counterfactual_table(model, terms)
+            tracemalloc.start()
+            try:
+                ab.counterfactual_table(model, terms)
+                _size, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 2 ** 20 / 4
 
 
 # ---------------------------------------------------------------------------
@@ -1426,8 +1451,8 @@ def answer(fn, *args):
 
 class TestFactoredWalk:
     """valuation._tabulate sums each term's private noise into factors
-    before it joins the terms (see valuation._factoring); the joint walk
-    of tests/conftest.py is its oracle."""
+    before it joins the terms; the joint walk of tests/conftest.py is its
+    oracle."""
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(walk_cases())
@@ -1463,8 +1488,8 @@ class TestFactoredWalk:
 
     def test_undefined_worlds_take_the_joint_walk(self):
         """On the dead-context model ~XH=xC is undefined where ZH=z2. Next
-        to Y under a stochastic setting of X, private cells against UZ and
-        the tilde cells, the table is one to factor; its undefined worlds
+        to Y under a stochastic setting of X, the table has private noise
+        (X's cells against UZ and the tilde cells); its undefined worlds
         send it to the joint walk, so its keys come in the joint walk's
         order and the query raises the joint walk's error."""
         model, cm = dead_context_model()
@@ -1478,10 +1503,9 @@ class TestFactoredWalk:
                 (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)),
                 share_key=("soft", "X")),))
         terms = [drawn, tilde]
-        setups = [valuation._term_setup(model, t) for t in terms]
-        blocks = sorted(set().union(*(s.blocks for s in setups)))
-        _den, cells = valuation._draws(model, terms, None, blocks)
-        assert valuation._factoring(model, setups, cells) is not None
+        noise = [set(s.blocks) | {a.share_key for a in s.atoms}
+                 for s in (valuation._term_setup(model, t) for t in terms)]
+        assert noise[0] - noise[1] and noise[1] - noise[0]
         for numbered in (False, True):
             den, got = tabulated(valuation._tabulate, fresh(model), terms,
                                  numbered)
