@@ -55,6 +55,7 @@ from .projection import (
     projected_sample,
     resolve_sigma,
     save_high,
+    verify_partial_projection,
 )
 from .graphs import (
     build_cdag,
@@ -495,7 +496,6 @@ def cmd_sample(args):
 
 
 def cmd_verify(args):
-    from .projection import verify_partial_projection
     low = load_scm(args.scm)
     high = load_high(args.high)
     result = verify_partial_projection(low, high, budget=args.budget)

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainMismatch, UnknownVariable
+from .errors import DomainMismatch, NotClusterUnion, UnknownVariable
 from .scm import Diagram, topological_order, write_json
 from .valuation import (
     HardIntervention,
@@ -68,77 +68,32 @@ def make_graph(nodes, directed, bidirected, projected=False, violators=()):
 # construction from a low-level diagram and a cluster map
 
 
-def _downstream_kept(diagram, kept, children):
-    """For every node, the kept nodes its influence reaches through dropped
-    intermediates only (a kept node reaches just itself)."""
-    down = {}
-    for n in diagram.nodes:
-        if n in kept:
-            down[n] = {n}
-            continue
-        reached = set()
-        stack = [n]
-        visited = {n}
-        while stack:
-            cur = stack.pop()
-            for c in children.get(cur, ()):
-                if c in kept:
-                    reached.add(c)
-                elif c not in visited:
-                    visited.add(c)
-                    stack.append(c)
-        down[n] = reached
-    return down
-
-
 def build_cdag(diagram, cm):
-    """Cluster-level diagram of a low-level diagram: directed edges between
-    clusters holding a member-level edge, bidirected edges from shared
-    noise. Variables outside every cluster are projected away first (their
-    causes pass through, and they act as hidden common causes)."""
-    kept = set()
-    owner = {}
+    """Contract a diagram of the clustered variables onto the clusters: a
+    directed edge joins two clusters holding the ends of a member-level
+    edge, and a bidirected edge two clusters whose members share one.
+    ``projection.project_full`` drops the variables outside every cluster
+    (the working model does so), and a diagram that still has one is
+    refused with NotClusterUnion."""
     for c in cm.clusters:
         for m in c.members:
             if m not in diagram.nodes:
                 raise UnknownVariable(
                     "cluster %r names %r, which is not in the diagram"
                     % (c.name, m), variable=m)
-            kept.add(m)
-            owner[m] = c.name
-    children = {n: [] for n in diagram.nodes}
-    for a, b in diagram.directed:
-        children[a].append(b)
-    down = _downstream_kept(diagram, kept, children)
+    owner = cm.member_cluster
+    loose = [str(n) for n in diagram.nodes if n not in owner]
+    if loose:
+        raise NotClusterUnion("variables %s belong to no cluster"
+                              % ", ".join(sorted(loose)),
+                              variables=sorted(loose))
 
-    directed = set()
-    for u in kept:
-        targets = set()
-        for c in children[u]:
-            if c in kept:
-                targets.add(c)
-            else:
-                targets |= down[c]
-        for v in targets:
-            if owner[v] != owner[u]:
-                directed.add((owner[u], owner[v]))
-    bidirected = set()
+    def contract(edges):
+        return {(owner[a], owner[b]) for a, b in edges
+                if owner[a] != owner[b]}
 
-    def mark(us, vs):
-        for u in us:
-            for v in vs:
-                if u != v and owner[u] != owner[v]:
-                    bidirected.add((owner[u], owner[v]))
-
-    for a, b in diagram.bidirected:
-        mark(down[a], down[b])
-    for n in diagram.nodes:
-        if n in kept:
-            continue
-        mark(down[n], down[n])
-
-    names = tuple(c.name for c in cm.clusters)
-    return make_graph(names, directed, bidirected)
+    return make_graph((c.name for c in cm.clusters),
+                      contract(diagram.directed), contract(diagram.bidirected))
 
 
 # ---------------------------------------------------------------------------

@@ -937,6 +937,8 @@ def high_to_doc(high):
 
 def high_from_doc(doc):
     delta = _require(doc, "delta", "high-level model document")
+    if not isinstance(delta, dict):
+        raise DomainMismatch("delta must be a JSON object")
     policy = validate_policy(delta.get("policy", "general"))
     fallback = validate_fallback(delta.get("fallback"))
     scm = validate_scm({k: v for k, v in doc.items() if k != "delta"})
@@ -1002,11 +1004,21 @@ def high_from_doc(doc):
 
 def _check_split(split, scm, where):
     """Refuse a loaded split that does not fit its model: a violator flag
-    that is not a boolean, a block that is not one of the model's, or cells
-    that are not exactly the block's members, listed under every lossy
-    label, each ranging over the positions of its label's member tuples."""
+    that is not a boolean, a sigma table of no label of the split, or one
+    that does not give one probability per member tuple of its label summing
+    to 1, a block that is not one of the model's, or cells that are not
+    exactly the block's members, listed under every lossy label, each
+    ranging over the positions of its label's member tuples."""
     if not isinstance(split.violator, bool):
         raise DomainMismatch("violator of %s must be a boolean" % where)
+    for label, tables in split.sigma.items():
+        size = len(split.fiber(label))
+        if any(len(probs) != size or sum(probs) != 1
+               for probs in tables.values()):
+            raise DomainMismatch(
+                "each sigma table of %s for label %r must give %d "
+                "probabilities, one per member tuple, summing to 1"
+                % (where, label, size))
     members = {}
     if split.block is not None:
         if not (isinstance(split.block, str)

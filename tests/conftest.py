@@ -252,6 +252,39 @@ def context_after_target_docs():
     return model, clusters
 
 
+def noiseless_mediator_docs():
+    """Z -> W -> {X, Y} and X -> Y, where W = Z reads no noise of its own.
+    The clusters leave W out, so projecting it away adds no confounding."""
+    bits = [0, 1]
+
+    def noise(name):
+        return [{"block": name, "member": "u"}]
+
+    model = {
+        "endogenous": [{"name": n, "domain": bits} for n in "ZWXY"],
+        "blocks": [binary_block(name, Fraction(1, 2))
+                   for name in ("UZ", "UX", "UY")],
+        "mechanisms": [
+            {"variable": "Z", "endo_parents": [], "exo_parents": noise("UZ"),
+             "table": [{"parents": [u], "out": u} for u in bits]},
+            {"variable": "W", "endo_parents": ["Z"], "exo_parents": [],
+             "table": [{"parents": [z], "out": z} for z in bits]},
+            {"variable": "X", "endo_parents": ["W"], "exo_parents": noise("UX"),
+             "table": [{"parents": [w, u], "out": w ^ u}
+                       for w in bits for u in bits]},
+            {"variable": "Y", "endo_parents": ["W", "X"],
+             "exo_parents": noise("UY"),
+             "table": [{"parents": [w, x, u], "out": (w & x) ^ u}
+                       for w in bits for x in bits for u in bits]},
+        ],
+    }
+    clusters = {"clusters": [
+        {"name": n, "members": [n],
+         "values": [{"label": v, "tuples": [[v]]} for v in bits]}
+        for n in "ZXY"]}
+    return model, clusters
+
+
 def all_dag_structures(max_nodes):
     """Every DAG over at most ``max_nodes`` declared nodes, with edges
     oriented from earlier to later declarations."""

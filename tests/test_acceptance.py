@@ -26,7 +26,7 @@ def marker_query(outcome_pairs, cluster, label, conditioning=()):
 
 def projected_graph(scm, cm):
     rep = ab.check_aic(scm, cm)
-    cdag = ab.build_cdag(ab.induce_diagram(scm), cm)
+    cdag = ab.build_cdag(ab.induce_diagram(rep.scm), cm)
     return ab.build_projected_cdag(cdag, rep.violators)
 
 

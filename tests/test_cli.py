@@ -5,14 +5,13 @@ import os
 import subprocess
 import sys
 
-from fractions import Fraction
-
 import pytest
 
 import abstrakt as ab
 from abstrakt import projection
 from abstrakt.cli import _build_parser, parse_query, run
-from conftest import binary_block, context_after_target_docs, fixture_path
+from conftest import (context_after_target_docs, fixture_path,
+                      noiseless_mediator_docs)
 
 INS = fixture_path("insurance.json")
 INS_CM = fixture_path("insurance_clusters.json")
@@ -407,6 +406,48 @@ class TestAbstractAndDownstream:
             assert r.exit_code == 2
             assert r.payload["error"]["kind"] == "DomainMismatch"
 
+    def _refused_on_load(self, high_path, tmp_path, edit, kind):
+        """sample and verify exit 2 with ``kind`` on the document ``edit``
+        makes of the one at ``high_path``."""
+        with open(high_path) as fh:
+            doc = json.load(fh)
+        edit(doc)
+        bad = str(tmp_path / "bad.json")
+        with open(bad, "w") as fh:
+            json.dump(doc, fh)
+        for argv in (["sample", "--high", bad, "--value", "XH=xC",
+                      "--context", '{"parents": {"Z": "z1"}}'],
+                     ["verify", "--scm", INS, "--high", bad]):
+            r = run(argv)
+            assert r.exit_code == 2, r.payload
+            assert r.payload["error"]["kind"] == kind
+
+    @pytest.mark.parametrize("delta", [[], "x", 3],
+                             ids=["array", "string", "number"])
+    def test_non_object_delta_exits_2(self, high_path, tmp_path, delta):
+        self._refused_on_load(high_path, tmp_path,
+                              lambda doc: doc.update(delta=delta),
+                              "DomainMismatch")
+
+    @pytest.mark.parametrize("label, probs, kind", [
+        ("xC", ["1/2"], "DomainMismatch"),
+        ("xC", ["1/2", "1/3"], "DomainMismatch"),
+        ("xE", ["1/2", "1/2"], "DomainMismatch"),
+        ("bogus", ["1/2", "1/2"], "UnknownHighValue"),
+    ], ids=["too few", "sum", "other label", "unknown label"])
+    def test_misfit_sigma_table_exits_2(self, high_path, tmp_path, label,
+                                        probs, kind):
+        """A sigma table must belong to a label of its split and give one
+        probability per member tuple of that label, summing to 1."""
+
+        def edit(doc):
+            xh = next(e for e in doc["delta"]["splits"]
+                      if e["cluster"] == "XH")
+            xh["sigma"][0]["label"] = label
+            xh["sigma"][0]["contexts"][0]["probs"] = probs
+
+        self._refused_on_load(high_path, tmp_path, edit, kind)
+
 
 class TestCdag:
     def test_plain(self):
@@ -513,46 +554,13 @@ class TestEstimate:
         assert r.exit_code == 2
 
 
-def _noiseless_mediator_docs():
-    """Z -> W -> {X, Y} and X -> Y, where W = Z reads no noise of its own.
-    The clusters leave W out, so projecting it away adds no confounding."""
-    bits = [0, 1]
-
-    def noise(name):
-        return [{"block": name, "member": "u"}]
-
-    model = {
-        "endogenous": [{"name": n, "domain": bits} for n in "ZWXY"],
-        "blocks": [binary_block(name, Fraction(1, 2))
-                   for name in ("UZ", "UX", "UY")],
-        "mechanisms": [
-            {"variable": "Z", "endo_parents": [], "exo_parents": noise("UZ"),
-             "table": [{"parents": [u], "out": u} for u in bits]},
-            {"variable": "W", "endo_parents": ["Z"], "exo_parents": [],
-             "table": [{"parents": [z], "out": z} for z in bits]},
-            {"variable": "X", "endo_parents": ["W"], "exo_parents": noise("UX"),
-             "table": [{"parents": [w, u], "out": w ^ u}
-                       for w in bits for u in bits]},
-            {"variable": "Y", "endo_parents": ["W", "X"],
-             "exo_parents": noise("UY"),
-             "table": [{"parents": [w, x, u], "out": (w & x) ^ u}
-                       for w in bits for x in bits for u in bits]},
-        ],
-    }
-    clusters = {"clusters": [
-        {"name": n, "members": [n],
-         "values": [{"label": v, "tuples": [[v]]} for v in bits]}
-        for n in "ZXY"]}
-    return model, clusters
-
-
 class TestProjectedGraphAgreement:
     """identify, estimate and cdag --project read one cluster diagram: the
     one of the model with the unclustered variables projected away."""
 
     @pytest.fixture()
     def paths(self, tmp_path):
-        model, clusters = _noiseless_mediator_docs()
+        model, clusters = noiseless_mediator_docs()
         out = []
         for name, doc in (("model.json", model), ("clusters.json", clusters)):
             out.append(str(tmp_path / name))

@@ -1,6 +1,7 @@
 """Mixed graphs: construction, separation, components, the rewrite rules,
 and the graph-vs-model consistency check."""
 
+import json
 import math
 import random
 from fractions import Fraction
@@ -10,8 +11,9 @@ import pytest
 
 import abstrakt as ab
 from abstrakt import graphs
-from conftest import (build_dag_model, fixture_path, identity_clusters, term,
-                      query)
+from abstrakt.cli import run
+from conftest import (build_dag_model, fixture_path, identity_clusters,
+                      noiseless_mediator_docs, term, query)
 
 
 class TestMakeGraph:
@@ -206,7 +208,8 @@ class TestClusterDiagram:
                 {"label": y, "tuples": [[y]]} for y in (0, 1)]},
         ]}
         cm = ab.validate_clusters(insurance, doc)
-        g = ab.build_cdag(ab.induce_diagram(insurance), cm)
+        small = ab.project_full(insurance, cm.covered_variables())
+        g = ab.build_cdag(ab.induce_diagram(small), cm)
         # Z -> X -> Y with X dropped becomes Z -> Y
         assert g.directed == (("Z", "Y"),)
         assert g.bidirected == ()
@@ -220,9 +223,33 @@ class TestClusterDiagram:
                 {"label": y, "tuples": [[y]]} for y in (0, 1)]},
         ]}
         cm = ab.validate_clusters(hospital, doc)
-        g = ab.build_cdag(ab.induce_diagram(hospital), cm)
+        small = ab.project_full(hospital, cm.covered_variables())
+        g = ab.build_cdag(ab.induce_diagram(small), cm)
         assert g.directed == ()
         assert g.bidirected == (("Z", "Y"),)
+
+    def test_unclustered_variable_is_projected_by_the_model(self, tmp_path):
+        # W = Z reads no noise, so dropping it leaves Z -> X, Z -> Y and no
+        # confounding; only the model knows that, so the diagram of the
+        # full model is refused
+        model, clusters = noiseless_mediator_docs()
+        scm = ab.validate_scm(model)
+        cm = ab.validate_clusters(scm, clusters)
+        with pytest.raises(ab.NotClusterUnion, match="W") as err:
+            ab.build_cdag(ab.induce_diagram(scm), cm)
+        assert err.value.details == {"variables": ["W"]}
+        small = ab.project_full(scm, cm.covered_variables())
+        g = ab.build_cdag(ab.induce_diagram(small), cm)
+        assert g.bidirected == ()
+        paths = []
+        for name, doc in (("model.json", model), ("clusters.json", clusters)):
+            paths.append(str(tmp_path / name))
+            with open(paths[-1], "w") as fh:
+                json.dump(doc, fh)
+        r = run(["cdag", "--scm", paths[0], "--clusters", paths[1]])
+        assert r.exit_code == 0
+        assert r.payload["directed"] == [list(e) for e in g.directed]
+        assert r.payload["bidirected"] == []
 
 
 class TestRewriteRules:

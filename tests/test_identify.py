@@ -316,7 +316,7 @@ class TestSimplify:
 class TestAbstractIdentify:
     def _projected(self, scm, cm):
         rep = ab.check_aic(scm, cm)
-        cdag = ab.build_cdag(ab.induce_diagram(scm), cm)
+        cdag = ab.build_cdag(ab.induce_diagram(rep.scm), cm)
         return ab.build_projected_cdag(cdag, rep.violators)
 
     def test_insurance_effect(self, insurance, insurance_cm):
