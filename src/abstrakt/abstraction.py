@@ -288,6 +288,16 @@ def check_aic(scm, cm, budget=None):
     single label, with every other parent of some child cluster held fixed
     and the child's own noise held fixed, lead the child cluster to two
     different labels.
+
+    The check solves the child once per member tuple at each point (a value
+    of the other parent clusters' members and a state of the child's
+    noise): the child labels a tuple gets over the points are its
+    signature, and a label is violated when two of its tuples' signatures
+    differ. The witness is the first pair of tuples in ``combinations``
+    order whose signatures differ, at the first point where they do. The
+    first two tuples are solved over every point before the others, so a
+    witness between them ends the walk where they first differ. The budget
+    counts one solve per tuple of a merged label per point.
     """
     working = _working_model(scm, cm, budget)
     topo = working.topological_order_names()
@@ -306,17 +316,15 @@ def check_aic(scm, cm, budget=None):
         usize = working.exogenous_support_size(child_blocks[cj.name])
         for ci_name in child_parents[cj.name]:
             ci = cm.by_name[ci_name]
-            pairs = sum(len(cv.tuples) * (len(cv.tuples) - 1) // 2
-                        for cv in ci.values)
-            if pairs == 0:
-                continue
+            tuples = sum(len(cv.tuples) for cv in ci.values
+                         if len(cv.tuples) > 1)
             others = 1
             for other in child_parents[cj.name]:
                 if other != ci_name:
                     oc = cm.by_name[other]
                     for m in oc.members:
                         others *= len(working.domain(m))
-            cost += 2 * pairs * others * usize
+            cost += tuples * others * usize
     check_budget(cost, budget, "consistency check needs %d evaluations")
 
     violators = []
@@ -325,7 +333,9 @@ def check_aic(scm, cm, budget=None):
     default_unit = working.exogenous_assignment(everywhere,
                                                 [0] * len(everywhere))
 
-    def child_label(cj, env, unit):
+    def child_label(cj, base, members, raw, unit):
+        env = dict(base)
+        env.update(zip(members, raw))
         working.solve(unit, env, member_order[cj.name])
         return cj.label_of(tuple(env[m] for m in cj.members))
 
@@ -341,25 +351,54 @@ def check_aic(scm, cm, budget=None):
                 for m in oc.members:
                     other_members.append(m)
                     other_domains.append(working.domain(m))
-            for cv in ci.values:
-                for left, right in combinations(cv.tuples, 2):
-                    for others in product(*other_domains):
-                        base = dict(zip(other_members, others))
-                        for _idx, rows, _w in working.exogenous_support(
-                                child_blocks[cj.name]):
-                            unit = {**default_unit, **rows}
-                            envl = dict(base)
-                            envl.update(zip(ci.members, left))
-                            envr = dict(base)
-                            envr.update(zip(ci.members, right))
-                            out_l = child_label(cj, envl, unit)
-                            out_r = child_label(cj, envr, unit)
-                            if out_l != out_r:
-                                return AicWitness(
-                                    parent=ci.name, child=cj.name,
-                                    label=cv.label, left=left, right=right,
-                                    others=base, unit=unit,
-                                    outputs=(out_l, out_r))
+            bases = [dict(zip(other_members, others))
+                     for others in product(*other_domains)]
+            # every point, in order: the other parents' values, then a state
+            # of the child's noise
+            points = lambda: ((base, {**default_unit, **rows})
+                              for base in bases
+                              for _idx, rows, _w in working.exogenous_support(
+                                  child_blocks[cj.name]))
+
+            def witness(cv, i, j, base, unit, labels):
+                return AicWitness(
+                    parent=ci.name, child=cj.name, label=cv.label,
+                    left=cv.tuples[i], right=cv.tuples[j], others=base,
+                    unit=unit, outputs=(labels[i], labels[j]))
+
+            for cv in (cv for cv in ci.values if len(cv.tuples) > 1):
+                # the first pair in combinations order is solved alone first:
+                # it is the witness at the first point where it differs
+                first = []  # otherwise, the pair's label at each point
+                for base, unit in points():
+                    pair = [child_label(cj, base, ci.members, t, unit)
+                            for t in cv.tuples[:2]]
+                    if pair[0] != pair[1]:
+                        return witness(cv, 0, 1, base, unit, pair)
+                    first.append(pair[0])
+                if len(cv.tuples) == 2:
+                    continue
+                # then each other tuple once per point; the labels a tuple
+                # gets are its signature. cls numbers each tuple's signature
+                # class so far, and splits keeps the points where one split
+                cls, count, splits = [0] * len(cv.tuples), 1, []
+                for (base, unit), label in zip(points(), first):
+                    labels = [label, label] + [
+                        child_label(cj, base, ci.members, t, unit)
+                        for t in cv.tuples[2:]]
+                    seen = {}
+                    refined = [seen.setdefault(key, len(seen))
+                               for key in zip(cls, labels)]
+                    if len(seen) > count:
+                        splits.append((base, unit, labels))
+                        cls, count = refined, len(seen)
+                if count == 1:
+                    continue
+                i, j = next((i, j) for i, j in combinations(range(len(cls)), 2)
+                            if cls[i] != cls[j])
+                # the pair first differs where the split that parts it was
+                return witness(cv, i, j, *next(
+                    split for split in splits if split[2][i] != split[2][j]))
         return None
 
     for ci in cm.clusters:

@@ -23,6 +23,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
+from operator import itemgetter
 
 from .errors import (
     DomainMismatch,
@@ -518,7 +519,16 @@ def construct_projected_abstraction(scm, cm, policy="general", budget=None,
     consistency check decides which clusters keep an unobserved cell block;
     children of those clusters take the cluster's parents as extra inputs so
     they can select the right reference table, and they read the shared
-    noise blocks when the policy is context sensitive."""
+    noise blocks when the policy is context sensitive. The rows of every
+    cell block and high mechanism count against the budget together, before
+    any of them is built.
+
+    A mechanism is built from its live inputs: at each value of its parent
+    labels and of the noise outside the cells, each flagged parent's
+    context selects one of its cell members, so the cluster's members are
+    solved once per value of the selected members, and the label is written
+    to every row that differs only in the cells no context selects
+    (context-specific independence)."""
     validate_policy(policy)
     validate_fallback(fallback)
     report = check_aic(scm, cm, budget)
@@ -526,7 +536,7 @@ def construct_projected_abstraction(scm, cm, policy="general", budget=None,
     violators = set(report.violators)
 
     splits = {}
-    extra_blocks = []
+    cells = {}  # cell block -> the reference table of each of its members
     for c in cm.clusters:
         lossy = c.lossy_labels()
         if not lossy:
@@ -539,74 +549,96 @@ def construct_projected_abstraction(scm, cm, policy="general", budget=None,
         if c.name not in violators:
             continue
         split.violator = True
-        members = []
-        probs_per_member = []
+        split.block = "%s__u" % c.name
+        cells[split.block] = {}
         contexts = _all_contexts(cm.by_name, split)
         for label in lossy:
-            domain = tuple(range(len(split.fiber(label))))
             tables = split.sigma[label]
             split.component[label] = {}
             for ctx in (ctx for ctx in contexts if ctx in tables):
                 name = _component_member(
                     c.name, label, len(split.component[label]))
                 split.component[label][ctx] = name
-                members.append(ExoMember(name=name, domain=domain))
-                probs_per_member.append(tables[ctx])
-        split.block = "%s__u" % c.name
-        check_budget(math.prod(map(len, probs_per_member)), budget,
-                     "cell block for %r needs %d rows", c.name)
-        table = {}
-        for combo in product(*(range(len(w)) for w in probs_per_member)):
-            table[combo] = math.prod(
-                (w[i] for w, i in zip(probs_per_member, combo)),
-                start=Fraction(1))
-        extra_blocks.append(ExogenousBlock(
-            name=split.block, members=tuple(members), table=table))
+                cells[split.block][name] = tables[ctx]
 
-    high = DiscreteScm(
-        endogenous=tuple(VariableDecl(name=c.name, domain=c.labels())
-                         for c in cm.clusters),
-        blocks=tuple(working.blocks) + tuple(extra_blocks), mechanisms={})
+    # each mechanism's inputs: parent labels, then the noise it reads, with
+    # the cell members last, as the cell blocks follow the model's blocks
+    inputs = {}
+    rows = sum(math.prod(map(len, tables.values()))
+               for tables in cells.values())
     for c in cm.clusters:
         direct = _parent_clusters(working, cm, c)
         endo = set(direct)
         exo = {k for m in c.members for k in working.mechanisms[m].exo_parents}
         # a flagged parent is reconstructed from its cell, which is read in
         # the context of its own parents and shared noise
-        for ps in (splits[p] for p in direct if splits[p].block is not None):
+        flagged = [splits[p] for p in direct if splits[p].block is not None]
+        for ps in flagged:
             endo.update(ps.parents)
-            exo.update((ps.block, name) for names in ps.component.values()
-                       for name in names.values())
             exo.update(ps.rho_members)
-        endo = [v for v in high.var_index if v in endo]
-        exo = [k for k in high.member_index if k in exo]
-        domains = [high.domain(p) for p in endo] + [
-            high.member_index[k].domain for k in exo]
-        check_budget(math.prod(map(len, domains)), budget,
-                     "high-level mechanism for %r needs %d rows", c.name)
+        endo = [cn.name for cn in cm.clusters if cn.name in endo]
+        exo = [k for k in working.member_index if k in exo]
+        cell = [(ps.block, name) for ps in flagged for name in cells[ps.block]]
+        inputs[c.name] = direct, endo, exo, cell
+        rows += math.prod(len(cm.by_name[p].labels()) for p in endo) \
+            * math.prod(len(working.member_index[k].domain) for k in exo) \
+            * math.prod(len(cells[b][name]) for b, name in cell)
+    check_budget(rows, budget, "projected model needs %d rows")
 
+    extra_blocks = []
+    for block, tables in cells.items():
+        table = {}
+        for combo in product(*(range(len(w)) for w in tables.values())):
+            table[combo] = math.prod(
+                (w[i] for w, i in zip(tables.values(), combo)),
+                start=Fraction(1))
+        extra_blocks.append(ExogenousBlock(
+            name=block, members=tuple(
+                ExoMember(name=member, domain=tuple(range(len(w))))
+                for member, w in tables.items()), table=table))
+    high = DiscreteScm(
+        endogenous=tuple(VariableDecl(name=c.name, domain=c.labels())
+                         for c in cm.clusters),
+        blocks=tuple(working.blocks) + tuple(extra_blocks), mechanisms={})
+    for c in cm.clusters:
+        direct, endo, exo, cell = inputs[c.name]
+        at = {k: i for i, k in enumerate(cell)}
+        cell_rows = list(product(*(high.member_index[k].domain
+                                   for k in cell)))
         member_topo = [v for v in working.topological_order_names()
                        if v in c.members]
         table = {}
-        for combo in product(*domains):
+        for combo in product(*(high.domain(p) for p in endo),
+                             *(high.member_index[k].domain for k in exo)):
             high_env = dict(zip(endo, combo))
             exo_env = dict(zip(exo, combo[len(endo):]))
             env = {}
+            live = []  # (cell position, members, fiber) per selected cell
             for p in direct:
                 ps = splits[p]
                 fiber = ps.fiber(high_env[p])
-                raw = fiber[0]
                 if ps.block is not None and len(fiber) > 1:
                     name = ps.component[high_env[p]].get(
                         ps.context(high_env, exo_env))
                     if name is not None:
-                        raw = fiber[exo_env[(ps.block, name)]]
-                env.update(zip(ps.members, raw))
-            working.solve(exo_env, env, member_topo)
-            table[combo] = c.label_of(tuple(env[m] for m in c.members))
+                        live.append((at[(ps.block, name)], ps.members, fiber))
+                        continue
+                env.update(zip(ps.members, fiber[0]))
+            labels = {}  # keyed as the itemgetter below reads a cell row
+            for pick in product(*(range(len(f)) for _i, _m, f in live)):
+                solved = dict(env)
+                for (_i, members, fiber), i in zip(live, pick):
+                    solved.update(zip(members, fiber[i]))
+                working.solve(exo_env, solved, member_topo)
+                labels[pick[0] if len(pick) == 1 else pick] = c.label_of(
+                    tuple(solved[m] for m in c.members))
+            read = itemgetter(*(i for i, _m, _f in live)) if live \
+                else (lambda _row: ())
+            for row in cell_rows:
+                table[combo + row] = labels[read(row)]
         high.mechanisms[c.name] = Mechanism(
-            variable=c.name, endo_parents=tuple(endo), exo_parents=tuple(exo),
-            table=table)
+            variable=c.name, endo_parents=tuple(endo),
+            exo_parents=tuple(exo + cell), table=table)
     high.topological_order_names()
     return HighLevelScm(scm=high, splits=splits, policy=policy,
                         fallback=fallback)
@@ -994,23 +1026,48 @@ def high_from_doc(doc):
                 "delta must hold one split per model variable, and %r %s"
                 % (name, "has none" if name in scm.var_index else
                    "is not a model variable"))
-    if fallback == "uniform":
-        # older documents list only the tables with mass
-        for s in splits.values():
+    for s in splits.values():
+        if fallback == "uniform":
+            # older documents list only the tables with mass
             _fill_uniform(s, splits)
+        if s.block is not None and any(
+                set(s.sigma.get(label, {})) != set(cells)
+                for label, cells in s.component.items()):
+            raise DomainMismatch(
+                "the cells of split %r must have the contexts of its sigma "
+                "tables, label by label" % (s.name,))
     return HighLevelScm(scm=scm, splits=splits, policy=policy,
                         fallback=fallback)
 
 
 def _check_split(split, scm, where):
     """Refuse a loaded split that does not fit its model: a violator flag
-    that is not a boolean, a sigma table of no label of the split, or one
-    that does not give one probability per member tuple of its label summing
-    to 1, a block that is not one of the model's, or cells that are not
-    exactly the block's members, listed under every lossy label, each
-    ranging over the positions of its label's member tuples."""
+    that is not a boolean, parents that are not distinct other clusters of
+    the model, a context of a sigma table or cell that does not give one
+    label per parent, in order, and a response class of the split, a sigma
+    table of no label of the split, or one that does not give one
+    probability per member tuple of its label summing to 1, a block that is
+    not one of the model's, or cells that are not exactly the block's
+    members, listed under every lossy label, each ranging over the
+    positions of its label's member tuples."""
     if not isinstance(split.violator, bool):
         raise DomainMismatch("violator of %s must be a boolean" % where)
+    if len(set(split.parents)) != len(split.parents) or any(
+            p == split.name or p not in scm.var_index for p in split.parents):
+        raise DomainMismatch(
+            "the parents of %s must be distinct other clusters of the model, "
+            "not %r" % (where, list(split.parents)))
+    classes = set(split.rho_classes.values()) if split.rho_members else {None}
+    for tables in (*split.sigma.values(), *split.component.values()):
+        for pa, cls in tables:
+            if len(pa) != len(split.parents) or cls not in classes or any(
+                    label not in scm.domain(p)
+                    for p, label in zip(split.parents, pa)):
+                raise DomainMismatch(
+                    "context %r of %s must give a label of each of its "
+                    "parents %r, in order, and a response class of its "
+                    "shared noise" % (_ctx_to_doc((pa, cls)), where,
+                                      list(split.parents)))
     for label, tables in split.sigma.items():
         size = len(split.fiber(label))
         if any(len(probs) != size or sum(probs) != 1

@@ -227,9 +227,11 @@ class DiscreteScm:
         ``env``, filled in place.
 
         The dict solver of the table builders (``projection._solved_rows``),
-        the construction, ``check_aic``'s child labels, ``verify`` and
-        ``evaluate_unit``, and the reference for ``valuation``'s compiled
-        worlds, which carry every other exact sum over exogenous states."""
+        the construction's high mechanisms (once per value of a row's live
+        inputs), ``check_aic``'s child labels (once per member tuple per
+        point), ``verify`` and ``evaluate_unit``, and the reference for
+        ``valuation``'s compiled worlds, which carry every other exact sum
+        over exogenous states."""
         if env is None:
             env = {}
         mechanisms = self.mechanisms

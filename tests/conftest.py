@@ -1,14 +1,21 @@
-"""Shared fixtures: the bundled example models and small model builders."""
+"""Shared fixtures: the bundled example models, small model builders and
+the reference implementations the library is checked against."""
 
+import math
 import os
+import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
+from hypothesis import assume, strategies as st
 
 import abstrakt as ab
-from abstrakt import valuation
-from abstrakt.abstraction import _working_model
+from abstrakt import projection, valuation
+from abstrakt.abstraction import (AicReport, AicWitness, _parent_clusters,
+                                  _working_model)
+from abstrakt.scm import (DiscreteScm, ExogenousBlock, ExoMember, Mechanism,
+                          VariableDecl, check_budget)
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -209,6 +216,130 @@ def build_lossy_chain(rng, confounded=False, p_a=None):
     return scm, cm
 
 
+def pixel_docs(k, w, variant):
+    """Model and cluster documents of a k×w pixel model: ``k`` concept
+    clusters C0..C{k-1} of ``w`` binary pixels each, every pixel with a
+    private binary noise block. Concept 0's pixels are fair coins; a later
+    pixel is its base value flipped with probability 1/10. A concept is
+    'hi' when more than half of its pixels are 1, else 'lo'.
+
+    ``variant`` picks the base value of pixel j of concept i: 'majority'
+    reads the majority of concept i-1 (the consistency check finds no
+    violators), 'copy' reads pixel j of concept i-1 (it flags every
+    concept but the last)."""
+    if variant not in ("majority", "copy"):
+        raise ValueError("unknown pixel variant %r" % (variant,))
+    bits = [0, 1]
+
+    def pixel(i, j):
+        return "P%d_%d" % (i, j)
+
+    def hi(values):
+        return 2 * sum(values) > len(values)
+
+    endo, blocks, mechanisms = [], [], []
+    for i in range(k):
+        for j in range(w):
+            name = pixel(i, j)
+            endo.append({"name": name, "domain": bits})
+            blocks.append(binary_block(
+                "U" + name, Fraction(1, 2) if i == 0 else Fraction(1, 10)))
+            if i == 0:
+                parents = []
+            elif variant == "majority":
+                parents = [pixel(i - 1, jj) for jj in range(w)]
+            else:
+                parents = [pixel(i - 1, j)]
+            rows = []
+            for combo in product(bits, repeat=len(parents)):
+                base = 0
+                if parents:
+                    base = int(hi(combo)) if variant == "majority" else combo[0]
+                for u in bits:
+                    rows.append({"parents": list(combo) + [u],
+                                 "out": base ^ u})
+            mechanisms.append({
+                "variable": name, "endo_parents": parents,
+                "exo_parents": [{"block": "U" + name, "member": "u"}],
+                "table": rows})
+    tuples = list(product(bits, repeat=w))
+    clusters = {"clusters": [
+        {"name": "C%d" % i, "members": [pixel(i, j) for j in range(w)],
+         "values": [{"label": label,
+                     "tuples": [list(t) for t in tuples
+                                if hi(t) == (label == "hi")]}
+                    for label in ("lo", "hi")]}
+        for i in range(k)]}
+    return ({"endogenous": endo, "blocks": blocks, "mechanisms": mechanisms},
+            clusters)
+
+
+def build_pixel_model(k, w, variant):
+    """The validated model and cluster map of pixel_docs(k, w, variant)."""
+    model, clusters = pixel_docs(k, w, variant)
+    scm = ab.validate_scm(model)
+    return scm, ab.validate_clusters(scm, clusters)
+
+
+def random_partition(draw, tuples, name):
+    """Labels ``name``0.. for a drawn partition of ``tuples`` into
+    non-empty labels, as the 'values' of a cluster document."""
+    index = [draw(st.integers(0, len(tuples) - 1)) for _ in tuples]
+    used = sorted(set(index))
+    return [{"label": "%s%d" % (name, used.index(i)),
+             "tuples": [list(t) for t, j in zip(tuples, index) if j == i]}
+            for i in used]
+
+
+@st.composite
+def cluster_map_cases(draw):
+    """A model with a cluster map whose labels may merge several member
+    tuples: a lossy chain (plain or confounded, contexts of BH with or
+    without mass, B's values partitioned afresh, up to three mechanism
+    rows of the low model edited), or a build_dag_model model of 3-5 nodes
+    (one block shared by two variables, one variable without noise) whose
+    nodes are grouped into clusters of one or two, some left out, each
+    cluster's joint values partitioned at random."""
+    rng = random.Random(draw(st.integers(0, 2 ** 16)))
+    if draw(st.booleans()):
+        scm, _cm = build_lossy_chain(rng, draw(st.booleans()),
+                                     draw(st.sampled_from((None, 0, 1))))
+        for _ in range(draw(st.integers(0, 3))):
+            mech = scm.mechanisms[draw(st.sampled_from("ABC"))]
+            key = draw(st.sampled_from(sorted(mech.table)))
+            mech.table[key] = draw(st.sampled_from(
+                [v for v in scm.domain(mech.variable)
+                 if v != mech.table[key]]))
+        doc = identity_cluster_doc(scm)
+        doc["clusters"][1] = {"name": "BH", "members": ["B"],
+                              "values": random_partition(
+                                  draw, [(0,), (1,), (2,)], "b")}
+        return scm, ab.validate_clusters(scm, doc)
+    n = draw(st.integers(3, 5))
+    nodes = ["V%d" % (i + 1) for i in range(n)]
+    slots = [(a, b) for i, a in enumerate(nodes) for b in nodes[i + 1:]]
+    edges = [e for e in slots if draw(st.booleans())]
+    roles = draw(st.permutations(nodes))
+    scm = build_dag_model(nodes, edges, rng, shared=tuple(roles[:2]),
+                          quiet=(roles[2],))
+    order = draw(st.permutations(nodes))
+    clusters = []
+    while order:
+        size = draw(st.integers(1, min(2, len(order))))
+        members, order = order[:size], order[size:]
+        if clusters and draw(st.integers(0, 3)) == 0:
+            continue  # left out of every cluster
+        name = "K%d" % len(clusters)
+        clusters.append({"name": name, "members": members,
+                         "values": random_partition(
+                             draw, list(product([0, 1], repeat=size)),
+                             name.lower())})
+    try:
+        return scm, ab.validate_clusters(scm, {"clusters": clusters})
+    except ab.InadmissibleClustering:
+        assume(False)
+
+
 def context_after_target_docs():
     """Model and cluster documents in which a merged cluster's context is
     declared after one of its members.
@@ -359,6 +490,195 @@ def reference_verify(low, high, shown=10):
                         "note": trouble,
                     })
     return checked, count, mismatches
+
+
+def reference_check_aic(scm, cm, budget=None):
+    """The consistency check pair by pair, the oracle of ab.check_aic: for
+    each pair of member tuples under one label, in combinations order, the
+    child is solved for both at every point (a value of the other parent
+    clusters' members and a state of the child's noise), and the first
+    point where their labels differ gives the witness. The budget counts
+    two solves per pair."""
+    working = _working_model(scm, cm, budget)
+    topo = working.topological_order_names()
+    member_order = {c.name: [v for v in topo if v in c.members]
+                    for c in cm.clusters}
+    child_parents = {c.name: _parent_clusters(working, cm, c)
+                     for c in cm.clusters}
+    # the sorted positions of the blocks each cluster's members read
+    child_blocks = {cj.name: tuple(sorted(
+        {working.block_position[b] for m in cj.members
+         for b, _mem in working.mechanisms[m].exo_parents}))
+        for cj in cm.clusters}
+
+    cost = 0
+    for cj in cm.clusters:
+        usize = working.exogenous_support_size(child_blocks[cj.name])
+        for ci_name in child_parents[cj.name]:
+            ci = cm.by_name[ci_name]
+            pairs = sum(len(cv.tuples) * (len(cv.tuples) - 1) // 2
+                        for cv in ci.values)
+            if pairs == 0:
+                continue
+            others = 1
+            for other in child_parents[cj.name]:
+                if other != ci_name:
+                    oc = cm.by_name[other]
+                    for m in oc.members:
+                        others *= len(working.domain(m))
+            cost += 2 * pairs * others * usize
+    check_budget(cost, budget, "consistency check needs %d evaluations")
+
+    violators = []
+    witnesses = {}
+    everywhere = range(len(working.blocks))
+    default_unit = working.exogenous_assignment(everywhere,
+                                                [0] * len(everywhere))
+
+    def child_label(cj, env, unit):
+        working.solve(unit, env, member_order[cj.name])
+        return cj.label_of(tuple(env[m] for m in cj.members))
+
+    def first_witness(ci):
+        for cj in cm.clusters:
+            if ci.name not in child_parents[cj.name]:
+                continue
+            other_names = sorted(set(child_parents[cj.name]) - {ci.name})
+            other_members = []
+            other_domains = []
+            for on in other_names:
+                oc = cm.by_name[on]
+                for m in oc.members:
+                    other_members.append(m)
+                    other_domains.append(working.domain(m))
+            for cv in ci.values:
+                for left, right in combinations(cv.tuples, 2):
+                    for others in product(*other_domains):
+                        base = dict(zip(other_members, others))
+                        for _idx, rows, _w in working.exogenous_support(
+                                child_blocks[cj.name]):
+                            unit = {**default_unit, **rows}
+                            envl = dict(base)
+                            envl.update(zip(ci.members, left))
+                            envr = dict(base)
+                            envr.update(zip(ci.members, right))
+                            out_l = child_label(cj, envl, unit)
+                            out_r = child_label(cj, envr, unit)
+                            if out_l != out_r:
+                                return AicWitness(
+                                    parent=ci.name, child=cj.name,
+                                    label=cv.label, left=left, right=right,
+                                    others=base, unit=unit,
+                                    outputs=(out_l, out_r))
+        return None
+
+    for ci in cm.clusters:
+        found = first_witness(ci)
+        if found:
+            violators.append(ci.name)
+            witnesses[ci.name] = found
+    return AicReport(violators=tuple(violators), witnesses=witnesses,
+                     scm=working)
+
+
+def reference_construct(scm, cm, policy="general", budget=None,
+                        fallback=None):
+    """The projected model with every mechanism row solved on its own, the
+    oracle of ab.construct_projected_abstraction: each row reconstructs the
+    flagged parents' member tuples from its cells and solves the cluster's
+    members with the dict solver. The consistency check is
+    reference_check_aic, and each table is gated alone."""
+    projection.validate_policy(policy)
+    projection.validate_fallback(fallback)
+    report = reference_check_aic(scm, cm, budget)
+    working = report.scm
+    violators = set(report.violators)
+
+    splits = {}
+    extra_blocks = []
+    for c in cm.clusters:
+        lossy = c.lossy_labels()
+        if not lossy:
+            splits[c.name] = projection.DeltaSplit(
+                name=c.name, members=c.members, values=c.values)
+            continue
+        split = splits[c.name] = projection.sigma_machinery(
+            working, cm, c.name, policy, budget, fallback)
+        split.sigma = {label: split.sigma[label] for label in lossy}
+        if c.name not in violators:
+            continue
+        split.violator = True
+        members = []
+        probs_per_member = []
+        contexts = projection._all_contexts(cm.by_name, split)
+        for label in lossy:
+            domain = tuple(range(len(split.fiber(label))))
+            tables = split.sigma[label]
+            split.component[label] = {}
+            for ctx in (ctx for ctx in contexts if ctx in tables):
+                name = projection._component_member(
+                    c.name, label, len(split.component[label]))
+                split.component[label][ctx] = name
+                members.append(ExoMember(name=name, domain=domain))
+                probs_per_member.append(tables[ctx])
+        split.block = "%s__u" % c.name
+        check_budget(math.prod(map(len, probs_per_member)), budget,
+                     "cell block for %r needs %d rows", c.name)
+        table = {}
+        for combo in product(*(range(len(w)) for w in probs_per_member)):
+            table[combo] = math.prod(
+                (w[i] for w, i in zip(probs_per_member, combo)),
+                start=Fraction(1))
+        extra_blocks.append(ExogenousBlock(
+            name=split.block, members=tuple(members), table=table))
+
+    high = DiscreteScm(
+        endogenous=tuple(VariableDecl(name=c.name, domain=c.labels())
+                         for c in cm.clusters),
+        blocks=tuple(working.blocks) + tuple(extra_blocks), mechanisms={})
+    for c in cm.clusters:
+        direct = _parent_clusters(working, cm, c)
+        endo = set(direct)
+        exo = {k for m in c.members for k in working.mechanisms[m].exo_parents}
+        # a flagged parent is reconstructed from its cell, which is read in
+        # the context of its own parents and shared noise
+        for ps in (splits[p] for p in direct if splits[p].block is not None):
+            endo.update(ps.parents)
+            exo.update((ps.block, name) for names in ps.component.values()
+                       for name in names.values())
+            exo.update(ps.rho_members)
+        endo = [v for v in high.var_index if v in endo]
+        exo = [k for k in high.member_index if k in exo]
+        domains = [high.domain(p) for p in endo] + [
+            high.member_index[k].domain for k in exo]
+        check_budget(math.prod(map(len, domains)), budget,
+                     "high-level mechanism for %r needs %d rows", c.name)
+
+        member_topo = [v for v in working.topological_order_names()
+                       if v in c.members]
+        table = {}
+        for combo in product(*domains):
+            high_env = dict(zip(endo, combo))
+            exo_env = dict(zip(exo, combo[len(endo):]))
+            env = {}
+            for p in direct:
+                ps = splits[p]
+                fiber = ps.fiber(high_env[p])
+                raw = fiber[0]
+                if ps.block is not None and len(fiber) > 1:
+                    name = ps.component[high_env[p]].get(
+                        ps.context(high_env, exo_env))
+                    if name is not None:
+                        raw = fiber[exo_env[(ps.block, name)]]
+                env.update(zip(ps.members, raw))
+            working.solve(exo_env, env, member_topo)
+            table[combo] = c.label_of(tuple(env[m] for m in c.members))
+        high.mechanisms[c.name] = Mechanism(
+            variable=c.name, endo_parents=tuple(endo), exo_parents=tuple(exo),
+            table=table)
+    high.topological_order_names()
+    return projection.HighLevelScm(scm=high, splits=splits, policy=policy,
+                                   fallback=fallback)
 
 
 def reference_tabulate(scm, terms, setups, reads, budget=None):

@@ -10,9 +10,11 @@ from hypothesis import given, settings, strategies as st
 
 import abstrakt as ab
 from abstrakt import valuation
+from abstrakt.scm import DiscreteScm
 from conftest import (atom, binary_block, build_lossy_chain,
+                      build_pixel_model, cluster_map_cases,
                       constant_soft_intervention, fixture_path,
-                      identity_clusters, term, query)
+                      identity_clusters, reference_check_aic, term, query)
 
 
 def insurance_cluster_doc():
@@ -203,6 +205,59 @@ class TestInvarianceCheck:
         assert cm.excluded == ("Z",)
         rep = ab.check_aic(insurance, cm)
         assert rep.violators == ("XH",)
+
+
+def assert_check_agrees(scm, cm, budget=None):
+    """check_aic reports the violators and witnesses of the pair-by-pair
+    check; returns the report."""
+    rep = ab.check_aic(scm, cm, budget)
+    want = reference_check_aic(scm, cm, budget)
+    assert rep.violators == want.violators
+    assert {name: vars(w) for name, w in rep.witnesses.items()} == \
+        {name: vars(w) for name, w in want.witnesses.items()}
+    return rep
+
+
+class TestSignatureCheck:
+    """The check by member-tuple signatures against the pair-by-pair
+    check it replaced (tests/conftest.py:reference_check_aic)."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(cluster_map_cases())
+    def test_agrees_with_the_pair_check(self, case):
+        assert_check_agrees(*case)
+
+    @pytest.mark.parametrize("name", ["insurance", "cholesterol", "hospital"])
+    def test_fixtures(self, name):
+        model = ab.load_scm(fixture_path(name + ".json"))
+        assert_check_agrees(model, ab.load_clusters(
+            model, fixture_path(name + "_clusters.json")))
+
+    @pytest.mark.parametrize("variant, violators", [
+        ("majority", ()), ("copy", ("C0", "C1"))])
+    def test_pixel_models(self, variant, violators):
+        rep = assert_check_agrees(*build_pixel_model(3, 3, variant))
+        assert rep.violators == violators
+
+    def test_one_solve_per_tuple_per_point(self, monkeypatch):
+        """On majority 3x5 each concept's 32 member tuples are solved once
+        at each of the 32 states of the next concept's noise: 2048 solves
+        for the two parent-child pairs, which the budget counts, where the
+        pair check made 2 * 2 * 240 * 32 = 30720."""
+        scm, cm = build_pixel_model(3, 5, "majority")
+        solves = []
+        solve = DiscreteScm.solve
+
+        def counted(self, *args, **kwargs):
+            solves.append(1)
+            return solve(self, *args, **kwargs)
+
+        monkeypatch.setattr(DiscreteScm, "solve", counted)
+        assert ab.check_aic(scm, cm).violators == ()
+        assert len(solves) <= 2 * 32 * 32
+        with pytest.raises(ab.SizeExceeded) as err:
+            ab.check_aic(scm, cm, budget=2 * 32 * 32 - 1)
+        assert err.value.details["required"] == 2 * 32 * 32
 
 
 class TestQueryTranslation:

@@ -448,6 +448,63 @@ class TestAbstractAndDownstream:
 
         self._refused_on_load(high_path, tmp_path, edit, kind)
 
+    @pytest.mark.parametrize("parents", [["Q"], ["Z", "Z"], ["XH"]],
+                             ids=["unknown", "repeated", "itself"])
+    def test_misfit_split_parents_exit_2(self, high_path, tmp_path, parents):
+        """A split's parents must be distinct other clusters of the model;
+        an unknown one used to reach verify as a bare KeyError."""
+
+        def edit(doc):
+            next(e for e in doc["delta"]["splits"]
+                 if e["cluster"] == "XH")["parents"] = parents
+
+        self._refused_on_load(high_path, tmp_path, edit, "DomainMismatch")
+
+    @pytest.mark.parametrize("where, context", [
+        ("sigma", {"parents": ["zz"]}),
+        ("sigma", {"parents": ["z1", "z2"]}),
+        ("sigma", {"parents": [], "class": None}),
+        ("sigma", {"class": 0}),
+        ("cells", {"parents": ["zz"]}),
+    ], ids=["unknown label", "two labels", "no label", "unknown class",
+            "cell label"])
+    def test_misfit_context_exits_2(self, high_path, tmp_path, where,
+                                    context):
+        """Each loaded context gives one known label per parent, in order,
+        and a class of the split's shared noise (none here); an unknown
+        label used to load, and verify passed."""
+
+        def edit(doc):
+            xh = next(e for e in doc["delta"]["splits"]
+                      if e["cluster"] == "XH")
+            xh[where][0]["contexts"][0].update(context)
+
+        self._refused_on_load(high_path, tmp_path, edit, "DomainMismatch")
+
+    def test_sigma_and_cell_contexts_differ_exits_2(self, high_path,
+                                                    tmp_path):
+        """A flagged split's cells have the contexts of its sigma tables.
+        With the z2 table dropped, sample in context z2 used to exit 3,
+        blaming the model, while verify passed."""
+
+        def edit(doc):
+            xh = next(e for e in doc["delta"]["splits"]
+                      if e["cluster"] == "XH")
+            contexts = xh["sigma"][0]["contexts"]
+            contexts.remove(next(c for c in contexts
+                                 if c["parents"] == ["z2"]))
+
+        self._refused_on_load(high_path, tmp_path, edit, "DomainMismatch")
+        with open(high_path) as fh:
+            doc = json.load(fh)
+        edit(doc)
+        bad = str(tmp_path / "bad.json")
+        with open(bad, "w") as fh:
+            json.dump(doc, fh)
+        r = run(["sample", "--high", bad, "--value", "XH=xC",
+                 "--context", '{"parents": {"Z": "z2"}}'])
+        assert r.exit_code == 2, r.payload
+
 
 class TestCdag:
     def test_plain(self):

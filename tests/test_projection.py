@@ -15,8 +15,10 @@ import abstrakt as ab
 from abstrakt import projection
 from abstrakt.cli import run
 from conftest import (atom, binary_block, build_dag_model, build_lossy_chain,
+                      build_pixel_model, cluster_map_cases,
                       context_after_target_docs, fixture_path,
-                      identity_clusters, reference_verify, term, query)
+                      identity_clusters, reference_construct,
+                      reference_verify, term, query)
 
 POLICIES = ("agnostic", "markovian", "general")
 
@@ -542,6 +544,52 @@ class TestConstruction:
         assert set(high_d.bidirected) == set(projected.bidirected)
         assert set(projected.bidirected) == {("Z", "XH"), ("Z", "Y"),
                                              ("XH", "Y")}
+
+
+def assert_built_as_row_by_row(scm, cm):
+    """Under every policy and fallback, the construction writes the
+    document of the row-by-row build (tests/conftest.py:
+    reference_construct), byte for byte."""
+    for policy, fallback in product(POLICIES, (None, "uniform")):
+        got, want = (json.dumps(ab.high_to_doc(build(
+            scm, cm, policy=policy, fallback=fallback)))
+            for build in (ab.construct_projected_abstraction,
+                          reference_construct))
+        assert got == want, (policy, fallback)
+
+
+class TestLiveInputTables:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(cluster_map_cases())
+    def test_agrees_with_the_row_by_row_build(self, case):
+        assert_built_as_row_by_row(*case)
+
+    @pytest.mark.parametrize("name", ["insurance", "cholesterol", "hospital"])
+    def test_fixtures(self, name):
+        model = ab.load_scm(fixture_path(name + ".json"))
+        assert_built_as_row_by_row(model, ab.load_clusters(
+            model, fixture_path(name + "_clusters.json")))
+
+    @pytest.mark.parametrize("variant", ["majority", "copy"])
+    def test_pixel_models(self, variant):
+        assert_built_as_row_by_row(*build_pixel_model(3, 3, variant))
+
+    def test_one_gate_over_every_table(self, insurance, insurance_cm,
+                                       monkeypatch):
+        """Insurance's projected model has 4 cell-block rows and 2, 18 and
+        128 mechanism rows. The largest table fits in a budget of 151, but
+        the 152 rows together do not, and the refusal comes before any
+        table is built."""
+        with monkeypatch.context() as patch:
+            for table in ("ExogenousBlock", "Mechanism"):
+                patch.setattr(projection, table, None)
+            with pytest.raises(ab.SizeExceeded) as err:
+                ab.construct_projected_abstraction(insurance, insurance_cm,
+                                                   budget=151)
+        assert err.value.details == {"required": 152, "budget": 151}
+        assert "projected model needs 152 rows" in str(err.value)
+        ab.construct_projected_abstraction(insurance, insurance_cm,
+                                           budget=152)
 
 
 def unreachable_context_model():
