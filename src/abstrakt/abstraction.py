@@ -11,6 +11,7 @@ can change the label computed by some child cluster.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from itertools import combinations, product
 
@@ -289,15 +290,15 @@ def check_aic(scm, cm, budget=None):
     and the child's own noise held fixed, lead the child cluster to two
     different labels.
 
-    The check solves the child once per member tuple at each point (a value
-    of the other parent clusters' members and a state of the child's
-    noise): the child labels a tuple gets over the points are its
-    signature, and a label is violated when two of its tuples' signatures
-    differ. The witness is the first pair of tuples in ``combinations``
-    order whose signatures differ, at the first point where they do. The
-    first two tuples are solved over every point before the others, so a
-    witness between them ends the walk where they first differ. The budget
-    counts one solve per tuple of a merged label per point.
+    The check walks each merged label once and solves the child for every
+    one of its member tuples at each point (a value of the other parent
+    clusters' members and a state of the child's noise): the child labels a
+    tuple gets over the points are its signature, and a label is violated
+    when two of its tuples' signatures differ. The witness is the first pair
+    of tuples in ``combinations`` order whose signatures differ, at the
+    first point where they do, so the walk stops at the first point where
+    the label's first two tuples differ. The budget counts one solve per
+    tuple of a merged label per point.
     """
     working = _working_model(scm, cm, budget)
     topo = working.topological_order_names()
@@ -305,30 +306,29 @@ def check_aic(scm, cm, budget=None):
                     for c in cm.clusters}
     child_parents = {c.name: _parent_clusters(working, cm, c)
                      for c in cm.clusters}
-    # the sorted positions of the blocks each cluster's members read
-    child_blocks = {cj.name: tuple(sorted(
-        {working.block_position[b] for m in cj.members
-         for b, _mem in working.mechanisms[m].exo_parents}))
-        for cj in cm.clusters}
+    # every (parent, child) pair in walk order, with the members of the
+    # child's other parent clusters, their domains and the sorted positions
+    # of the blocks the child's members read
+    pairs = []
+    for ci in cm.clusters:
+        for cj in cm.clusters:
+            if ci.name not in child_parents[cj.name]:
+                continue
+            members = [m for on in sorted(set(child_parents[cj.name])
+                                          - {ci.name})
+                       for m in cm.by_name[on].members]
+            blocks = tuple(sorted(
+                {working.block_position[b] for m in cj.members
+                 for b, _mem in working.mechanisms[m].exo_parents}))
+            pairs.append((ci, cj, members,
+                          [working.domain(m) for m in members], blocks))
+    check_budget(sum(
+        sum(len(cv.tuples) for cv in ci.values if len(cv.tuples) > 1)
+        * math.prod(map(len, domains))
+        * working.exogenous_support_size(blocks)
+        for ci, _cj, _members, domains, blocks in pairs), budget,
+        "consistency check needs %d evaluations")
 
-    cost = 0
-    for cj in cm.clusters:
-        usize = working.exogenous_support_size(child_blocks[cj.name])
-        for ci_name in child_parents[cj.name]:
-            ci = cm.by_name[ci_name]
-            tuples = sum(len(cv.tuples) for cv in ci.values
-                         if len(cv.tuples) > 1)
-            others = 1
-            for other in child_parents[cj.name]:
-                if other != ci_name:
-                    oc = cm.by_name[other]
-                    for m in oc.members:
-                        others *= len(working.domain(m))
-            cost += tuples * others * usize
-    check_budget(cost, budget, "consistency check needs %d evaluations")
-
-    violators = []
-    witnesses = {}
     everywhere = range(len(working.blocks))
     default_unit = working.exogenous_assignment(everywhere,
                                                 [0] * len(everywhere))
@@ -339,74 +339,48 @@ def check_aic(scm, cm, budget=None):
         working.solve(unit, env, member_order[cj.name])
         return cj.label_of(tuple(env[m] for m in cj.members))
 
-    def first_witness(ci):
-        for cj in cm.clusters:
-            if ci.name not in child_parents[cj.name]:
-                continue
-            other_names = sorted(set(child_parents[cj.name]) - {ci.name})
-            other_members = []
-            other_domains = []
-            for on in other_names:
-                oc = cm.by_name[on]
-                for m in oc.members:
-                    other_members.append(m)
-                    other_domains.append(working.domain(m))
-            bases = [dict(zip(other_members, others))
-                     for others in product(*other_domains)]
+    def first_witness(ci, cj, members, domains, blocks):
+        for cv in (cv for cv in ci.values if len(cv.tuples) > 1):
             # every point, in order: the other parents' values, then a state
             # of the child's noise
-            points = lambda: ((base, {**default_unit, **rows})
-                              for base in bases
-                              for _idx, rows, _w in working.exogenous_support(
-                                  child_blocks[cj.name]))
-
-            def witness(cv, i, j, base, unit, labels):
-                return AicWitness(
-                    parent=ci.name, child=cj.name, label=cv.label,
-                    left=cv.tuples[i], right=cv.tuples[j], others=base,
-                    unit=unit, outputs=(labels[i], labels[j]))
-
-            for cv in (cv for cv in ci.values if len(cv.tuples) > 1):
-                # the first pair in combinations order is solved alone first:
-                # it is the witness at the first point where it differs
-                first = []  # otherwise, the pair's label at each point
-                for base, unit in points():
-                    pair = [child_label(cj, base, ci.members, t, unit)
-                            for t in cv.tuples[:2]]
-                    if pair[0] != pair[1]:
-                        return witness(cv, 0, 1, base, unit, pair)
-                    first.append(pair[0])
-                if len(cv.tuples) == 2:
-                    continue
-                # then each other tuple once per point; the labels a tuple
-                # gets are its signature. cls numbers each tuple's signature
-                # class so far, and splits keeps the points where one split
-                cls, count, splits = [0] * len(cv.tuples), 1, []
-                for (base, unit), label in zip(points(), first):
-                    labels = [label, label] + [
-                        child_label(cj, base, ci.members, t, unit)
-                        for t in cv.tuples[2:]]
-                    seen = {}
-                    refined = [seen.setdefault(key, len(seen))
-                               for key in zip(cls, labels)]
-                    if len(seen) > count:
-                        splits.append((base, unit, labels))
-                        cls, count = refined, len(seen)
-                if count == 1:
-                    continue
-                i, j = next((i, j) for i, j in combinations(range(len(cls)), 2)
-                            if cls[i] != cls[j])
-                # the pair first differs where the split that parts it was
-                return witness(cv, i, j, *next(
-                    split for split in splits if split[2][i] != split[2][j]))
+            points = ((base, {**default_unit, **rows})
+                      for base in (dict(zip(members, others))
+                                   for others in product(*domains))
+                      for _idx, rows, _w in working.exogenous_support(blocks))
+            # each tuple's labels so far are its signature: cls numbers its
+            # signature class, and splits keeps the points where one split
+            cls, count, splits = [0] * len(cv.tuples), 1, []
+            for base, unit in points:
+                labels = [child_label(cj, base, ci.members, t, unit)
+                          for t in cv.tuples]
+                seen = {}
+                refined = [seen.setdefault(key, len(seen))
+                           for key in zip(cls, labels)]
+                if len(seen) > count:
+                    splits.append((base, unit, labels))
+                    cls, count = refined, len(seen)
+                    if cls[0] != cls[1]:
+                        break  # no pair comes before the first one
+            if count == 1:
+                continue
+            i, j = next((i, j) for i, j in combinations(range(len(cls)), 2)
+                        if cls[i] != cls[j])
+            # the pair first differs where the split that parts it was
+            base, unit, labels = next(
+                split for split in splits if split[2][i] != split[2][j])
+            return AicWitness(
+                parent=ci.name, child=cj.name, label=cv.label,
+                left=cv.tuples[i], right=cv.tuples[j], others=base,
+                unit=unit, outputs=(labels[i], labels[j]))
         return None
 
-    for ci in cm.clusters:
-        found = first_witness(ci)
-        if found:
-            violators.append(ci.name)
-            witnesses[ci.name] = found
-    return AicReport(violators=tuple(violators), witnesses=witnesses,
+    witnesses = {}
+    for ci, *rest in pairs:
+        if ci.name not in witnesses:
+            found = first_witness(ci, *rest)
+            if found is not None:
+                witnesses[ci.name] = found
+    return AicReport(violators=tuple(witnesses), witnesses=witnesses,
                      scm=working)
 
 

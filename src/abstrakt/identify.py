@@ -19,7 +19,7 @@ from .errors import (
     UnsupportedData,
     ZeroConditioning,
 )
-from .graphs import ancestors, c_components, make_graph
+from .graphs import ancestors, c_components, d_separated, make_graph
 from .scm import topological_order
 from .valuation import SoftIntervention
 
@@ -356,8 +356,12 @@ def _cut_incoming(g, xs):
 
 def identify_effect(g, query):
     """Identify P(outcome | do(do), given) from the observational joint of
-    the graph's variables. The conditional case divides the identified
-    joint of outcome and given by the identified joint of given."""
+    the graph's variables. The conditional case first moves into ``do``
+    each given variable Z that rule 2 of the do-calculus allows (IDC,
+    Shpitser & Pearl 2006): the outcome is independent of Z given ``do``
+    and the rest of ``given`` once the edges into ``do`` and out of Z are
+    cut. It then divides the identified joint of outcome and the remaining
+    given by the identified joint of that given."""
     for v in list(query.outcome) + list(query.do) + list(query.given):
         g.position(v)
     if set(query.outcome) & set(query.do) or set(query.outcome) & set(query.given) \
@@ -365,6 +369,22 @@ def identify_effect(g, query):
         raise DomainMismatch("query sets must be disjoint")
 
     order = {n: i for i, n in enumerate(topological_order(g))}
+    do, given = dict(query.do), dict(query.given)
+
+    def movable():
+        """The first given variable, in topological order, that rule 2
+        moves into ``do``, or None."""
+        for z in sorted(given, key=order.get):
+            cut = make_graph(g.nodes, tuple(
+                e for e in g.directed if e[0] != z and e[1] not in do),
+                g.bidirected)
+            if d_separated(cut, query.outcome, {z},
+                           set(do) | set(given) - {z}):
+                return z
+        return None
+
+    while (z := movable()) is not None:
+        do[z] = given.pop(z)
     counter = {}
 
     def fresh(var):
@@ -378,8 +398,8 @@ def identify_effect(g, query):
         for v in g.nodes:
             if v in targets:
                 values[v] = targets[v]
-            elif v in query.do:
-                values[v] = query.do[v]
+            elif v in do:
+                values[v] = do[v]
             else:
                 values[v] = Sym(fresh(v))
 
@@ -459,14 +479,12 @@ def identify_effect(g, query):
                       P2, _subgraph(G, home))
 
         P0 = _SymDist(tuple(sorted(g.nodes, key=order.get)), order)
-        return ID(set(targets), dict(query.do), P0, g)
+        return ID(set(targets), dict(do), P0, g)
 
     try:
-        if query.given:
-            both = dict(query.outcome)
-            both.update(query.given)
-            num = run(both)
-            den = run(dict(query.given))
+        if given:
+            num = run({**query.outcome, **given})
+            den = run(given)
             estimand = Ratio(numerator=num, denominator=den)
         else:
             estimand = run(dict(query.outcome))

@@ -511,6 +511,15 @@ def _all_contexts(clusters, split):
     return out
 
 
+def _cell_table(tables):
+    """The table of a cell block whose members, in order, have the reference
+    tables ``tables``: their product, as each member is drawn on its own."""
+    tables = list(tables)
+    return {combo: math.prod((w[i] for w, i in zip(tables, combo)),
+                             start=Fraction(1))
+            for combo in product(*(range(len(w)) for w in tables))}
+
+
 def construct_projected_abstraction(scm, cm, policy="general", budget=None,
                                     fallback=None):
     """Build the high-level model induced by a cluster map.
@@ -585,17 +594,11 @@ def construct_projected_abstraction(scm, cm, policy="general", budget=None,
             * math.prod(len(cells[b][name]) for b, name in cell)
     check_budget(rows, budget, "projected model needs %d rows")
 
-    extra_blocks = []
-    for block, tables in cells.items():
-        table = {}
-        for combo in product(*(range(len(w)) for w in tables.values())):
-            table[combo] = math.prod(
-                (w[i] for w, i in zip(tables.values(), combo)),
-                start=Fraction(1))
-        extra_blocks.append(ExogenousBlock(
-            name=block, members=tuple(
-                ExoMember(name=member, domain=tuple(range(len(w))))
-                for member, w in tables.items()), table=table))
+    extra_blocks = [ExogenousBlock(
+        name=block, members=tuple(
+            ExoMember(name=member, domain=tuple(range(len(w))))
+            for member, w in tables.items()),
+        table=_cell_table(tables.values())) for block, tables in cells.items()]
     high = DiscreteScm(
         endogenous=tuple(VariableDecl(name=c.name, domain=c.labels())
                          for c in cm.clusters),
@@ -687,8 +690,13 @@ def verify_partial_projection(low, high, budget=None):
     stops = [(high_topo[:i], splits[name])
              for i, name in enumerate(high_topo)
              if splits[name].block is not None]
-    # the noise the high model reads outside its cells comes from the unit
+    # the noise the high model reads outside its cells comes from the unit:
+    # the blocks of its mechanisms and of every flagged cluster's shared
+    # members, each of which must be the low model's block
     cell_blocks = {split.block for _before, split in stops}
+    shared = {b for _before, split in stops for b, _m in split.rho_members}
+    high_reads = {name: {b for b, _m in high.scm.mechanisms[name].exo_parents
+                         if b not in cell_blocks} for name in names}
     for k in dict.fromkeys([
             *(k for name in names
               for k in high.scm.mechanisms[name].exo_parents),
@@ -705,6 +713,13 @@ def verify_partial_projection(low, high, budget=None):
             raise DomainMismatch(
                 "noise member %s.%s has another domain in the low model than "
                 "in the high model" % k, member=k)
+    read = shared.union(*high_reads.values()) - cell_blocks
+    for b in (b for b in working.block_index if b in read):
+        theirs = high.scm.block_index.get(b)
+        if theirs is not None and theirs != working.block_index[b]:
+            raise DomainMismatch(
+                "noise block %r has other members or another table in the "
+                "low model than in the high model" % b, block=b)
 
     # the interventions are every subset of clusters, each with every joint
     # value of its members; they are counted before they are listed
@@ -769,10 +784,6 @@ def verify_partial_projection(low, high, budget=None):
 
     # the blocks read by an intervention's cases, as sorted positions; the
     # high tables are what is under test, so all of their noise counts
-    shared = {b for _before, split in stops for b, _m in split.rho_members}
-    high_reads = {name: {b for b, _m in high.scm.mechanisms[name].exo_parents
-                         if b not in cell_blocks} for name in names}
-
     def reads(chosen, x):
         blocks = shared.union(*(high_reads[name] for name in names
                                 if name not in chosen))
@@ -1030,12 +1041,21 @@ def high_from_doc(doc):
         if fallback == "uniform":
             # older documents list only the tables with mass
             _fill_uniform(s, splits)
-        if s.block is not None and any(
-                set(s.sigma.get(label, {})) != set(cells)
-                for label, cells in s.component.items()):
+        if s.block is None:
+            continue
+        if any(set(s.sigma.get(label, {})) != set(cells)
+               for label, cells in s.component.items()):
             raise DomainMismatch(
                 "the cells of split %r must have the contexts of its sigma "
                 "tables, label by label" % (s.name,))
+        tables = {name: s.sigma[label][ctx]
+                  for label, cells in s.component.items()
+                  for ctx, name in cells.items()}
+        block = scm.block_index[s.block]
+        if block.table != _cell_table(tables[m.name] for m in block.members):
+            raise DomainMismatch(
+                "the table of block %r must be the product of the sigma "
+                "tables of its cells" % (s.block,), block=s.block)
     return HighLevelScm(scm=scm, splits=splits, policy=policy,
                         fallback=fallback)
 

@@ -259,6 +259,27 @@ class TestSignatureCheck:
             ab.check_aic(scm, cm, budget=2 * 32 * 32 - 1)
         assert err.value.details["required"] == 2 * 32 * 32
 
+    def test_violator_stops_at_its_first_pair(self, monkeypatch):
+        """On copy 3x7 each flagged concept's 'lo' label has 64 member
+        tuples. The walk solves all of them at each point and stops at the
+        first point where the first two differ: at most 1920 solves for C0
+        and C1 together, where walking the label to its end would make
+        2 * 64 * 128 = 16384."""
+        scm, cm = build_pixel_model(3, 7, "copy")
+        solves = []
+        solve = DiscreteScm.solve
+
+        def counted(self, *args, **kwargs):
+            solves.append(1)
+            return solve(self, *args, **kwargs)
+
+        monkeypatch.setattr(DiscreteScm, "solve", counted)
+        rep = ab.check_aic(scm, cm)
+        assert rep.violators == ("C0", "C1")
+        assert [(w.left, w.right) for w in rep.witnesses.values()] == [
+            ((0,) * 7, (0,) * 6 + (1,))] * 2
+        assert len(solves) <= 1920
+
 
 class TestQueryTranslation:
     def test_translate_fiber_union(self, insurance_cm):

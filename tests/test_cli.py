@@ -4,6 +4,8 @@ import json
 import os
 import subprocess
 import sys
+from functools import reduce
+from operator import getitem
 
 import pytest
 
@@ -204,6 +206,120 @@ class TestEval:
         assert r.exit_code == 2
 
 
+def put(path, value):
+    """A document edit that sets the entry at ``path`` to ``value``."""
+    def edit(doc):
+        reduce(getitem, path[:-1], doc)[path[-1]] = value
+        return doc
+    return edit
+
+
+def add(path, entry):
+    """A document edit that appends ``entry`` to the list at ``path``."""
+    def edit(doc):
+        reduce(getitem, path, doc).append(entry)
+        return doc
+    return edit
+
+
+class TestRefusals:
+    """One edit of a model, cluster map or graph document per refusal of
+    the loaders, each exit 2 with its error kind and message."""
+
+    GRAPH = {"nodes": ["X", "Y"], "directed": [["X", "Y"]],
+             "bidirected": []}
+
+    @pytest.mark.parametrize("doc, edit, kind, message", [
+        ("scm", lambda doc: [doc], "DomainMismatch", "JSON object"),
+        ("scm", put(("endogenous", 2, "domain"), []), "DomainMismatch",
+         "empty domain"),
+        ("scm", put(("endogenous", 2, "domain"), [0, 1, 1]),
+         "DomainMismatch", "repeats a domain value"),
+        ("scm", add(("endogenous",), {"name": "Z", "domain": ["z1"]}),
+         "DomainMismatch", "declared twice"),
+        ("scm", add(("blocks",), {"name": "UZ"}), "DomainMismatch",
+         "declared twice"),
+        ("scm", put(("blocks", 0, "members", 0, "domain"), []),
+         "DomainMismatch", "bad domain"),
+        ("scm", add(("blocks", 0, "members"),
+                    {"name": "UZ", "domain": ["z1"]}),
+         "DomainMismatch", "repeated in block"),
+        ("scm", put(("blocks", 0, "table", 0, "values"), ["z1", "z1"]),
+         "DomainMismatch", "2 values for 1 members"),
+        ("scm", put(("blocks", 0, "table", 0, "values"), ["z9"]),
+         "DomainMismatch", "outside the domain of member"),
+        ("scm", add(("blocks", 0, "table"), {"values": ["z1"], "p": "0"}),
+         "NonNormalizedBlock", "lists row"),
+        ("scm", put(("blocks", 0, "table"), [{"values": ["z1"], "p": "1"}]),
+         "NonNormalizedBlock", "covers 1 of 2"),
+        ("scm", put(("blocks", 0, "table", 0, "p"), True), "DomainMismatch",
+         "got a bool"),
+        ("scm", put(("blocks", 0, "table", 0, "p"), "seven tenths"),
+         "DomainMismatch", "cannot parse probability 'seven tenths'"),
+        ("scm", put(("blocks", 0, "table", 0, "p"), {"num": 7}),
+         "DomainMismatch", "probability of type dict"),
+        ("scm", put(("mechanisms", 0, "variable"), "W"), "DomainMismatch",
+         "undeclared variable"),
+        ("scm", add(("mechanisms",), {"variable": "Z"}), "DomainMismatch",
+         "two mechanisms"),
+        ("scm", put(("mechanisms", 1, "endo_parents"), ["Z", "Z"]),
+         "DomainMismatch", "repeats a parent"),
+        ("scm", put(("mechanisms", 0, "exo_parents", 0, "member"), "V"),
+         "DomainMismatch", "unknown exogenous member"),
+        ("scm", add(("mechanisms", 0, "exo_parents"),
+                    {"block": "UZ", "member": "UZ"}),
+         "DomainMismatch", "repeats exogenous member"),
+        ("scm", put(("mechanisms", 0, "table", 0, "parents"), ["z1", "z1"]),
+         "PartialMechanism", "2 parent values, expected 1"),
+        ("scm", put(("mechanisms", 0, "table", 0, "parents"), ["z9"]),
+         "DomainMismatch", "parent value 'z9' outside its domain"),
+        ("scm", add(("mechanisms", 0, "table"),
+                    {"parents": ["z1"], "out": "z1"}),
+         "PartialMechanism", "lists parents"),
+        ("scm", add(("endogenous",), {"name": "W", "domain": [0]}),
+         "PartialMechanism", "no mechanism for W"),
+        ("clusters", add(("clusters",), {"name": "Z"}), "NotPartition",
+         "declared twice"),
+        ("clusters", put(("clusters", 0, "members"), []), "NotPartition",
+         "no members"),
+        ("clusters", put(("clusters", 0, "members"), ["W"]),
+         "UnknownVariable", "unknown variable 'W'"),
+        ("clusters", put(("clusters", 1, "values", 1, "label"), "xC"),
+         "IncompleteValuePartition", "labels 'xC' twice"),
+        ("clusters", put(("clusters", 1, "values", 1, "tuples"),
+                         [["x3", "x3"]]),
+         "DomainMismatch", "2 entries for 1 members"),
+        ("clusters", put(("clusters", 1, "values", 1, "tuples"), [["x9"]]),
+         "DomainMismatch", "outside the joint domain"),
+        ("clusters", add(("clusters", 1, "values"),
+                         {"label": "xN", "tuples": []}),
+         "IncompleteValuePartition", "empty preimage"),
+        ("graph", add(("nodes",), "X"), "DomainMismatch", "declared twice"),
+        ("graph", put(("violators",), ["W"]), "UnknownVariable",
+         "violator 'W'"),
+        ("graph", lambda doc: {"directed": []}, "DomainMismatch",
+         "'nodes' list"),
+        ("graph", put(("directed",), "X -> Y"), "DomainMismatch",
+         "'directed' must be a list"),
+    ])
+    def test_edit_exits_2(self, tmp_path, doc, edit, kind, message):
+        if doc == "graph":
+            original = json.loads(json.dumps(self.GRAPH))
+        else:
+            with open({"scm": INS, "clusters": INS_CM}[doc]) as fh:
+                original = json.load(fh)
+        path = str(tmp_path / "bad.json")
+        with open(path, "w") as fh:
+            json.dump(edit(original), fh)
+        r = run({"scm": ["validate", "--scm", path],
+                 "clusters": ["validate", "--scm", INS, "--clusters", path],
+                 "graph": ["identify", "--graph", path,
+                           "--query", "P(Y[X=1]=1)"]}[doc])
+        assert r.exit_code == 2, r.payload
+        assert r.payload["error"]["kind"] == kind
+        assert message in r.payload["error"]["message"]
+
+
 class TestAicCheck:
     def test_violators(self):
         r = run(["aic-check", "--scm", INS, "--clusters", INS_CM])
@@ -358,6 +474,42 @@ class TestAbstractAndDownstream:
         assert r.payload["error"]["kind"] == (
             "UnknownVariable" if edit == "rename" else "DomainMismatch")
         assert "UZ.UZ" in r.payload["error"]["message"]
+
+    def test_noise_the_high_model_copies_must_match_exits_2(
+            self, high_path, tmp_path):
+        """verify compares each block the high model reads outside its
+        cells with the low model's. With UZ's two probabilities swapped in
+        the written document, P(Y=1) on it is 163/250 against 187/250 on the
+        low model, and verify used to pass all 5184 cases."""
+        with open(high_path) as fh:
+            doc = json.load(fh)
+        rows = next(b for b in doc["blocks"] if b["name"] == "UZ")["table"]
+        rows[0]["p"], rows[1]["p"] = rows[1]["p"], rows[0]["p"]
+        bad = str(tmp_path / "bad.json")
+        with open(bad, "w") as fh:
+            json.dump(doc, fh)
+        assert run(["eval", "--scm", INS, "--query", "P(Y=1)"]).payload[
+            "rational"] == "187/250"
+        assert run(["eval", "--scm", bad, "--query", "P(Y=1)"]).payload[
+            "rational"] == "163/250"
+        r = run(["verify", "--scm", INS, "--high", bad])
+        assert r.exit_code == 2, r.payload
+        assert r.payload["error"]["kind"] == "DomainMismatch"
+        assert "'UZ'" in r.payload["error"]["message"]
+
+    def test_cell_block_table_must_be_the_sigma_product_exits_2(
+            self, high_path, tmp_path):
+        """A flagged split's cell block holds the product of its cells'
+        sigma tables. With rows [0, 1] and [1, 0] of XH__u swapped, the
+        document used to load: verify passed, and P(Y[XH=xC]=1) on it was
+        101/250 against 149/250."""
+
+        def edit(doc):
+            rows = {tuple(row["values"]): row for row in next(
+                b for b in doc["blocks"] if b["name"] == "XH__u")["table"]}
+            rows[0, 1]["p"], rows[1, 0]["p"] = rows[1, 0]["p"], rows[0, 1]["p"]
+
+        self._refused_on_load(high_path, tmp_path, edit, "DomainMismatch")
 
     def test_sample(self, high_path):
         args = ["sample", "--high", high_path, "--value", "XH=xC",

@@ -270,6 +270,26 @@ class TestIdentifyEffect:
         assert got == want
 
     @pytest.mark.parametrize("seed", range(4))
+    def test_rule_2_moves_the_given_into_do(self, seed):
+        """On X -> Z -> Y with X <-> Z, P(Z | do(X)) is not identifiable, but
+        Y is independent of Z given X once Z's outgoing edges are cut, so
+        P(Y | do(X), Z) = P(Y | do(X, Z)) (IDC); dividing two ID calls
+        reported it not identifiable. Each estimand, evaluated on the exact
+        joint, equals the model's answer."""
+        scm = build_dag_model(["X", "Z", "Y"], [("X", "Z"), ("Z", "Y")],
+                              random.Random(seed), shared=("X", "Z"))
+        g = ab.make_graph(("X", "Z", "Y"), (("X", "Z"), ("Z", "Y")),
+                          (("X", "Z"),))
+        table = ab.joint_distribution(scm, ("X", "Z", "Y"))
+        for x, z, y in product((0, 1), repeat=3):
+            dec = ab.identify_effect(g, ab.IdQuery(
+                outcome={"Y": y}, do={"X": x}, given={"Z": z}))
+            assert dec.identifiable
+            assert ab.evaluate_estimand(dec.estimand, table) == ab.prob_query(
+                scm, query([term([("Y", y)], [("X", x)])],
+                           [term([("Z", z)], [("X", x)])]))
+
+    @pytest.mark.parametrize("seed", range(4))
     def test_product_of_conditionals(self, seed):
         """On V0 -> V1 -> V2 -> V3 with V0 <-> V2 and V0 <-> V3, ID
         identifies P(V3 | do(Vi)) through lookups in a product of
