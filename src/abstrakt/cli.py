@@ -28,7 +28,7 @@ from .scm import (
     format_decimal,
     format_rational,
     induce_diagram,
-    load_scm,
+    validate_scm,
 )
 from .valuation import (
     CounterfactualQuery,
@@ -51,6 +51,7 @@ from .projection import (
     POLICIES,
     _match_value,
     construct_projected_abstraction,
+    high_from_doc,
     load_high,
     projected_sample,
     resolve_sigma,
@@ -304,8 +305,18 @@ def _projected_graph(scm, cm, budget):
     return build_projected_cdag(cdag, report.violators), report
 
 
+def _load_model(path):
+    """The model of a --scm file. A projected document (one with a delta)
+    is read with high_from_doc, so that its checks apply to it here too."""
+    with open(path, "r", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    if isinstance(doc, dict) and "delta" in doc:
+        return high_from_doc(doc).scm
+    return validate_scm(doc)
+
+
 def cmd_validate(args):
-    scm = load_scm(args.scm)
+    scm = _load_model(args.scm)
     diagram = induce_diagram(scm)
     payload = {
         "model": args.scm,
@@ -333,7 +344,7 @@ def cmd_eval(args):
     the member variables; the others bind to model variables. A plain
     intervention on a label covering several member tuples is rejected,
     since no single hard setting represents it."""
-    scm = load_scm(args.scm)
+    scm = _load_model(args.scm)
     parsed = parse_query(args.query)
     cm = load_clusters(scm, args.clusters) if args.clusters else None
 
@@ -366,7 +377,7 @@ def cmd_eval(args):
 
 
 def cmd_aic_check(args):
-    scm = load_scm(args.scm)
+    scm = _load_model(args.scm)
     cm = load_clusters(scm, args.clusters)
     report = check_aic(scm, cm, budget=args.budget)
     payload = {
@@ -378,7 +389,7 @@ def cmd_aic_check(args):
 
 
 def cmd_abstract(args):
-    scm = load_scm(args.scm)
+    scm = _load_model(args.scm)
     cm = load_clusters(scm, args.clusters)
     high = construct_projected_abstraction(
         scm, cm, policy=args.policy, budget=args.budget,
@@ -396,7 +407,7 @@ def cmd_abstract(args):
 
 
 def cmd_cdag(args):
-    scm = load_scm(args.scm)
+    scm = _load_model(args.scm)
     cm = load_clusters(scm, args.clusters)
     if args.project:
         g, report = _projected_graph(scm, cm, args.budget)
@@ -422,7 +433,7 @@ def cmd_identify(args):
         query = bind_query(parsed, bind)
         decision = identify_effect(g, single_world_query(query))
     elif args.scm and args.clusters:
-        scm = load_scm(args.scm)
+        scm = _load_model(args.scm)
         cm = load_clusters(scm, args.clusters)
         g, _report = _projected_graph(scm, cm, args.budget)
         query = bind_query(parsed, partial(_bind_label, cm))
@@ -449,7 +460,7 @@ def _decision_result(decision, text):
 
 
 def cmd_estimate(args):
-    scm = load_scm(args.scm)
+    scm = _load_model(args.scm)
     cm = load_clusters(scm, args.clusters)
     g, report = _projected_graph(scm, cm, args.budget)
     query = bind_query(parse_query(args.query), partial(_bind_label, cm))
@@ -496,7 +507,7 @@ def cmd_sample(args):
 
 
 def cmd_verify(args):
-    low = load_scm(args.scm)
+    low = _load_model(args.scm)
     high = load_high(args.high)
     result = verify_partial_projection(low, high, budget=args.budget)
     payload = {

@@ -370,6 +370,7 @@ class TestAbstractAndDownstream:
 
     def test_eval_on_written_model(self, high_path):
         r = run(["eval", "--scm", high_path, "--query", "P(Y[XH=xC]=1)"])
+        assert r.exit_code == 0
         assert r.payload["rational"] == "149/250"
 
     def test_verify(self, high_path):
@@ -553,14 +554,16 @@ class TestAbstractAndDownstream:
             json.dump(doc, fh)
         for argv in (["sample", "--high", bad, "--value", "XH=xC",
                       "--context", '{"parents": {"Z": "z1"}}'],
-                     ["verify", "--scm", INS, "--high", bad]):
+                     ["verify", "--scm", INS, "--high", bad],
+                     ["eval", "--scm", bad, "--query", "P(Y[XH=xC]=1)"]):
             r = run(argv)
             assert r.exit_code == 2
             assert r.payload["error"]["kind"] == "DomainMismatch"
 
     def _refused_on_load(self, high_path, tmp_path, edit, kind):
-        """sample and verify exit 2 with ``kind`` on the document ``edit``
-        makes of the one at ``high_path``."""
+        """sample, verify and eval (which reads it as --scm) exit 2 with
+        ``kind`` on the document ``edit`` makes of the one at
+        ``high_path``."""
         with open(high_path) as fh:
             doc = json.load(fh)
         edit(doc)
@@ -569,7 +572,8 @@ class TestAbstractAndDownstream:
             json.dump(doc, fh)
         for argv in (["sample", "--high", bad, "--value", "XH=xC",
                       "--context", '{"parents": {"Z": "z1"}}'],
-                     ["verify", "--scm", INS, "--high", bad]):
+                     ["verify", "--scm", INS, "--high", bad],
+                     ["eval", "--scm", bad, "--query", "P(Y[XH=xC]=1)"]):
             r = run(argv)
             assert r.exit_code == 2, r.payload
             assert r.payload["error"]["kind"] == kind

@@ -1,13 +1,15 @@
 """Model documents: parsing, validation, round trips, unit evaluation."""
 
 import copy
-import io
+import dataclasses
 import json
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 import abstrakt as ab
+from abstrakt.projection import FALLBACKS, POLICIES
 from conftest import fixture_path
 
 
@@ -112,13 +114,20 @@ class TestRoundTrip:
         assert [v.name for v in again.endogenous] == ["Z", "X", "Y"]
 
 
+FIXTURES = ["insurance", "cholesterol", "hospital"]
+
+
+def fixture_model(name):
+    low = ab.load_scm(fixture_path(name + ".json"))
+    return low, ab.load_clusters(low, fixture_path(name + "_clusters.json"))
+
+
 class TestSavedFiles:
-    @pytest.mark.parametrize("name", ["insurance", "cholesterol", "hospital"])
-    def test_bytes_match_streamed_dump(self, name, tmp_path):
-        """Each saver writes exactly what json.dump with indent 2 and a
-        trailing newline streams."""
-        low = ab.load_scm(fixture_path(name + ".json"))
-        cm = ab.load_clusters(low, fixture_path(name + "_clusters.json"))
+    @pytest.mark.parametrize("name", FIXTURES)
+    def test_bytes_match_compact_dump(self, name, tmp_path):
+        """Each saver writes one line: its document dumped with no spaces
+        after the separators, and a final newline."""
+        low, cm = fixture_model(name)
         high = ab.construct_projected_abstraction(low, cm)
         cdag = ab.build_cdag(ab.induce_diagram(low), cm)
         for save, obj, doc in (
@@ -127,10 +136,56 @@ class TestSavedFiles:
                 (ab.save_graph, cdag, ab.graph_to_doc(cdag))):
             path = tmp_path / (save.__name__ + ".json")
             save(obj, str(path))
-            streamed = io.StringIO()
-            json.dump(doc, streamed, indent=2)
-            streamed.write("\n")
-            assert path.read_text(encoding="utf-8") == streamed.getvalue()
+            assert path.read_text(encoding="utf-8") == json.dumps(
+                doc, separators=(",", ":")) + "\n"
+
+    @pytest.mark.parametrize("name", FIXTURES)
+    def test_saving_a_loaded_file_again_keeps_its_bytes(self, name,
+                                                        tmp_path):
+        low, cm = fixture_model(name)
+        report = ab.check_aic(low, cm)
+        cdag = ab.build_cdag(ab.induce_diagram(report.scm), cm)
+        saved = [(ab.save_scm, ab.load_scm, low),
+                 (ab.save_graph, ab.load_graph, cdag),
+                 (ab.save_graph, ab.load_graph,
+                  ab.build_projected_cdag(cdag, report.violators))]
+        saved += [(ab.save_high, ab.load_high,
+                   ab.construct_projected_abstraction(
+                       low, cm, policy=policy, fallback=fallback))
+                  for policy in POLICIES for fallback in (None, *FALLBACKS)]
+        for i, (save, load, obj) in enumerate(saved):
+            first = tmp_path / ("%d.json" % i)
+            again = tmp_path / ("%d_again.json" % i)
+            save(obj, str(first))
+            save(load(str(first)), str(again))
+            assert again.read_bytes() == first.read_bytes(), save.__name__
+
+    @pytest.mark.parametrize("name", FIXTURES)
+    def test_mechanism_rows_in_parent_domain_order(self, name, tmp_path):
+        """Rows come in the product order of the parents' domains, also
+        where a domain is not declared in sorted order, so a model whose
+        tables were filled in reverse saves the same bytes."""
+        low, cm = fixture_model(name)
+        doc = ab.scm_to_doc(low)
+        for v in doc["endogenous"]:
+            v["domain"].reverse()
+        for model in (low, ab.construct_projected_abstraction(low, cm).scm,
+                      ab.validate_scm(doc)):
+            for entry in ab.scm_to_doc(model)["mechanisms"]:
+                mech = model.mechanisms[entry["variable"]]
+                assert [tuple(row["parents"]) for row in entry["table"]] == \
+                    list(product(
+                        *(model.domain(p) for p in mech.endo_parents),
+                        *(model.member_index[k].domain
+                          for k in mech.exo_parents)))
+            backwards = ab.DiscreteScm(model.endogenous, model.blocks, {
+                var: dataclasses.replace(
+                    mech, table=dict(reversed(mech.table.items())))
+                for var, mech in model.mechanisms.items()})
+            ab.save_scm(model, str(tmp_path / "model.json"))
+            ab.save_scm(backwards, str(tmp_path / "backwards.json"))
+            assert (tmp_path / "backwards.json").read_bytes() == \
+                (tmp_path / "model.json").read_bytes()
 
 
 class TestUnitEvaluation:
