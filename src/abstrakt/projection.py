@@ -92,20 +92,6 @@ def validate_fallback(fallback):
 # full projection of a model onto a variable subset
 
 
-def _solved_rows(scm, endo, exo, steps, fixed=None):
-    """Solve ``steps`` once per joint value of the endogenous inputs
-    ``endo`` and the exogenous members ``exo``, in product order, with the
-    members in ``fixed`` pinned. Yields each joint value with the value of
-    the last step."""
-    unit = dict(fixed or {})
-    n = len(endo)
-    for combo in product(*[scm.domain(p) for p in endo],
-                         *[scm.member_index[k].domain for k in exo]):
-        unit.update(zip(exo, combo[n:]))
-        env = scm.solve(unit, dict(zip(endo, combo[:n])), steps)
-        yield combo, env[steps[-1]]
-
-
 def project_full(scm, keep, budget=None):
     """Marginalize the variables outside ``keep`` out of the model.
 
@@ -150,7 +136,13 @@ def project_full(scm, keep, budget=None):
     mechanisms = {}
     for d in kept_decls:
         endo, exo, dropped = inputs[d.name]
-        table = dict(_solved_rows(scm, endo, exo, dropped + [d.name]))
+        steps, n = dropped + [d.name], len(endo)
+        unit, table = {}, {}
+        for combo in product(*[scm.domain(p) for p in endo],
+                             *[scm.member_index[k].domain for k in exo]):
+            unit.update(zip(exo, combo[n:]))
+            table[combo] = scm.solve(unit, dict(zip(endo, combo[:n])),
+                                     steps)[d.name]
         mechanisms[d.name] = Mechanism(variable=d.name,
                                        endo_parents=tuple(endo),
                                        exo_parents=tuple(exo), table=table)
@@ -164,11 +156,13 @@ def project_full(scm, keep, budget=None):
 
 def _signature(scm, variable, fixed):
     """The mechanism of ``variable`` as a function table, with the exogenous
-    members in ``fixed`` pinned."""
+    members in ``fixed`` pinned: its outputs in the product order of its
+    inputs' domains, a pinned member's domain being its one value."""
     mech = scm.mechanisms[variable]
-    free_exo = [k for k in mech.exo_parents if k not in fixed]
-    return tuple(out for _combo, out in _solved_rows(
-        scm, mech.endo_parents, free_exo, (variable,), fixed))
+    return tuple(mech.table[key] for key in product(
+        *(scm.domain(p) for p in mech.endo_parents),
+        *((fixed[k],) if k in fixed else scm.member_index[k].domain
+          for k in mech.exo_parents)))
 
 
 def _rho_shared_reads(scm, members):
@@ -334,11 +328,6 @@ def _context_key(context, split, clusters, scm, complete=True):
             raise DomainMismatch(
                 "context must give a value for shared noise member %s.%s"
                 % k, member=k)
-    joint = tuple(unit[k] for k in split.rho_members)
-    if joint and joint not in split.rho_classes:
-        # a loaded document may list fewer classes than the domains allow
-        raise DomainMismatch(
-            "shared values %r are outside the block domains" % (joint,))
     return split.context(parents, unit)
 
 
@@ -511,13 +500,35 @@ def _all_contexts(clusters, split):
     return out
 
 
-def _cell_table(tables):
-    """The table of a cell block whose members, in order, have the reference
-    tables ``tables``: their product, as each member is drawn on its own."""
-    tables = list(tables)
-    return {combo: math.prod((w[i] for w, i in zip(tables, combo)),
-                             start=Fraction(1))
-            for combo in product(*(range(len(w)) for w in tables))}
+def _cells(split, clusters):
+    """The cells of a flagged split, read off its sigma tables: under each
+    lossy label, one member per context of _all_contexts that has a table,
+    named by _component_member in that order. Returns the member of each
+    label and context, and the table of each member."""
+    contexts = _all_contexts(clusters, split)
+    component, tables = {}, {}
+    for label in split.lossy_labels():
+        sigma = split.sigma.get(label, {})
+        named = component[label] = {}
+        for ctx in contexts:
+            if ctx in sigma:
+                named[ctx] = _component_member(split.name, label, len(named))
+                tables[named[ctx]] = sigma[ctx]
+    return component, tables
+
+
+def _cell_block(name, tables):
+    """The cell block ``name`` whose members, in order, have the reference
+    tables ``tables`` (member -> table): each member ranges over its
+    table's positions, and the block's table is their product, as each
+    member is drawn on its own."""
+    domains = [range(len(w)) for w in tables.values()]
+    return ExogenousBlock(
+        name=name, members=tuple(ExoMember(name=member, domain=tuple(r))
+                                 for member, r in zip(tables, domains)),
+        table={combo: math.prod((w[i] for w, i in zip(tables.values(), combo)),
+                                start=Fraction(1))
+               for combo in product(*domains)})
 
 
 def construct_projected_abstraction(scm, cm, policy="general", budget=None,
@@ -559,16 +570,7 @@ def construct_projected_abstraction(scm, cm, policy="general", budget=None,
             continue
         split.violator = True
         split.block = "%s__u" % c.name
-        cells[split.block] = {}
-        contexts = _all_contexts(cm.by_name, split)
-        for label in lossy:
-            tables = split.sigma[label]
-            split.component[label] = {}
-            for ctx in (ctx for ctx in contexts if ctx in tables):
-                name = _component_member(
-                    c.name, label, len(split.component[label]))
-                split.component[label][ctx] = name
-                cells[split.block][name] = tables[ctx]
+        split.component, cells[split.block] = _cells(split, cm.by_name)
 
     # each mechanism's inputs: parent labels, then the noise it reads, with
     # the cell members last, as the cell blocks follow the model's blocks
@@ -594,15 +596,12 @@ def construct_projected_abstraction(scm, cm, policy="general", budget=None,
             * math.prod(len(cells[b][name]) for b, name in cell)
     check_budget(rows, budget, "projected model needs %d rows")
 
-    extra_blocks = [ExogenousBlock(
-        name=block, members=tuple(
-            ExoMember(name=member, domain=tuple(range(len(w))))
-            for member, w in tables.items()),
-        table=_cell_table(tables.values())) for block, tables in cells.items()]
     high = DiscreteScm(
         endogenous=tuple(VariableDecl(name=c.name, domain=c.labels())
                          for c in cm.clusters),
-        blocks=tuple(working.blocks) + tuple(extra_blocks), mechanisms={})
+        blocks=(*working.blocks, *(_cell_block(block, tables)
+                                   for block, tables in cells.items())),
+        mechanisms={})
     for c in cm.clusters:
         direct, endo, exo, cell = inputs[c.name]
         at = {k: i for i, k in enumerate(cell)}
@@ -1023,10 +1022,8 @@ def high_from_doc(doc):
             label = _scalar(_require(item, "label", where), "label of %s",
                             where)
             s.component[label] = {
-                _ctx_from_doc(c): _scalar(c["member"], "cell member of %s",
-                                          where)
-                for c in _items(item, "contexts", where)
-                if c.get("member") is not None}
+                _ctx_from_doc(c): _require(c, "member", where)
+                for c in _items(item, "contexts", where)}
         _check_split(s, scm, where)
         if s.name in splits:
             raise DomainMismatch("two splits for cluster %r" % (s.name,))
@@ -1038,47 +1035,63 @@ def high_from_doc(doc):
                 % (name, "has none" if name in scm.var_index else
                    "is not a model variable"))
     for s in splits.values():
+        if s.labels() != scm.domain(s.name):
+            raise DomainMismatch(
+                "the labels of split %r must be the domain of its model "
+                "variable, in order" % (s.name,))
         if fallback == "uniform":
             # older documents list only the tables with mass
             _fill_uniform(s, splits)
         if s.block is None:
             continue
-        if any(set(s.sigma.get(label, {})) != set(cells)
-               for label, cells in s.component.items()):
-            raise DomainMismatch(
-                "the cells of split %r must have the contexts of its sigma "
-                "tables, label by label" % (s.name,))
-        tables = {name: s.sigma[label][ctx]
-                  for label, cells in s.component.items()
-                  for ctx, name in cells.items()}
+        # rows are counted first, so no rebuild outgrows the document's block
+        component, tables = _cells(s, splits)
         block = scm.block_index[s.block]
-        if block.table != _cell_table(tables[m.name] for m in block.members):
+        if (s.component != component
+                or len(block.table) != math.prod(map(len, tables.values()))
+                or block != _cell_block(s.block, tables)):
             raise DomainMismatch(
-                "the table of block %r must be the product of the sigma "
-                "tables of its cells" % (s.block,), block=s.block)
+                "the cells and block %r of split %r must be the ones its "
+                "sigma tables give" % (s.block, s.name), block=s.block)
     return HighLevelScm(scm=scm, splits=splits, policy=policy,
                         fallback=fallback)
 
 
 def _check_split(split, scm, where):
     """Refuse a loaded split that does not fit its model: a violator flag
-    that is not a boolean, parents that are not distinct other clusters of
-    the model, a context of a sigma table or cell that does not give one
-    label per parent, in order, and a response class of the split, a sigma
-    table of no label of the split, or one that does not give one
-    probability per member tuple of its label summing to 1, a block that is
-    not one of the model's, or cells that are not exactly the block's
-    members, listed under every lossy label, each ranging over the
-    positions of its label's member tuples."""
-    if not isinstance(split.violator, bool):
-        raise DomainMismatch("violator of %s must be a boolean" % where)
+    that is not true exactly when the split has a block, a block that is
+    not one of the model's, cells without a block, parents that are not
+    distinct other clusters of the model, shared noise that is not (block,
+    member) pairs of the model with one integer class per joint value, a
+    context of a sigma table that does not give one label per parent, in
+    order, and a response class of the split, and a sigma table of no label
+    of the split, or one that does not give one probability per member
+    tuple of its label summing to 1. high_from_doc checks the cells."""
+    if split.violator is not (split.block is not None):
+        raise DomainMismatch("violator of %s must be true exactly when it has "
+                             "a block, not %r" % (where, split.violator))
+    if split.block is not None and not (
+            isinstance(split.block, str) and split.block in scm.block_index):
+        raise DomainMismatch("block of %s must name a block of the model, "
+                             "not %r" % (where, split.block))
+    if split.component and split.block is None:
+        raise DomainMismatch("cells of %s need a block" % where)
     if len(set(split.parents)) != len(split.parents) or any(
             p == split.name or p not in scm.var_index for p in split.parents):
         raise DomainMismatch(
             "the parents of %s must be distinct other clusters of the model, "
             "not %r" % (where, list(split.parents)))
-    classes = set(split.rho_classes.values()) if split.rho_members else {None}
-    for tables in (*split.sigma.values(), *split.component.values()):
+    shared = split.rho_members
+    if any(k not in scm.member_index for k in shared) or shared and (
+            set(split.rho_classes) != set(product(
+                *(scm.member_index[k].domain for k in shared)))
+            or not all(isinstance(c, int)
+                       for c in split.rho_classes.values())):
+        raise DomainMismatch(
+            "the shared noise members of %s must be (block, member) pairs of "
+            "the model, with one integer class per joint value" % where)
+    classes = set(split.rho_classes.values()) if shared else {None}
+    for tables in split.sigma.values():
         for pa, cls in tables:
             if len(pa) != len(split.parents) or cls not in classes or any(
                     label not in scm.domain(p)
@@ -1096,28 +1109,6 @@ def _check_split(split, scm, where):
                 "each sigma table of %s for label %r must give %d "
                 "probabilities, one per member tuple, summing to 1"
                 % (where, label, size))
-    members = {}
-    if split.block is not None:
-        if not (isinstance(split.block, str)
-                and split.block in scm.block_index):
-            raise DomainMismatch("block of %s must name a block of the "
-                                 "model, not %r" % (where, split.block))
-        members = {m.name: m.domain
-                   for m in scm.block_index[split.block].members}
-    for label, cells in split.component.items():
-        domain = tuple(range(len(split.fiber(label))))
-        for name in cells.values():
-            if members.get(name) != domain:
-                raise DomainMismatch(
-                    "cell %r of %s is not a member of its block with domain "
-                    "%r" % (name, where, list(domain)))
-    named = {name for cells in split.component.values()
-             for name in cells.values()}
-    if named != set(members) or members and \
-            set(split.component) != set(split.lossy_labels()):
-        raise DomainMismatch("the cells of %s must name every member of "
-                             "block %r under every lossy label"
-                             % (where, split.block))
 
 
 def load_high(path):

@@ -226,8 +226,8 @@ class DiscreteScm:
         from ``unit``. Pinned entries act as hard interventions. Returns
         ``env``, filled in place.
 
-        The dict solver of the table builders (``projection._solved_rows``),
-        the construction's high mechanisms (once per value of a row's live
+        The dict solver of the marginalized tables (``project_full``), the
+        construction's high mechanisms (once per value of a row's live
         inputs), ``check_aic``'s child labels (once per member tuple per
         point), ``verify`` and ``evaluate_unit``, and the reference for
         ``valuation``'s compiled worlds, which carry every other exact sum

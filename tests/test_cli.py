@@ -17,6 +17,8 @@ from conftest import (context_after_target_docs, fixture_path,
 
 INS = fixture_path("insurance.json")
 INS_CM = fixture_path("insurance_clusters.json")
+HOSP = fixture_path("hospital.json")
+HOSP_CM = fixture_path("hospital_clusters.json")
 SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
 
@@ -560,10 +562,20 @@ class TestAbstractAndDownstream:
             assert r.exit_code == 2
             assert r.payload["error"]["kind"] == "DomainMismatch"
 
-    def _refused_on_load(self, high_path, tmp_path, edit, kind):
-        """sample, verify and eval (which reads it as --scm) exit 2 with
-        ``kind`` on the document ``edit`` makes of the one at
-        ``high_path``."""
+    @pytest.fixture()
+    def hospital_path(self, tmp_path):
+        """The projected hospital document, where XH reads the noise UZ it
+        shares with Z (general policy)."""
+        out = str(tmp_path / "hospital_high.json")
+        r = run(["abstract", "--scm", HOSP, "--clusters", HOSP_CM, "-o", out])
+        assert r.exit_code == 0
+        return out
+
+    def _refused_on_load(self, high_path, tmp_path, edit, kind, low=INS,
+                         context='{"parents": {"Z": "z1"}}'):
+        """sample, verify against ``low`` and eval (which reads it as
+        --scm) exit 2 with ``kind`` on the document ``edit`` makes of the
+        one at ``high_path``."""
         with open(high_path) as fh:
             doc = json.load(fh)
         edit(doc)
@@ -571,8 +583,8 @@ class TestAbstractAndDownstream:
         with open(bad, "w") as fh:
             json.dump(doc, fh)
         for argv in (["sample", "--high", bad, "--value", "XH=xC",
-                      "--context", '{"parents": {"Z": "z1"}}'],
-                     ["verify", "--scm", INS, "--high", bad],
+                      "--context", context],
+                     ["verify", "--scm", low, "--high", bad],
                      ["eval", "--scm", bad, "--query", "P(Y[XH=xC]=1)"]):
             r = run(argv)
             assert r.exit_code == 2, r.payload
@@ -660,6 +672,143 @@ class TestAbstractAndDownstream:
         r = run(["sample", "--high", bad, "--value", "XH=xC",
                  "--context", '{"parents": {"Z": "z2"}}'])
         assert r.exit_code == 2, r.payload
+
+    @pytest.mark.parametrize("edit", [
+        "label", "label order", "violator without block",
+        "block without violator"])
+    def test_misfit_labels_and_violator_exit_2(self, high_path, tmp_path,
+                                               edit):
+        """A split's labels are its model variable's domain, in order, and
+        it is a violator exactly when it has a block. With XH's label xE
+        renamed x, verify used to raise a bare KeyError while sample and
+        eval exited 0."""
+
+        def change(doc):
+            splits = {e["cluster"]: e for e in doc["delta"]["splits"]}
+            if edit == "label":
+                splits["XH"]["values"][1]["label"] = "x"
+            elif edit == "label order":
+                splits["Z"]["values"].reverse()
+            elif edit == "violator without block":
+                splits["Z"]["violator"] = True
+            else:
+                splits["XH"]["violator"] = False
+
+        self._refused_on_load(high_path, tmp_path, change, "DomainMismatch")
+
+    @pytest.mark.parametrize("edit", [
+        "short member", "unknown block", "wide values", "text class"])
+    def test_misfit_shared_noise_exits_2(self, hospital_path, tmp_path,
+                                         edit):
+        """Each shared noise member is a (block, member) pair of the model,
+        and the response classes give each joint value of their domains one
+        integer class. The first three edits used to raise ValueError,
+        TypeError or KeyError in verify or sample; class 0 renamed 'a'
+        wherever it appears used to load."""
+
+        def change(doc):
+            xh = next(e for e in doc["delta"]["splits"]
+                      if e["cluster"] == "XH")
+            if edit == "short member":
+                xh["rho_members"] = [["UZ"]]
+            elif edit == "unknown block":
+                xh["rho_members"] = [["UQ", "UZ"]]
+            elif edit == "wide values":
+                xh["rho_classes"][0]["values"] = ["z1", "z2"]
+            else:
+                for c in [*xh["rho_classes"], *(
+                        c for item in xh["sigma"] + xh["cells"]
+                        for c in item["contexts"])]:
+                    if c["class"] == 0:
+                        c["class"] = "a"
+
+        self._refused_on_load(hospital_path, tmp_path, change,
+                              "DomainMismatch", low=HOSP,
+                              context='{"shared": {"UZ": "z1"}}')
+
+    @pytest.mark.parametrize("edit", ["rename cells", "reorder block"])
+    def test_cells_not_rebuilt_from_sigma_exit_2(self, high_path, tmp_path,
+                                                 edit):
+        """The cells and block of a flagged split are the ones its sigma
+        tables give, named and ordered as the construction names and orders
+        them. Renaming every cell member, or reordering the block's members,
+        consistently across the block, the cells and the mechanisms used to
+        load."""
+
+        def change(doc):
+            block = next(b for b in doc["blocks"] if b["name"] == "XH__u")
+            if edit == "reorder block":
+                block["members"].reverse()
+                for row in block["table"]:
+                    row["values"].reverse()
+                return
+            rename = {m["name"]: m["name"] + "x" for m in block["members"]}
+            for m in block["members"]:
+                m["name"] = rename[m["name"]]
+            for mech in doc["mechanisms"]:
+                for k in mech["exo_parents"]:
+                    if k["block"] == "XH__u":
+                        k["member"] = rename[k["member"]]
+            for item in next(e for e in doc["delta"]["splits"]
+                             if e["cluster"] == "XH")["cells"]:
+                for c in item["contexts"]:
+                    c["member"] = rename[c["member"]]
+
+        self._refused_on_load(high_path, tmp_path, change, "DomainMismatch")
+
+
+class TestProjectedDocumentEdits:
+    """Every one-field edit of the delta that abstract writes is answered or
+    refused: verify, sample and eval raise nothing and exit 0, 2, 3, 4 or
+    5. The edits reach every key, and the first two items of each array."""
+
+    EDITS = ("delete", [], {}, "x", 7, None, ["x", "y"])
+
+    def paths(self, value, path):
+        yield path
+        if isinstance(value, dict):
+            for key, entry in value.items():
+                yield from self.paths(entry, path + (key,))
+        elif isinstance(value, list):
+            for i, entry in enumerate(value[:2]):
+                yield from self.paths(entry, path + (i,))
+
+    @pytest.mark.parametrize("low, clusters, context", [
+        (INS, INS_CM, '{"parents": {"Z": "z1"}}'),
+        (HOSP, HOSP_CM, '{"shared": {"UZ": "z1"}}'),
+    ], ids=["insurance", "hospital"])
+    def test_edits_are_answered_or_refused(self, tmp_path, low, clusters,
+                                           context):
+        high = str(tmp_path / "high.json")
+        assert run(["abstract", "--scm", low, "--clusters", clusters,
+                    "-o", high]).exit_code == 0
+        with open(high) as fh:
+            text = fh.read()
+        bad = str(tmp_path / "bad.json")
+        failures = []
+        for path in self.paths(json.loads(text)["delta"], ("delta",)):
+            for edit in self.EDITS:
+                doc = json.loads(text)
+                parent = reduce(getitem, path[:-1], doc)
+                if edit == "delete":
+                    del parent[path[-1]]
+                else:
+                    parent[path[-1]] = edit
+                with open(bad, "w") as fh:
+                    # json.dumps runs the C encoder, json.dump the Python one
+                    fh.write(json.dumps(doc))
+                for argv in (["verify", "--scm", low, "--high", bad],
+                             ["sample", "--high", bad, "--value", "XH=xC",
+                              "--context", context],
+                             ["eval", "--scm", bad, "--query",
+                              "P(Y[XH=xC]=1)"]):
+                    try:
+                        code = run(argv).exit_code
+                    except Exception as exc:  # reported below, edit by edit
+                        code = repr(exc)
+                    if code not in (0, 2, 3, 4, 5):
+                        failures.append((path, edit, argv[0], code))
+        assert not failures, failures
 
 
 class TestCdag:

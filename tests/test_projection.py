@@ -151,6 +151,22 @@ class TestSigmaDistribution:
         assert d1 == {("x1",): Fraction(4, 5), ("x2",): Fraction(1, 5)}
         assert d2 == {("x1",): Fraction(1, 5), ("x2",): Fraction(4, 5)}
 
+    def test_response_classes_ignore_row_order(self):
+        """The response classes of shared noise read each consumer's
+        mechanism in the product order of its inputs, so the order its
+        table rows were filled in does not change them."""
+        for seed in range(6):
+            low, cm = build_lossy_chain(random.Random(seed), confounded=True)
+            refilled, _cm = build_lossy_chain(random.Random(seed),
+                                              confounded=True)
+            for mech in refilled.mechanisms.values():
+                rows = list(mech.table.items())
+                random.Random(seed).shuffle(rows)
+                mech.table = dict(rows)
+            want, got = (projection.sigma_machinery(m, cm, "BH", "general")
+                         for m in (low, refilled))
+            assert got.rho_members and got.rho_classes == want.rho_classes
+
     def test_impossible_context(self):
         doc = {
             "endogenous": [{"name": "Z", "domain": ["z1", "z2"]},
