@@ -121,6 +121,29 @@ def _canonical_tuple_order(domains):
     return index
 
 
+def _cluster_tuple(t, name, members, order, seen_tuples, label):
+    """Check a tuple of cluster ``name``'s value ``label`` one condition
+    at a time and raise the first problem; a tuple that passes comes back
+    as a tuple. validate_clusters sends here each tuple its one-test check
+    refuses."""
+    where = "cluster %r" % name
+    t = _scalars(_array(t, "tuple %r of %s", t, where),
+                 "entry of tuple %r of %s", t, where)
+    if len(t) != len(members):
+        raise DomainMismatch(
+            "tuple %r of cluster %r has %d entries for %d members"
+            % (t, name, len(t), len(members)))
+    if t not in order:
+        raise DomainMismatch(
+            "tuple %r is outside the joint domain of cluster %r"
+            % (t, name))
+    if t in seen_tuples:
+        raise IncompleteValuePartition(
+            "tuple %r of cluster %r appears under labels %r and %r"
+            % (t, name, seen_tuples[t], label), cluster=name)
+    return t
+
+
 def validate_clusters(scm, doc):
     """Check a raw cluster document against a model and build a ClusterMap.
 
@@ -128,6 +151,9 @@ def validate_clusters(scm, doc):
     IncompleteValuePartition when a cluster's labeled tuples fail to
     partition its joint domain, and InadmissibleClustering when merging the
     clusters would create a cyclic dependency between high-level variables.
+    A tuple is accepted when it is an array in the cluster's joint domain
+    (one dict lookup) not listed before; any other goes to _cluster_tuple
+    for its error.
     """
     clusters = []
     owner = {}
@@ -135,12 +161,12 @@ def validate_clusters(scm, doc):
     for entry in _items(doc, "clusters", "cluster document"):
         name = _scalar(_require(entry, "name", "cluster entry"),
                        "cluster name")
-        where = "cluster %r" % name
         if name in names:
             raise NotPartition("cluster %r declared twice" % name, cluster=name)
         names.add(name)
-        members = _scalars(_items(entry, "members", where, optional=True),
-                           "member of %s", where)
+        members = _scalars(_items(entry, "members", "cluster %r", name,
+                                  optional=True),
+                           "member of cluster %r", name)
         if not members:
             raise NotPartition("cluster %r has no members" % name, cluster=name)
         for m in members:
@@ -158,33 +184,29 @@ def validate_clusters(scm, doc):
         values = []
         labels = set()
         seen_tuples = {}
-        for val in _items(entry, "values", where, optional=True):
-            label = _scalar(_require(val, "label", "value of " + where),
-                            "label of %s", where)
+        for val in _items(entry, "values", "cluster %r", name, optional=True):
+            label = _scalar(_require(val, "label", "value of cluster %r",
+                                     name),
+                            "label of cluster %r", name)
             if label in labels:
                 raise IncompleteValuePartition(
                     "cluster %r labels %r twice" % (name, label),
                     cluster=name, label=label)
             labels.add(label)
             tuples = []
-            for t in _items(val, "tuples", "value of " + where,
+            for t in _items(val, "tuples", "value of cluster %r", name,
                             optional=True):
-                t = _scalars(_array(t, "tuple %r of %s", t, where),
-                             "entry of tuple %r of %s", t, where)
-                if len(t) != len(members):
-                    raise DomainMismatch(
-                        "tuple %r of cluster %r has %d entries for %d members"
-                        % (t, name, len(t), len(members)))
-                if t not in order:
-                    raise DomainMismatch(
-                        "tuple %r is outside the joint domain of cluster %r"
-                        % (t, name))
-                if t in seen_tuples:
-                    raise IncompleteValuePartition(
-                        "tuple %r of cluster %r appears under labels %r and %r"
-                        % (t, name, seen_tuples[t], label), cluster=name)
-                seen_tuples[t] = label
-                tuples.append(t)
+                try:
+                    key = tuple(t)
+                    fits = (t.__class__ is list and key in order
+                            and key not in seen_tuples)
+                except TypeError:
+                    fits = False
+                if not fits:
+                    key = _cluster_tuple(t, name, members, order, seen_tuples,
+                                         label)
+                seen_tuples[key] = label
+                tuples.append(key)
             if not tuples:
                 raise IncompleteValuePartition(
                     "value %r of cluster %r has an empty preimage"

@@ -55,6 +55,7 @@ from .projection import (
     load_high,
     projected_sample,
     resolve_sigma,
+    resolve_sigma_high,
     save_high,
     verify_partial_projection,
 )
@@ -305,14 +306,20 @@ def _projected_graph(scm, cm, budget):
     return build_projected_cdag(cdag, report.violators), report
 
 
-def _load_model(path):
-    """The model of a --scm file. A projected document (one with a delta)
-    is read with high_from_doc, so that its checks apply to it here too."""
+def _load_document(path):
+    """The model of a --scm file and, for a projected document (one with a
+    delta), the projected model, else None. A projected document is read
+    with high_from_doc, so that its checks apply to it here too."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     if isinstance(doc, dict) and "delta" in doc:
-        return high_from_doc(doc).scm
-    return validate_scm(doc)
+        high = high_from_doc(doc)
+        return high.scm, high
+    return validate_scm(doc), None
+
+
+def _load_model(path):
+    return _load_document(path)[0]
 
 
 def cmd_validate(args):
@@ -343,8 +350,10 @@ def cmd_eval(args):
     """Names that are clusters bind to their labels and are lowered onto
     the member variables; the others bind to model variables. A plain
     intervention on a label covering several member tuples is rejected,
-    since no single hard setting represents it."""
-    scm = _load_model(args.scm)
+    since no single hard setting represents it. On a projected document
+    without --clusters, ~NAME=label draws from the document's own sigma
+    tables (resolve_sigma_high)."""
+    scm, high = _load_document(args.scm)
     parsed = parse_query(args.query)
     cm = load_clusters(scm, args.clusters) if args.clusters else None
 
@@ -360,7 +369,7 @@ def cmd_eval(args):
         if name not in scm.var_index:
             raise UnknownVariable("unknown variable %r" % name,
                                   variable=name)
-        if sigma:
+        if sigma and (high is None or cm is not None):
             raise DomainMismatch(
                 "~ marks cluster values; %r is a plain variable" % name)
         return _match_value(token, scm.domain(name), "value of %s" % name)
@@ -370,6 +379,8 @@ def cmd_eval(args):
         query = resolve_sigma(scm, cm, lower_query(cm, query),
                               policy=args.policy, budget=args.budget,
                               fallback=args.sigma_fallback)
+    elif high is not None:
+        query = resolve_sigma_high(high, query)
     value = prob_query(scm, query, budget=args.budget)
     payload = {"query": args.query}
     payload.update(_value_payload(value))

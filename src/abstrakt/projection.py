@@ -36,6 +36,7 @@ from .scm import (
     ExogenousBlock,
     Mechanism,
     VariableDecl,
+    _Probabilities,
     _array,
     _items,
     _require,
@@ -43,7 +44,6 @@ from .scm import (
     _scalars,
     check_budget,
     format_rational,
-    parse_probability,
     scm_to_doc,
     validate_scm,
     write_json,
@@ -950,8 +950,6 @@ def high_to_doc(high):
         if s.parents:
             entry["parents"] = list(s.parents)
         if s.rho_members:
-            entry["shared_blocks"] = list(dict.fromkeys(
-                b for b, _m in s.rho_members))
             entry["rho_members"] = [list(k) for k in s.rho_members]
             entry["rho_classes"] = [
                 {"values": list(joint), "class": cls}
@@ -985,46 +983,51 @@ def high_from_doc(doc):
     fallback = validate_fallback(delta.get("fallback"))
     scm = validate_scm({k: v for k, v in doc.items() if k != "delta"})
     splits = {}
+    probabilities = _Probabilities()
     for entry in _items(delta, "splits", "delta", optional=True):
         name = _scalar(_require(entry, "cluster", "split entry"),
                        "split cluster")
-        where = "split %r" % name
         s = DeltaSplit(
-            name=name, members=_scalars(_items(entry, "members", where),
-                                        "member of %s", where),
+            name=name,
+            members=_scalars(_items(entry, "members", "split %r", name),
+                             "member of split %r", name),
             values=tuple(ClusterValue(
-                label=_scalar(_require(v, "label", where), "label of %s",
-                              where),
-                tuples=tuple(_scalars(_array(t, "tuple of %s", where),
-                                      "tuple entry of %s", where)
-                             for t in _items(v, "tuples", where)))
-                for v in _items(entry, "values", where)),
+                label=_scalar(_require(v, "label", "split %r", name),
+                              "label of split %r", name),
+                tuples=tuple(_scalars(_array(t, "tuple of split %r", name),
+                                      "tuple entry of split %r", name)
+                             for t in _items(v, "tuples", "split %r", name)))
+                for v in _items(entry, "values", "split %r", name)),
             violator=entry.get("violator", False),
-            parents=_scalars(_items(entry, "parents", where, optional=True),
-                             "parent of %s", where),
+            parents=_scalars(_items(entry, "parents", "split %r", name,
+                                    optional=True),
+                             "parent of split %r", name),
             rho_members=tuple(
-                _scalars(_array(k, "rho member of %s", where),
-                         "rho member part of %s", where)
-                for k in _items(entry, "rho_members", where, optional=True)),
+                _scalars(_array(k, "rho member of split %r", name),
+                         "rho member part of split %r", name)
+                for k in _items(entry, "rho_members", "split %r", name,
+                                optional=True)),
             rho_classes={
-                _scalars(_items(r, "values", where), "rho values of %s",
-                         where):
-                _scalar(_require(r, "class", where), "rho class of %s", where)
-                for r in _items(entry, "rho_classes", where, optional=True)},
+                _scalars(_items(r, "values", "split %r", name),
+                         "rho values of split %r", name):
+                _scalar(_require(r, "class", "split %r", name),
+                        "rho class of split %r", name)
+                for r in _items(entry, "rho_classes", "split %r", name,
+                                optional=True)},
             block=entry.get("block"))
-        for item in _items(entry, "sigma", where, optional=True):
-            s.sigma[_scalar(_require(item, "label", where), "label of %s",
-                            where)] = {
-                _ctx_from_doc(c): tuple(parse_probability(p)
-                                        for p in _items(c, "probs", where))
-                for c in _items(item, "contexts", where)}
-        for item in _items(entry, "cells", where, optional=True):
-            label = _scalar(_require(item, "label", where), "label of %s",
-                            where)
+        for item in _items(entry, "sigma", "split %r", name, optional=True):
+            s.sigma[_scalar(_require(item, "label", "split %r", name),
+                            "label of split %r", name)] = {
+                _ctx_from_doc(c): tuple(map(
+                    probabilities.read, _items(c, "probs", "split %r", name)))
+                for c in _items(item, "contexts", "split %r", name)}
+        for item in _items(entry, "cells", "split %r", name, optional=True):
+            label = _scalar(_require(item, "label", "split %r", name),
+                            "label of split %r", name)
             s.component[label] = {
-                _ctx_from_doc(c): _require(c, "member", where)
-                for c in _items(item, "contexts", where)}
-        _check_split(s, scm, where)
+                _ctx_from_doc(c): _require(c, "member", "split %r", name)
+                for c in _items(item, "contexts", "split %r", name)}
+        _check_split(s, scm, "split %r" % (name,))
         if s.name in splits:
             raise DomainMismatch("two splits for cluster %r" % (s.name,))
         splits[s.name] = s

@@ -17,6 +17,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from operator import contains
 
 from .errors import (
     CyclicDependencies,
@@ -78,7 +79,12 @@ def parse_probability(raw):
     if isinstance(raw, int):
         value = Fraction(raw)
     elif isinstance(raw, str):
+        num, slash, den = raw.partition("/")
         try:
+            if num.isdecimal() and (den.isdecimal() or not slash):
+                # digits, or digits over digits: the value Fraction(raw)
+                # gives, without its pattern match, and never negative
+                return Fraction(int(num), int(den) if slash else 1)
             value = Fraction(raw)
         except (ValueError, ZeroDivisionError):
             raise DomainMismatch("cannot parse probability %r" % raw)
@@ -144,7 +150,7 @@ class ExogenousBlock:
         rows = []
         for values in product(*(m.domain for m in self.members)):
             p = self.table[values]
-            if p > 0:
+            if p.numerator > 0:
                 rows.append((values, p))
         return rows
 
@@ -252,10 +258,10 @@ class DiscreteScm:
             values, weights, lcms, keys = [], [], [], []
             for b in self.blocks:
                 support = b.support()
-                lcm = math.lcm(*(p.denominator for _values, p in support))
+                ratios = [p.as_integer_ratio() for _row, p in support]
+                lcm = math.lcm(*[d for _n, d in ratios])
                 values.append([row for row, _p in support])
-                weights.append([p.numerator * (lcm // p.denominator)
-                                for _row, p in support])
+                weights.append([n * (lcm // d) for n, d in ratios])
                 lcms.append(lcm)
                 keys.append(tuple((b.name, mn) for mn in b.member_names()))
             self._rows = (values, weights, lcms, keys)
@@ -330,25 +336,25 @@ class Diagram:
         return self._pos[node]
 
 
-def _require(doc, key, where):
+def _require(doc, key, where, *args):
     """``doc[key]``, refusing a ``doc`` that is not a JSON object and a
-    missing key."""
+    missing key; ``where % args`` names ``doc``."""
     if isinstance(doc, dict) and key in doc:
         return doc[key]
     if not isinstance(doc, dict):
-        raise DomainMismatch("%s must be a JSON object" % where)
-    raise DomainMismatch("missing %r in %s" % (key, where))
+        raise DomainMismatch((where % args) + " must be a JSON object")
+    raise DomainMismatch("missing %r in %s" % (key, where % args))
 
 
-def _items(doc, key, where, optional=False):
+def _items(doc, key, where, *args, optional=False):
     """The array at ``doc[key]``; a missing ``optional`` key reads as
-    empty."""
+    empty. ``where % args`` names ``doc``."""
     if isinstance(doc, dict):
         value = doc.get(key, () if optional else None)
         if isinstance(value, (list, tuple)):
             return value
-    _require(doc, key, where)
-    raise DomainMismatch("%r in %s must be an array" % (key, where))
+    _require(doc, key, where, *args)
+    raise DomainMismatch("%r in %s must be an array" % (key, where % args))
 
 
 def _array(value, what, *args):
@@ -369,15 +375,90 @@ def _scalar(value, what, *args):
 
 
 def _scalars(values, what, *args):
-    """``values`` as a tuple, each checked by _scalar."""
-    return tuple(_scalar(v, what, *args) for v in values)
+    """``values`` as a tuple, each checked by _scalar. A tuple that hashes
+    holds no array or object, so only one that does not is checked entry
+    by entry."""
+    values = tuple(values)
+    try:
+        hash(values)
+    except TypeError:
+        for v in values:
+            _scalar(v, what, *args)
+    return values
+
+
+class _Probabilities(dict):
+    """The probabilities of one document, each distinct string parsed
+    once. Other values are parsed every time: 1, 1.0 and True are equal
+    keys, and only 1 is a probability."""
+
+    def __missing__(self, raw):
+        value = self[raw] = parse_probability(raw)
+        return value
+
+    def read(self, raw):
+        return self[raw] if raw.__class__ is str else parse_probability(raw)
+
+
+def _block_row(row, bname, members, table):
+    """Check a row of block ``bname`` one condition at a time and raise
+    the first problem; a row that passes gives its values and its raw
+    probability. validate_scm sends here each row its one-test check
+    refuses."""
+    values = tuple(_items(row, "values", "row of block %r", bname))
+    if len(values) != len(members):
+        raise DomainMismatch(
+            "row %r of block %r has %d values for %d members"
+            % (values, bname, len(values), len(members)))
+    for val, member in zip(values, members):
+        if val not in member.domain:
+            raise DomainMismatch(
+                "value %r is outside the domain of member %r in block %r"
+                % (val, member.name, bname))
+    if values in table:
+        raise NonNormalizedBlock(
+            "block %r lists row %r twice" % (bname, values))
+    return values, _require(row, "p", "row of block %r", bname)
+
+
+def _mechanism_row(row, vname, parent_domains, domain, table):
+    """Check a row of the mechanism for ``vname`` one condition at a time
+    and raise the first problem; a row that passes gives its key and its
+    output. validate_scm sends here each row its one-test check
+    refuses."""
+    key = tuple(_items(row, "parents", "row of mechanism for %r", vname))
+    out = _require(row, "out", "row of mechanism for %r", vname)
+    if len(key) != len(parent_domains):
+        raise PartialMechanism(
+            "mechanism row for %r has %d parent values, expected %d"
+            % (vname, len(key), len(parent_domains)), variable=vname)
+    for val, dom in zip(key, parent_domains):
+        if val not in dom:
+            raise DomainMismatch(
+                "mechanism row for %r uses parent value %r outside its domain"
+                % (vname, val))
+    if out not in domain:
+        raise DomainMismatch(
+            "mechanism for %r outputs %r outside its domain"
+            % (vname, out), variable=vname, value=out)
+    if key in table:
+        raise PartialMechanism(
+            "mechanism for %r lists parents %r twice" % (vname, key),
+            variable=vname)
+    return key, out
 
 
 def validate_scm(doc):
     """Check a raw model document and build a DiscreteScm.
 
     Raises CyclicDependencies, NonNormalizedBlock, PartialMechanism, or
-    DomainMismatch on the first problem found.
+    DomainMismatch on the first problem found. A table row is accepted
+    when it is an object whose array has one entry per position, each in
+    its position's domain (a frozenset lookup), a mechanism's output in
+    its variable's domain, and a key not seen before; any other row, one
+    with an unhashable entry included, goes to _block_row or
+    _mechanism_row for its error. Each distinct probability string is
+    parsed once.
     """
     if not isinstance(doc, dict):
         raise DomainMismatch("model document must be a JSON object")
@@ -387,7 +468,7 @@ def validate_scm(doc):
     for entry in _items(doc, "endogenous", "model"):
         name = _scalar(_require(entry, "name", "endogenous entry"),
                        "variable name")
-        domain = _scalars(_items(entry, "domain", "endogenous entry %r" % name),
+        domain = _scalars(_items(entry, "domain", "endogenous entry %r", name),
                           "domain value of %r", name)
         if not domain:
             raise DomainMismatch("variable %r has an empty domain" % name)
@@ -398,6 +479,7 @@ def validate_scm(doc):
         seen.add(name)
         endogenous.append(VariableDecl(name=name, domain=domain))
 
+    probabilities = _Probabilities()
     blocks = []
     block_names = set()
     for entry in _items(doc, "blocks", "model", optional=True):
@@ -407,10 +489,10 @@ def validate_scm(doc):
         block_names.add(bname)
         members = []
         mseen = set()
-        for m in _items(entry, "members", "block %r" % bname):
-            mname = _scalar(_require(m, "name", "member of block %r" % bname),
+        for m in _items(entry, "members", "block %r", bname):
+            mname = _scalar(_require(m, "name", "member of block %r", bname),
                             "member name in block %r", bname)
-            mdomain = _scalars(_items(m, "domain", "member %r" % mname),
+            mdomain = _scalars(_items(m, "domain", "member %r", mname),
                                "domain value of member %r", mname)
             if not mdomain or len(set(mdomain)) != len(mdomain):
                 raise DomainMismatch("member %r of block %r has a bad domain"
@@ -420,35 +502,36 @@ def validate_scm(doc):
                                      % (mname, bname))
             mseen.add(mname)
             members.append(ExoMember(name=mname, domain=mdomain))
+        sets = [frozenset(m.domain) for m in members]
         table = {}
-        for row in _items(entry, "table", "block %r" % bname):
-            values = tuple(_items(row, "values", "row of block %r" % bname))
-            if len(values) != len(members):
-                raise DomainMismatch(
-                    "row %r of block %r has %d values for %d members"
-                    % (values, bname, len(values), len(members)))
-            for val, member in zip(values, members):
-                if val not in member.domain:
-                    raise DomainMismatch(
-                        "value %r is outside the domain of member %r in block %r"
-                        % (val, member.name, bname))
-            if values in table:
-                raise NonNormalizedBlock(
-                    "block %r lists row %r twice" % (bname, values))
-            table[values] = parse_probability(_require(row, "p", "row of block %r" % bname))
-        expected = 1
-        for m in members:
-            expected *= len(m.domain)
+        for row in _items(entry, "table", "block %r", bname):
+            try:
+                values = row["values"]
+                key = tuple(values)
+                raw = row["p"]
+                fits = (values.__class__ is list and len(key) == len(sets)
+                        and all(map(contains, sets, key))
+                        and key not in table)
+            except (KeyError, TypeError):
+                fits = False
+            if not fits:
+                key, raw = _block_row(row, bname, members, table)
+            table[key] = probabilities.read(raw)
+        expected = math.prod(len(m.domain) for m in members)
         if len(table) != expected:
             raise NonNormalizedBlock(
                 "block %r covers %d of %d member-value combinations"
                 % (bname, len(table), expected), block=bname)
-        total = sum(table.values(), Fraction(0))
-        if total != 1:
+        # the sum in integers over the lcm of the denominators
+        ratios = [p.as_integer_ratio() for p in table.values()]
+        lcm = math.lcm(*[d for _n, d in ratios])
+        if sum([n * (lcm // d) for n, d in ratios]) != lcm:
+            total = sum(table.values(), Fraction(0))
             raise NonNormalizedBlock(
                 "block %r sums to %s, expected 1" % (bname, total),
                 block=bname, total=format_rational(total))
-        blocks.append(ExogenousBlock(name=bname, members=tuple(members), table=table))
+        blocks.append(ExogenousBlock(name=bname, members=tuple(members),
+                                     table=table))
 
     var_domains = {v.name: v.domain for v in endogenous}
     member_domains = {}
@@ -465,7 +548,7 @@ def validate_scm(doc):
         if vname in mechanisms:
             raise DomainMismatch("variable %r has two mechanisms" % vname)
         endo_parents = _scalars(_items(entry, "endo_parents",
-                                       "mechanism for %r" % vname,
+                                       "mechanism for %r", vname,
                                        optional=True),
                                 "parent of %r", vname)
         for p in endo_parents:
@@ -475,10 +558,11 @@ def validate_scm(doc):
         if len(set(endo_parents)) != len(endo_parents):
             raise DomainMismatch("mechanism for %r repeats a parent" % vname)
         exo_parents = []
-        for ref in _items(entry, "exo_parents", "mechanism for %r" % vname,
+        for ref in _items(entry, "exo_parents", "mechanism for %r", vname,
                           optional=True):
-            key = _scalars((_require(ref, "block", "exo parent of %r" % vname),
-                            _require(ref, "member", "exo parent of %r" % vname)),
+            key = _scalars((_require(ref, "block", "exo parent of %r", vname),
+                            _require(ref, "member", "exo parent of %r",
+                                     vname)),
                            "exo parent of %r", vname)
             if key not in member_domains:
                 raise DomainMismatch(
@@ -492,32 +576,25 @@ def validate_scm(doc):
 
         parent_domains = [var_domains[p] for p in endo_parents]
         parent_domains += [member_domains[k] for k in exo_parents]
+        domain = var_domains[vname]
+        sets = [frozenset(dom) for dom in parent_domains]
+        outs = frozenset(domain)
         table = {}
-        for row in _items(entry, "table", "mechanism for %r" % vname):
-            key = tuple(_items(row, "parents",
-                              "row of mechanism for %r" % vname))
-            out = _require(row, "out", "row of mechanism for %r" % vname)
-            if len(key) != len(parent_domains):
-                raise PartialMechanism(
-                    "mechanism row for %r has %d parent values, expected %d"
-                    % (vname, len(key), len(parent_domains)), variable=vname)
-            for val, dom in zip(key, parent_domains):
-                if val not in dom:
-                    raise DomainMismatch(
-                        "mechanism row for %r uses parent value %r outside its domain"
-                        % (vname, val))
-            if out not in var_domains[vname]:
-                raise DomainMismatch(
-                    "mechanism for %r outputs %r outside its domain"
-                    % (vname, out), variable=vname, value=out)
-            if key in table:
-                raise PartialMechanism(
-                    "mechanism for %r lists parents %r twice" % (vname, key),
-                    variable=vname)
+        for row in _items(entry, "table", "mechanism for %r", vname):
+            try:
+                parents = row["parents"]
+                key = tuple(parents)
+                out = row["out"]
+                fits = (parents.__class__ is list and len(key) == len(sets)
+                        and all(map(contains, sets, key)) and out in outs
+                        and key not in table)
+            except (KeyError, TypeError):
+                fits = False
+            if not fits:
+                key, out = _mechanism_row(row, vname, parent_domains, domain,
+                                          table)
             table[key] = out
-        expected = 1
-        for dom in parent_domains:
-            expected *= len(dom)
+        expected = math.prod(map(len, parent_domains))
         if len(table) != expected:
             raise PartialMechanism(
                 "mechanism for %r covers %d of %d parent combinations"

@@ -1,21 +1,31 @@
 """Shared fixtures: the bundled example models, small model builders and
 the reference implementations the library is checked against."""
 
+import copy
+import json
 import math
 import os
 import random
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations, product
+from operator import getitem
 
 import pytest
 from hypothesis import assume, strategies as st
 
 import abstrakt as ab
 from abstrakt import projection, valuation
-from abstrakt.abstraction import (AicReport, AicWitness, _parent_clusters,
-                                  _working_model)
+from abstrakt.abstraction import (AicReport, AicWitness, Cluster,
+                                  ClusterMap, ClusterValue,
+                                  _canonical_tuple_order, _check_admissible,
+                                  _parent_clusters, _working_model)
+from abstrakt.errors import (DomainMismatch, IncompleteValuePartition,
+                             NonNormalizedBlock, NotPartition,
+                             PartialMechanism, UnknownVariable)
 from abstrakt.scm import (DiscreteScm, ExogenousBlock, ExoMember, Mechanism,
-                          VariableDecl, check_budget)
+                          VariableDecl, _array, _scalar, _scalars,
+                          check_budget, format_rational, parse_probability)
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -416,6 +426,40 @@ def noiseless_mediator_docs():
     return model, clusters
 
 
+# the one-field edits of the document mutation probes
+EDITS = ("delete", [], {}, "x", 7, None, ["x", "y"])
+
+
+def _edit_paths(value, path):
+    yield path
+    if isinstance(value, dict):
+        for key, entry in value.items():
+            yield from _edit_paths(entry, path + (key,))
+    elif isinstance(value, list):
+        for i, entry in enumerate(value[:2]):
+            yield from _edit_paths(entry, path + (i,))
+
+
+def one_field_edits(text, root=()):
+    """Every one-field edit of the JSON document ``text`` at or below the
+    key path ``root``: each of EDITS at every key and at the first two
+    items of each array. Yields (path, edit, edited document); at the empty
+    path the edit replaces the document, which cannot be deleted."""
+    for path in _edit_paths(reduce(getitem, root, json.loads(text)), root):
+        for edit in EDITS:
+            if not path:
+                if edit != "delete":
+                    yield path, edit, copy.deepcopy(edit)
+                continue
+            doc = json.loads(text)
+            parent = reduce(getitem, path[:-1], doc)
+            if edit == "delete":
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = copy.deepcopy(edit)
+            yield path, edit, doc
+
+
 def all_dag_structures(max_nodes):
     """Every DAG over at most ``max_nodes`` declared nodes, with edges
     oriented from earlier to later declarations."""
@@ -428,6 +472,278 @@ def all_dag_structures(max_nodes):
             edges = [slots[i] for i in range(len(slots)) if mask >> i & 1]
             out.append((nodes, edges))
     return out
+
+
+def _require(doc, key, where):
+    """``doc[key]``, refusing a ``doc`` that is not a JSON object and a
+    missing key. The reference readers' helpers take ``where`` formatted,
+    as the library's took it when those readers were written."""
+    if isinstance(doc, dict) and key in doc:
+        return doc[key]
+    if not isinstance(doc, dict):
+        raise DomainMismatch("%s must be a JSON object" % where)
+    raise DomainMismatch("missing %r in %s" % (key, where))
+
+
+def _items(doc, key, where, optional=False):
+    """The array at ``doc[key]``; a missing ``optional`` key reads as
+    empty."""
+    if isinstance(doc, dict):
+        value = doc.get(key, () if optional else None)
+        if isinstance(value, (list, tuple)):
+            return value
+    _require(doc, key, where)
+    raise DomainMismatch("%r in %s must be an array" % (key, where))
+
+
+def reference_validate_scm(doc):
+    """Check a raw model document and build a DiscreteScm, one check at a
+    time in document order: the oracle of ab.validate_scm, which must
+    accept what this accepts and refuse the rest with the same error.
+
+    Raises CyclicDependencies, NonNormalizedBlock, PartialMechanism, or
+    DomainMismatch on the first problem found.
+    """
+    if not isinstance(doc, dict):
+        raise DomainMismatch("model document must be a JSON object")
+
+    endogenous = []
+    seen = set()
+    for entry in _items(doc, "endogenous", "model"):
+        name = _scalar(_require(entry, "name", "endogenous entry"),
+                       "variable name")
+        domain = _scalars(_items(entry, "domain", "endogenous entry %r" % name),
+                          "domain value of %r", name)
+        if not domain:
+            raise DomainMismatch("variable %r has an empty domain" % name)
+        if len(set(domain)) != len(domain):
+            raise DomainMismatch("variable %r repeats a domain value" % name)
+        if name in seen:
+            raise DomainMismatch("endogenous variable %r declared twice" % name)
+        seen.add(name)
+        endogenous.append(VariableDecl(name=name, domain=domain))
+
+    blocks = []
+    block_names = set()
+    for entry in _items(doc, "blocks", "model", optional=True):
+        bname = _scalar(_require(entry, "name", "block entry"), "block name")
+        if bname in block_names:
+            raise DomainMismatch("exogenous block %r declared twice" % bname)
+        block_names.add(bname)
+        members = []
+        mseen = set()
+        for m in _items(entry, "members", "block %r" % bname):
+            mname = _scalar(_require(m, "name", "member of block %r" % bname),
+                            "member name in block %r", bname)
+            mdomain = _scalars(_items(m, "domain", "member %r" % mname),
+                               "domain value of member %r", mname)
+            if not mdomain or len(set(mdomain)) != len(mdomain):
+                raise DomainMismatch("member %r of block %r has a bad domain"
+                                     % (mname, bname))
+            if mname in mseen:
+                raise DomainMismatch("member %r repeated in block %r"
+                                     % (mname, bname))
+            mseen.add(mname)
+            members.append(ExoMember(name=mname, domain=mdomain))
+        table = {}
+        for row in _items(entry, "table", "block %r" % bname):
+            values = tuple(_items(row, "values", "row of block %r" % bname))
+            if len(values) != len(members):
+                raise DomainMismatch(
+                    "row %r of block %r has %d values for %d members"
+                    % (values, bname, len(values), len(members)))
+            for val, member in zip(values, members):
+                if val not in member.domain:
+                    raise DomainMismatch(
+                        "value %r is outside the domain of member %r in block %r"
+                        % (val, member.name, bname))
+            if values in table:
+                raise NonNormalizedBlock(
+                    "block %r lists row %r twice" % (bname, values))
+            table[values] = parse_probability(_require(row, "p", "row of block %r" % bname))
+        expected = 1
+        for m in members:
+            expected *= len(m.domain)
+        if len(table) != expected:
+            raise NonNormalizedBlock(
+                "block %r covers %d of %d member-value combinations"
+                % (bname, len(table), expected), block=bname)
+        total = sum(table.values(), Fraction(0))
+        if total != 1:
+            raise NonNormalizedBlock(
+                "block %r sums to %s, expected 1" % (bname, total),
+                block=bname, total=format_rational(total))
+        blocks.append(ExogenousBlock(name=bname, members=tuple(members), table=table))
+
+    var_domains = {v.name: v.domain for v in endogenous}
+    member_domains = {}
+    for b in blocks:
+        for m in b.members:
+            member_domains[(b.name, m.name)] = m.domain
+
+    mechanisms = {}
+    for entry in _items(doc, "mechanisms", "model"):
+        vname = _scalar(_require(entry, "variable", "mechanism entry"),
+                        "mechanism variable")
+        if vname not in var_domains:
+            raise DomainMismatch("mechanism for undeclared variable %r" % vname)
+        if vname in mechanisms:
+            raise DomainMismatch("variable %r has two mechanisms" % vname)
+        endo_parents = _scalars(_items(entry, "endo_parents",
+                                       "mechanism for %r" % vname,
+                                       optional=True),
+                                "parent of %r", vname)
+        for p in endo_parents:
+            if p not in var_domains:
+                raise DomainMismatch(
+                    "mechanism for %r names unknown parent %r" % (vname, p))
+        if len(set(endo_parents)) != len(endo_parents):
+            raise DomainMismatch("mechanism for %r repeats a parent" % vname)
+        exo_parents = []
+        for ref in _items(entry, "exo_parents", "mechanism for %r" % vname,
+                          optional=True):
+            key = _scalars((_require(ref, "block", "exo parent of %r" % vname),
+                            _require(ref, "member", "exo parent of %r" % vname)),
+                           "exo parent of %r", vname)
+            if key not in member_domains:
+                raise DomainMismatch(
+                    "mechanism for %r names unknown exogenous member %r of block %r"
+                    % (vname, key[1], key[0]))
+            if key in exo_parents:
+                raise DomainMismatch(
+                    "mechanism for %r repeats exogenous member %r" % (vname, key))
+            exo_parents.append(key)
+        exo_parents = tuple(exo_parents)
+
+        parent_domains = [var_domains[p] for p in endo_parents]
+        parent_domains += [member_domains[k] for k in exo_parents]
+        table = {}
+        for row in _items(entry, "table", "mechanism for %r" % vname):
+            key = tuple(_items(row, "parents",
+                              "row of mechanism for %r" % vname))
+            out = _require(row, "out", "row of mechanism for %r" % vname)
+            if len(key) != len(parent_domains):
+                raise PartialMechanism(
+                    "mechanism row for %r has %d parent values, expected %d"
+                    % (vname, len(key), len(parent_domains)), variable=vname)
+            for val, dom in zip(key, parent_domains):
+                if val not in dom:
+                    raise DomainMismatch(
+                        "mechanism row for %r uses parent value %r outside its domain"
+                        % (vname, val))
+            if out not in var_domains[vname]:
+                raise DomainMismatch(
+                    "mechanism for %r outputs %r outside its domain"
+                    % (vname, out), variable=vname, value=out)
+            if key in table:
+                raise PartialMechanism(
+                    "mechanism for %r lists parents %r twice" % (vname, key),
+                    variable=vname)
+            table[key] = out
+        expected = 1
+        for dom in parent_domains:
+            expected *= len(dom)
+        if len(table) != expected:
+            raise PartialMechanism(
+                "mechanism for %r covers %d of %d parent combinations"
+                % (vname, len(table), expected), variable=vname)
+        mechanisms[vname] = Mechanism(variable=vname, endo_parents=endo_parents,
+                                      exo_parents=exo_parents, table=table)
+
+    missing = [v.name for v in endogenous if v.name not in mechanisms]
+    if missing:
+        raise PartialMechanism("no mechanism for %s" % ", ".join(missing),
+                               variables=missing)
+
+    scm = DiscreteScm(endogenous=tuple(endogenous), blocks=tuple(blocks),
+                      mechanisms=mechanisms)
+    # Fails with CyclicDependencies when the parent relation has a cycle.
+    scm.topological_order_names()
+    return scm
+
+
+def reference_validate_clusters(scm, doc):
+    """Check a raw cluster document against a model and build a
+    ClusterMap, one check at a time in document order: the oracle of
+    ab.validate_clusters.
+
+    Raises NotPartition when a variable lands in two clusters,
+    IncompleteValuePartition when a cluster's labeled tuples fail to
+    partition its joint domain, and InadmissibleClustering when merging the
+    clusters would create a cyclic dependency between high-level variables.
+    """
+    clusters = []
+    owner = {}
+    names = set()
+    for entry in _items(doc, "clusters", "cluster document"):
+        name = _scalar(_require(entry, "name", "cluster entry"),
+                       "cluster name")
+        where = "cluster %r" % name
+        if name in names:
+            raise NotPartition("cluster %r declared twice" % name, cluster=name)
+        names.add(name)
+        members = _scalars(_items(entry, "members", where, optional=True),
+                           "member of %s", where)
+        if not members:
+            raise NotPartition("cluster %r has no members" % name, cluster=name)
+        for m in members:
+            if m not in scm.var_index:
+                raise UnknownVariable(
+                    "cluster %r names unknown variable %r" % (name, m),
+                    cluster=name, variable=m)
+            if m in owner:
+                raise NotPartition(
+                    "variable %r appears in clusters %r and %r"
+                    % (m, owner[m], name), variable=m)
+            owner[m] = name
+        domains = [scm.domain(m) for m in members]
+        order = _canonical_tuple_order(domains)
+        values = []
+        labels = set()
+        seen_tuples = {}
+        for val in _items(entry, "values", where, optional=True):
+            label = _scalar(_require(val, "label", "value of " + where),
+                            "label of %s", where)
+            if label in labels:
+                raise IncompleteValuePartition(
+                    "cluster %r labels %r twice" % (name, label),
+                    cluster=name, label=label)
+            labels.add(label)
+            tuples = []
+            for t in _items(val, "tuples", "value of " + where,
+                            optional=True):
+                t = _scalars(_array(t, "tuple %r of %s", t, where),
+                             "entry of tuple %r of %s", t, where)
+                if len(t) != len(members):
+                    raise DomainMismatch(
+                        "tuple %r of cluster %r has %d entries for %d members"
+                        % (t, name, len(t), len(members)))
+                if t not in order:
+                    raise DomainMismatch(
+                        "tuple %r is outside the joint domain of cluster %r"
+                        % (t, name))
+                if t in seen_tuples:
+                    raise IncompleteValuePartition(
+                        "tuple %r of cluster %r appears under labels %r and %r"
+                        % (t, name, seen_tuples[t], label), cluster=name)
+                seen_tuples[t] = label
+                tuples.append(t)
+            if not tuples:
+                raise IncompleteValuePartition(
+                    "value %r of cluster %r has an empty preimage"
+                    % (label, name), cluster=name, label=label)
+            tuples.sort(key=order.get)
+            values.append(ClusterValue(label=label, tuples=tuple(tuples)))
+        if len(seen_tuples) != len(order):
+            raise IncompleteValuePartition(
+                "cluster %r labels %d of %d joint values"
+                % (name, len(seen_tuples), len(order)), cluster=name)
+        clusters.append(Cluster(name=name, members=members, values=tuple(values)))
+
+    excluded = tuple(v.name for v in scm.endogenous if v.name not in owner)
+    cm = ClusterMap(clusters=tuple(clusters), excluded=excluded)
+    _check_admissible(scm, cm)
+    return cm
 
 
 def reference_verify(low, high, shown=10):

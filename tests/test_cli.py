@@ -13,7 +13,7 @@ import abstrakt as ab
 from abstrakt import projection
 from abstrakt.cli import _build_parser, parse_query, run
 from conftest import (context_after_target_docs, fixture_path,
-                      noiseless_mediator_docs)
+                      noiseless_mediator_docs, one_field_edits)
 
 INS = fixture_path("insurance.json")
 INS_CM = fixture_path("insurance_clusters.json")
@@ -374,6 +374,26 @@ class TestAbstractAndDownstream:
         r = run(["eval", "--scm", high_path, "--query", "P(Y[XH=xC]=1)"])
         assert r.exit_code == 0
         assert r.payload["rational"] == "149/250"
+
+    @pytest.mark.parametrize("text, want", [
+        ("P(Y[~XH=xC]=1)", "149/250"),
+        ("P(Y[~XH=xC]=1 | Z=z1)", "37/50"),
+    ])
+    def test_eval_tilde_on_written_model(self, high_path, text, want):
+        """On a projected document ~XH=xC draws from the document's own
+        sigma tables, and answers as the low model with the cluster map
+        does."""
+        low = run(["eval", "--scm", INS, "--clusters", INS_CM,
+                   "--query", text])
+        high = run(["eval", "--scm", high_path, "--query", text])
+        assert low.exit_code == high.exit_code == 0
+        assert low.payload == high.payload
+        assert high.payload["rational"] == want
+
+    def test_eval_tilde_needs_a_projected_document(self):
+        r = run(["eval", "--scm", INS, "--query", "P(Y[~X=x1]=1)"])
+        assert r.exit_code == 2
+        assert "plain variable" in r.payload["error"]["message"]
 
     def test_verify(self, high_path):
         r = run(["verify", "--scm", INS, "--high", high_path])
@@ -762,17 +782,6 @@ class TestProjectedDocumentEdits:
     refused: verify, sample and eval raise nothing and exit 0, 2, 3, 4 or
     5. The edits reach every key, and the first two items of each array."""
 
-    EDITS = ("delete", [], {}, "x", 7, None, ["x", "y"])
-
-    def paths(self, value, path):
-        yield path
-        if isinstance(value, dict):
-            for key, entry in value.items():
-                yield from self.paths(entry, path + (key,))
-        elif isinstance(value, list):
-            for i, entry in enumerate(value[:2]):
-                yield from self.paths(entry, path + (i,))
-
     @pytest.mark.parametrize("low, clusters, context", [
         (INS, INS_CM, '{"parents": {"Z": "z1"}}'),
         (HOSP, HOSP_CM, '{"shared": {"UZ": "z1"}}'),
@@ -786,28 +795,20 @@ class TestProjectedDocumentEdits:
             text = fh.read()
         bad = str(tmp_path / "bad.json")
         failures = []
-        for path in self.paths(json.loads(text)["delta"], ("delta",)):
-            for edit in self.EDITS:
-                doc = json.loads(text)
-                parent = reduce(getitem, path[:-1], doc)
-                if edit == "delete":
-                    del parent[path[-1]]
-                else:
-                    parent[path[-1]] = edit
-                with open(bad, "w") as fh:
-                    # json.dumps runs the C encoder, json.dump the Python one
-                    fh.write(json.dumps(doc))
-                for argv in (["verify", "--scm", low, "--high", bad],
-                             ["sample", "--high", bad, "--value", "XH=xC",
-                              "--context", context],
-                             ["eval", "--scm", bad, "--query",
-                              "P(Y[XH=xC]=1)"]):
-                    try:
-                        code = run(argv).exit_code
-                    except Exception as exc:  # reported below, edit by edit
-                        code = repr(exc)
-                    if code not in (0, 2, 3, 4, 5):
-                        failures.append((path, edit, argv[0], code))
+        for path, edit, doc in one_field_edits(text, ("delta",)):
+            with open(bad, "w") as fh:
+                # json.dumps runs the C encoder, json.dump the Python one
+                fh.write(json.dumps(doc))
+            for argv in (["verify", "--scm", low, "--high", bad],
+                         ["sample", "--high", bad, "--value", "XH=xC",
+                          "--context", context],
+                         ["eval", "--scm", bad, "--query", "P(Y[XH=xC]=1)"]):
+                try:
+                    code = run(argv).exit_code
+                except Exception as exc:  # reported below, edit by edit
+                    code = repr(exc)
+                if code not in (0, 2, 3, 4, 5):
+                    failures.append((path, edit, argv[0], code))
         assert not failures, failures
 
 

@@ -927,16 +927,22 @@ class TestSerialization:
     @pytest.mark.parametrize("seed", [3, 4])
     def test_confounded_chain_documents_round_trip(self, seed, p_a, fallback):
         """Under the general policy the confounded chain's BH reads the
-        shared block US, so its document lists the shared blocks. With A's
-        noise fixed at 1 some contexts have no mass, which only the uniform
-        fallback lets the replay pass."""
+        shared block US, so its document lists the shared noise members,
+        and no longer the shared blocks they restate. A document that still
+        has that key loads into the same model, whatever it holds. With A's noise fixed at 1
+        some contexts have no mass, which only the uniform fallback lets
+        the replay pass."""
         low, cm = build_lossy_chain(random.Random(seed), confounded=True,
                                     p_a=p_a)
         high = ab.construct_projected_abstraction(low, cm, fallback=fallback)
         doc = assert_document_round_trips(low, high)
         split = next(e for e in doc["delta"]["splits"] if e["cluster"] == "BH")
-        assert split["shared_blocks"] == ["US"]
+        assert "shared_blocks" not in split
         assert split["rho_members"] == [["US", "s1"], ["US", "s2"]]
+        for written in (["US"], "ignored"):
+            split["shared_blocks"] = written
+            again = ab.high_from_doc(doc)
+            assert again.scm == high.scm and again.splits == high.splits
 
 
 def assert_document_round_trips(low, high):
