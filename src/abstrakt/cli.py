@@ -27,7 +27,6 @@ from .errors import (
 from .scm import (
     format_decimal,
     format_rational,
-    induce_diagram,
     validate_scm,
 )
 from .valuation import (
@@ -302,7 +301,7 @@ def _projected_graph(scm, cm, budget):
     diagram comes from the model the check ran on, where the variables
     outside every cluster are already projected away."""
     report = check_aic(scm, cm, budget)
-    cdag = build_cdag(induce_diagram(report.scm), cm)
+    cdag = build_cdag(report.scm.diagram(), cm)
     return build_projected_cdag(cdag, report.violators), report
 
 
@@ -324,13 +323,14 @@ def _load_model(path):
 
 def cmd_validate(args):
     scm = _load_model(args.scm)
-    diagram = induce_diagram(scm)
+    diagram = scm.diagram()
     payload = {
         "model": args.scm,
         "variables": [{"name": v.name, "domain": list(v.domain)}
                       for v in scm.endogenous],
         "blocks": [{"name": b.name, "members": list(b.member_names()),
-                    "support": len(b.support())} for b in scm.blocks],
+                    "support": scm.exogenous_support_size([i])}
+                   for i, b in enumerate(scm.blocks)],
         "support": scm.exogenous_support_size(),
         "directed": [list(e) for e in diagram.directed],
         "bidirected": [list(e) for e in diagram.bidirected],
@@ -426,7 +426,7 @@ def cmd_cdag(args):
         payload["violators"] = list(report.violators)
     else:
         working = _working_model(scm, cm, args.budget)
-        g = build_cdag(induce_diagram(working), cm)
+        g = build_cdag(working.diagram(), cm)
         payload = graph_to_doc(g)
     payload["dot"] = to_dot(g)
     return CommandResult(0, payload)

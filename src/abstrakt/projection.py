@@ -1069,7 +1069,15 @@ def _check_split(split, scm, where):
     context of a sigma table that does not give one label per parent, in
     order, and a response class of the split, and a sigma table of no label
     of the split, or one that does not give one probability per member
-    tuple of its label summing to 1. high_from_doc checks the cells."""
+    tuple of its label summing to 1, and a member tuple listed twice or
+    without one value per member (verify checks the values). high_from_doc
+    checks the cells."""
+    tuples = [t for v in split.values for t in v.tuples]
+    if len(set(tuples)) != len(tuples) or any(
+            len(t) != len(split.members) for t in tuples):
+        raise DomainMismatch(
+            "each member tuple of %s must give one value per member %r and "
+            "sit under one label only" % (where, list(split.members)))
     if split.violator is not (split.block is not None):
         raise DomainMismatch("violator of %s must be true exactly when it has "
                              "a block, not %r" % (where, split.violator))

@@ -30,8 +30,8 @@ from .errors import (
 
 DEFAULT_BUDGET = 10_000_000
 BUDGET_ENV = "ABSTRAKT_BUDGET"
-# Entries a per-model cache (solved worlds, live noise members) holds at
-# most; past it, new entries are computed afresh on every call.
+# Entries a per-model cache (solved worlds, their term contents, live
+# noise members) holds at most; past it, new ones are not kept.
 CACHE_LIMIT = 1_000_000
 
 
@@ -186,10 +186,11 @@ class DiscreteScm:
             for m in b.members:
                 self.member_index[(b.name, m.name)] = m
         self._topo = None
+        self._diagram = None
         self.block_position = {b.name: i for i, b in enumerate(self.blocks)}
         self._rows = None
-        self._world_cache = {}
-        self._world_terms = {}
+        self._world_cache = {}  # valuation._numbered: content -> worlds
+        self._worlds = 0    # worlds kept in _world_cache, in all
         self._live = {}     # (variable, pinned parents) -> live noise
 
     def domain(self, name):
@@ -218,9 +219,15 @@ class DiscreteScm:
                     "use a (block, member) pair" % key, member=key)
         raise UnknownVariable("unknown exogenous member %r" % (key,), member=key)
 
+    def diagram(self):
+        """The model's causal diagram (see induce_diagram), built once."""
+        if self._diagram is None:
+            self._diagram = induce_diagram(self)
+        return self._diagram
+
     def topological_order_names(self):
         if self._topo is None:
-            self._topo = topological_order(induce_diagram(self))
+            self._topo = topological_order(self.diagram())
         return self._topo
 
     def solve(self, unit, env=None, order=None):
@@ -284,16 +291,20 @@ class DiscreteScm:
         lcms = self._block_rows()[2]
         return math.prod(lcms[i] for i in self._positions(blocks))
 
-    def exogenous_states(self, blocks=None):
+    def exogenous_states(self, blocks=None, draws=()):
         """Iterate (index_tuple, weight) over the joint values with positive
         probability of the blocks at positions ``blocks`` (default: every
-        block), in block-row product order with blocks in ascending
-        position. The index tuple holds one row index per chosen block; the
-        weight is an integer, the state's probability times
-        exogenous_denominator(blocks). Every pass walks the rows afresh."""
-        weights = [self._block_rows()[1][i] for i in self._positions(blocks)]
-        return zip(product(*(range(len(w)) for w in weights)),
-                   map(math.prod, product(*weights)))
+        block) and of ``draws``, more independent noise, each a list of
+        (index, integer weight) pairs, in product order. The index tuple
+        holds one row index per chosen block, in ascending position, then
+        one index per draw; the weight is an integer, the state's
+        probability times exogenous_denominator(blocks) and each draw's
+        total. Every pass walks the rows afresh."""
+        rows = [self._block_rows()[1][i] for i in self._positions(blocks)]
+        indices = [range(len(w)) for w in rows] + [
+            [i for i, _w in d] for d in draws]
+        weights = rows + [[w for _i, w in d] for d in draws]
+        return zip(product(*indices), map(math.prod, product(*weights)))
 
     def exogenous_assignment(self, blocks, idx):
         """The (block, member) -> value assignment of the state whose row

@@ -316,7 +316,7 @@ def _resolve(step, slots, cell):
 
 def _compile(scm, setup, out):
     """Compile a term's world into a slot program: a function from the
-    term's row indices over its own blocks and its cell draws (one per
+    term's index tuple (a row index per own block, then a cell index per
     atom, in resolution order) to the tuple of the values of ``out`` in
     that world.
 
@@ -354,7 +354,9 @@ def _compile(scm, setup, out):
         if k not in slot:
             b = scm.block_position[k[0]]
             place(k, values[b][0][keys[b].index(k)])
-    redraws = [(slot[k], mapping, n) for n, a in enumerate(setup.atoms)
+    # an atom's cell index follows the row indices of the own blocks
+    redraws = [(slot[k], mapping, n)
+               for n, a in enumerate(setup.atoms, len(own))
                for k, mapping in a.exo_cells.items() if k in slot]
     for v, value in setup.hard.items():
         place(v, value)
@@ -382,19 +384,20 @@ def _compile(scm, setup, out):
 
     runs = [steps(segment) for segment in setup.segments]
     last = runs.pop()
-    atoms = list(zip(runs, map(atom_step, setup.atoms)))
+    atoms = [(found, atom_step(a), n) for n, (found, a)
+             in enumerate(zip(runs, setup.atoms), len(own))]
     get = _reader([slot[v] for v in out])
 
-    def run(sub_idx, cells):
+    def run(idx):
         slots = template[:]
-        for (start, end, rows), i in zip(own, sub_idx):
+        for (start, end, rows), i in zip(own, idx):
             slots[start:end] = rows[i]
         for i, mapping, n in redraws:
-            slots[i] = mapping[cells[n]]
-        for (found, step), cell in zip(atoms, cells):
+            slots[i] = mapping[idx[n]]
+        for found, step, n in atoms:
             for i, table, key in found:
                 slots[i] = table[key(slots)]
-            _resolve(step, slots, cell)
+            _resolve(step, slots, idx[n])
         for i, table, key in last:
             slots[i] = table[key(slots)]
         return get(slots)
@@ -403,14 +406,14 @@ def _compile(scm, setup, out):
 
 @dataclass(eq=False, slots=True)
 class _TermSetup:
-    """A checked term's world plan (see _term_setup), and its compiled
-    world once a world is solved."""
+    """A checked term's world plan (see _term_setup), its content's cached
+    worlds (see _numbered), and its compiled world once one is solved."""
 
     hard: dict
     atoms: list
     segments: list
     blocks: tuple
-    number: object = None
+    memo: object = None
     program: object = None
 
 
@@ -418,8 +421,8 @@ def _term_setup(scm, term, reads=()):
     """Check a term and plan its world. Returns the world's _TermSetup: the
     hard settings, the distinct atoms in the order they are resolved, the
     solve-order segments between them and the positions of the blocks the
-    world reads; it has no world-cache number (see _numbered) and no
-    program yet (see _tabulate). Only the variables that the outcomes,
+    world reads; it has no cached worlds (see _numbered) and no program
+    yet (see _tabulate). Only the variables that the outcomes,
     ``reads`` and the atoms' targets depend on are solved; ``reads`` may
     name noise members by their (block, member) keys."""
     hard_map = _check_hard(scm, term.hard)
@@ -486,15 +489,20 @@ def _term_setup(scm, term, reads=()):
 
 
 def _numbered(scm, setup, reads):
-    """Give a setup the model's number for its term content (its hard
-    settings, its atoms and the ``reads`` its worlds hold), which keys its
-    worlds in the world cache; past CACHE_LIMIT numbered contents a new
-    content gets none and its worlds are not kept there."""
+    """Count a setup's term content (its hard settings, its atoms and the
+    ``reads`` its worlds hold) in the world cache, which maps a content to
+    its {index tuple: world} dict: the first setup to meet a content
+    records it, the second creates the dict that it and every later one
+    keeps its worlds in. Past CACHE_LIMIT contents none is recorded."""
     content = (tuple(sorted(setup.hard.items(), key=lambda kv: kv[0])),
                tuple(_fingerprint(a) for a in setup.atoms), reads)
-    setup.number = scm._world_terms.get(content)
-    if setup.number is None and len(scm._world_terms) < CACHE_LIMIT:
-        setup.number = scm._world_terms[content] = len(scm._world_terms)
+    cache = scm._world_cache
+    if content in cache:
+        if cache[content] is None:
+            cache[content] = {}
+        setup.memo = cache[content]
+    elif len(cache) < CACHE_LIMIT:
+        cache[content] = None
     return setup
 
 
@@ -536,16 +544,6 @@ def _draws(scm, terms, budget, blocks):
     return den, draws
 
 
-def _choices(draws, keys):
-    """The joint cell draws of the share keys ``keys``: (cell index per
-    key, integer weight) pairs, the last key varying fastest."""
-    out = [({}, 1)]
-    for k in keys:
-        out = [({**choice, k: i}, w * x)
-               for choice, w in out for i, x in draws[k]]
-    return out
-
-
 def _tabulate(scm, terms, setups, reads, budget):
     """The one walker of the exogenous states: it sums the states of the
     blocks some term's world reads times the cell draws, and returns the
@@ -553,17 +551,19 @@ def _tabulate(scm, terms, setups, reads, budget):
     integer weights that sum to it, where an undefined world holds the
     ImpossibleContext its program raised.
 
-    A block or share key that one term alone reads is that term's private
-    noise, and is summed out before the terms are joined (variable
-    elimination): at each point (state and cell draw) of the term's own
-    shared blocks and keys, its worlds over its private states and draws
+    Blocks and share keys' cell draws are one kind of noise, taken in one
+    order (blocks by position, then keys as the terms name them). A source
+    that one term alone reads is that term's private noise, and is summed
+    out before the terms are joined (variable elimination): at each point
+    of the term's own shared sources, its worlds over its private states
     make one {world: weight} factor, and one pass over the shared states
-    and draws joins the terms' factors by product. A term keeps its
-    factors for the call only where its own shared blocks or keys are
+    joins the terms' factors by product. Points and private states are
+    exogenous_states products, and one pick puts a term's shared and
+    private indices in its setup's order, its world's index tuple. A term
+    keeps its factors for the call only where its own shared sources are
     fewer than the walk's; a term that meets each point once keeps none,
     and lists its private states only when it sums them at more than one
-    point. Each world comes from _world, through the world cache for a
-    numbered term.
+    point. Each world comes from _world.
 
     The joint walk is this walk with nothing private: every state of
     every block with every draw. A table of one term meets its worlds in
@@ -572,86 +572,62 @@ def _tabulate(scm, terms, setups, reads, budget):
     order that decides which error a query raises."""
     blocks = sorted(set().union(*(s.blocks for s in setups)))
     den, draws = _draws(scm, terms, budget, blocks)
+    sources = blocks + list(draws)
+    noise = []
     readers = {}
     for setup, out in zip(setups, reads):
-        if setup.number is None:
+        if setup.memo is None:
             setup.program = _compile(scm, setup, out)
-        for x in setup.blocks:
+        noise.append(setup.blocks + tuple(a.share_key for a in setup.atoms))
+        for x in noise[-1]:
             readers[x] = readers.get(x, 0) + 1
-        for a in setup.atoms:
-            readers[a.share_key] = readers.get(a.share_key, 0) + 1
     shared = {x for x, n in readers.items() if n > 1}
     while True:
-        walk = [b for b in blocks if b in shared]
-        keys = [k for k in draws if k in shared]
+        walk = [x for x in sources if x in shared]
         plans = []
-        for setup, out in zip(setups, reads):
-            own = [b for b in setup.blocks if b in shared]
-            shares = [a.share_key for a in setup.atoms]
-            own_keys = [k for k in shares if k in shared]
-            states = pick = None
-            cells_at = {(): [((), 1)]}
-            if len(own) < len(setup.blocks) or len(own_keys) < len(shares):
-                private = [b for b in setup.blocks if b not in shared]
-                if shares:
-                    # per own shared draw, the term's cells (in its atoms'
-                    # order) and weight at each of its private draws
-                    alone = _choices(draws, [k for k in draws if k in shares
-                                             and k not in shared])
-                    cells_at = {
-                        tuple([c[k] for k in own_keys]):
-                        [(tuple([c[k] if k in c else p[k] for k in shares]),
-                          w) for p, w in alone]
-                        for c, _w in _choices(draws, own_keys)}
-                states = [((), 1)]
-                if private:
-                    states = scm.exogenous_states(private)
-                    if own or own_keys:
-                        states = list(states)
-                    if own:
-                        # row indices over own + private blocks, in the
-                        # setup's order
-                        pick = _reader([own.index(b) if b in shared
-                                        else len(own) + private.index(b)
-                                        for b in setup.blocks])
-            table = {} if len(own) < len(walk) or len(own_keys) < len(keys) \
-                else None
-            plans.append((setup, out, _reader([walk.index(b) for b in own]),
-                          _reader([keys.index(k) for k in own_keys]),
-                          table, states, cells_at, pick))
+        for setup, out, mine in zip(setups, reads, noise):
+            own = [x for x in walk if x in mine]
+            private = [x for x in sources if x in mine and x not in shared]
+            states = None
+            if private:
+                states = scm.exogenous_states(
+                    [x for x in private if x not in draws],
+                    [draws[x] for x in private if x in draws])
+                if own:
+                    states = list(states)
+            at = own + private
+            pick = None if at == list(mine) else \
+                _reader([at.index(x) for x in mine])
+            plans.append((setup, out, _reader([walk.index(x) for x in own]),
+                          {} if len(own) < len(walk) else None, states,
+                          pick))
         weights = {}
-        walk_draws = [(tuple([c[k] for k in keys]), w)
-                      for c, w in _choices(draws, keys)]
-        for s_idx, ps in scm.exogenous_states(walk) if walk else [((), 1)]:
-            for choice, wd in walk_draws:
-                combos = [((), ps * wd)]
-                for (setup, out, own_pick, own_cells, table, states,
-                     cells_at, pick) in plans:
-                    sh_idx = own_pick(s_idx)
-                    sh_cells = own_cells(choice)
-                    factor = None if table is None \
-                        else table.get((sh_idx, sh_cells))
-                    if factor is None:
-                        if states is None:
-                            factor = ((_world(scm, setup, out, sh_idx,
-                                              sh_cells), 1),)
-                        else:
-                            factor = {}
-                            for p_idx, pp in states:
-                                sub_idx = sh_idx + p_idx if pick is None \
-                                    else pick(sh_idx + p_idx)
-                                for cells, w in cells_at[sh_cells]:
-                                    world = _world(scm, setup, out, sub_idx,
-                                                   cells)
-                                    factor[world] = \
-                                        factor.get(world, 0) + pp * w
-                            factor = tuple(factor.items())
-                        if table is not None:
-                            table[sh_idx, sh_cells] = factor
-                    combos = [(key + (world,), w * fw) for key, w in combos
-                              for world, fw in factor]
-                for key, w in combos:
-                    weights[key] = weights.get(key, 0) + w
+        points = scm.exogenous_states(
+            [x for x in walk if x not in draws],
+            [draws[x] for x in walk if x in draws]) if walk else [((), 1)]
+        for point, wp in points:
+            combos = [((), wp)]
+            for setup, out, own_pick, table, states, pick in plans:
+                sh_idx = own_pick(point)
+                factor = None if table is None else table.get(sh_idx)
+                if factor is None:
+                    if states is None:
+                        factor = ((_world(scm, setup, out, sh_idx if pick
+                                          is None else pick(sh_idx)), 1),)
+                    else:
+                        factor = {}
+                        for p_idx, pp in states:
+                            idx = sh_idx + p_idx
+                            world = _world(scm, setup, out, idx if pick
+                                           is None else pick(idx))
+                            factor[world] = factor.get(world, 0) + pp
+                        factor = tuple(factor.items())
+                    if table is not None:
+                        table[sh_idx] = factor
+                combos = [(key + (world,), w * fw) for key, w in combos
+                          for world, fw in factor]
+            for key, w in combos:
+                weights[key] = weights.get(key, 0) + w
         # only a stochastic intervention's context can leave a world
         # undefined
         if len(setups) == 1 or len(shared) == len(readers) or not draws \
@@ -661,26 +637,25 @@ def _tabulate(scm, terms, setups, reads, budget):
         shared = set(readers)
 
 
-def _world(scm, setup, out, sub_idx, cells):
-    """A term's world at its own row indices and cell draws, an undefined
-    one as the ImpossibleContext its program raised. A numbered term (see
-    _numbered) keeps its worlds in the model's world cache, keyed by term
-    number, own row indices and cell draws, while it holds fewer than
-    CACHE_LIMIT, and compiles its program on its first miss."""
-    memo = None if setup.number is None else scm._world_cache
+def _world(scm, setup, out, idx):
+    """A term's world at its index tuple (see _compile), an undefined one
+    as the ImpossibleContext its program raised. A term with a dict in the
+    world cache (see _numbered) keeps its worlds there while the cache
+    holds fewer than CACHE_LIMIT worlds, and compiles on its first miss."""
+    memo = setup.memo
     if memo is not None:
-        sig = (setup.number, sub_idx, cells)
-        world = memo.get(sig)
+        world = memo.get(idx)
         if world is not None:
             return world
         if setup.program is None:
             setup.program = _compile(scm, setup, out)
     try:
-        world = setup.program(sub_idx, cells)
+        world = setup.program(idx)
     except ImpossibleContext as err:
         world = err.with_traceback(None)
-    if memo is not None and len(memo) < CACHE_LIMIT:
-        memo[sig] = world
+    if memo is not None and scm._worlds < CACHE_LIMIT:
+        memo[idx] = world
+        scm._worlds += 1
     return world
 
 

@@ -1008,17 +1008,20 @@ def reference_tabulate(scm, terms, setups, reads, budget=None):
     blocks = sorted(set().union(*(s.blocks for s in setups)))
     at = {b: i for i, b in enumerate(blocks)}
     den, cells = valuation._draws(scm, terms, budget, blocks)
+    keys = list(cells)
     worlds = [(valuation._compile(scm, s, out), [at[b] for b in s.blocks],
-               [a.share_key for a in s.atoms])
+               [keys.index(a.share_key) for a in s.atoms])
               for s, out in zip(setups, reads)]
     weights = {}
     for u_idx, pu in scm.exogenous_states(blocks):
-        for choice, w in valuation._choices(cells, list(cells)):
+        # every joint cell draw, the last key varying fastest
+        for choice in product(*(cells[k] for k in keys)):
+            w = math.prod(x for _i, x in choice)
             key = []
             for program, own, shares in worlds:
                 try:
-                    key.append(program(tuple(u_idx[i] for i in own),
-                                       tuple(choice[k] for k in shares)))
+                    key.append(program(tuple(u_idx[i] for i in own)
+                                       + tuple(choice[j][0] for j in shares)))
                 except ab.ImpossibleContext as err:
                     key.append(err)
             key = tuple(key)

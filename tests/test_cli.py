@@ -811,6 +811,34 @@ class TestProjectedDocumentEdits:
                     failures.append((path, edit, argv[0], code))
         assert not failures, failures
 
+    @pytest.mark.parametrize("label, tuple_", [
+        ("xC", ["x1", "x9"]), ("xE", []), ("xE", ["x1"])],
+        ids=["long", "empty", "two-labels"])
+    def test_misshapen_member_tuples_are_refused(self, tmp_path, label,
+                                                 tuple_):
+        """A member tuple of XH's split (members ["X"]) with the wrong
+        number of entries, or listed under two labels, is refused by every
+        command that loads the document, not only by verify."""
+        high = str(tmp_path / "high.json")
+        assert run(["abstract", "--scm", INS, "--clusters", INS_CM,
+                    "-o", high]).exit_code == 0
+        with open(high) as fh:
+            doc = json.load(fh)
+        split, = [s for s in doc["delta"]["splits"] if s["cluster"] == "XH"]
+        value, = [v for v in split["values"] if v["label"] == label]
+        value["tuples"][0] = tuple_
+        with open(high, "w") as fh:
+            json.dump(doc, fh)
+        for argv in (["verify", "--scm", INS, "--high", high],
+                     ["sample", "--high", high, "--value", "XH=xC",
+                      "--context", '{"parents": {"Z": "z1"}}'],
+                     ["eval", "--scm", high, "--query", "P(Y[~XH=xC]=1)"]):
+            r = run(argv)
+            assert r.exit_code == 2
+            assert r.payload["error"]["kind"] == "DomainMismatch"
+            assert "member tuple of split 'XH'" in \
+                r.payload["error"]["message"]
+
 
 class TestCdag:
     def test_plain(self):

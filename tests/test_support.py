@@ -607,15 +607,21 @@ def padded_cases(draw):
 
 
 def count_states(monkeypatch):
-    """A list that gets one (index tuple, weight) entry per state any
-    enumeration of the exogenous states (exogenous_states, and with it
-    exogenous_support) yields from now on."""
+    """A list that gets one (index tuple, weight) entry per state of the
+    blocks any enumeration of the exogenous states (exogenous_states, and
+    with it exogenous_support) yields from now on: per call, one entry per
+    distinct row-index tuple of its blocks, whatever cell draws the call
+    walks with them (a call without blocks adds none)."""
     visited = []
     real = ab.DiscreteScm.exogenous_states
 
-    def counted(self, blocks=None):
-        for state in real(self, blocks):
-            visited.append(state)
+    def counted(self, blocks=None, draws=()):
+        last = None
+        for state in real(self, blocks, draws):
+            idx = state[0][:len(state[0]) - len(draws)]
+            if idx and idx != last:
+                visited.append((idx, state[1]))
+                last = idx
             yield state
     monkeypatch.setattr(ab.DiscreteScm, "exogenous_states", counted)
     return visited
@@ -632,9 +638,9 @@ def counted_programs(monkeypatch):
         n = len(runs)
         runs.append(0)
 
-        def counted(sub_idx, cells):
+        def counted(idx):
             runs[n] += 1
-            return program(sub_idx, cells)
+            return program(idx)
         return counted
     monkeypatch.setattr(valuation, "_compile", compile_)
     return runs
@@ -966,17 +972,17 @@ def assert_worlds_match(model, t):
     hard = {h.variable: h.value for h in t.hard}
     raised = 0
     for idx, unit, _w, choice in fraction_states(support_of(model), [t]):
-        own = tuple(idx[b] for b in setup.blocks)
-        cells = tuple(choice[a.share_key] for a in setup.atoms)
+        own = tuple(idx[b] for b in setup.blocks) + tuple(
+            choice[a.share_key] for a in setup.atoms)
         try:
             want = reference_world(model, t, unit, choice)
         except ab.ImpossibleContext as err:
             with pytest.raises(ab.ImpossibleContext) as got:
-                program(own, cells)
+                program(own)
             assert str(got.value) == str(err)
             raised += 1
             continue
-        world = program(own, cells)
+        world = program(own)
         assert world == tuple(want[v] for v in solved)
         if not t.soft:
             env = model.solve(dict(unit), dict(hard))
@@ -1196,44 +1202,99 @@ class TestCounterfactualTable:
         assert ab.counterfactual_table(model, asked) == (den, table)
 
     def test_tables_leave_the_world_cache_alone(self, insurance):
-        """Tables neither keep worlds nor number their terms for the world
-        cache, which only prob_query reads."""
+        """Tables neither keep worlds nor record their terms' contents in
+        the world cache, which only prob_query reads."""
         model = fresh(insurance)
         terms = [term([("Y", 1)], [("X", "x1")]), term([("X", "x2")])]
         den, table = ab.counterfactual_table(model, terms)
         for x in ("x1", "x2", "x3"):
             ab.counterfactual_table(model, [term([("Y", 1)], [("X", x)])])
         assert model._world_cache == {}
-        assert model._world_terms == {}
         assert Fraction(table[((1,), ("x2",))], den) == \
             ab.prob_query(model, query(terms))
 
     def test_term_numbers_stop_at_the_cache_limit(self, insurance,
                                                   monkeypatch):
-        """Past CACHE_LIMIT term contents a model numbers no new term and
-        solves its worlds uncached, with the same answers."""
+        """Past CACHE_LIMIT term contents the world cache records no new
+        content, whose worlds are then solved uncached, with the same
+        answers, and past CACHE_LIMIT worlds in all it keeps no new world;
+        each content's dict holds its own term's worlds, and queries of
+        other contents write none into it."""
         monkeypatch.setattr(valuation, "CACHE_LIMIT", 3)
         model = fresh(insurance)
         soft = constant_soft_intervention(
             ("X",), [("x1",), ("x2",), ("x3",)],
             (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)),
             share_key=("soft", "X"))
-        numbered = [query([term([("Y", y)], [("X", x)])])
-                    for x in ("x1", "x2", "x3") for y in (0, 1)]
-        unnumbered = [query([term([("Y", 1)], [("Z", z)])])
-                      for z in ("z1", "z2")]
-        unnumbered.append(query([ab.QueryTerm(outcomes=(atom("Y", 1),),
-                                              soft=(soft,))]))
-        for q in numbered:
+        # two queries per content: the second keeps its worlds
+        kept = [query([term([("Y", y)], [("X", x)])])
+                for x in ("x1", "x2", "x3") for y in (0, 1)]
+        uncached = [query([term([("Y", 1)], [("Z", z)])])
+                    for z in ("z1", "z2")]
+        uncached.append(query([ab.QueryTerm(outcomes=(atom("Y", 1),),
+                                            soft=(soft,))]))
+        for q in kept:
             assert ab.prob_query(model, q) == ab.prob_query(fresh(model), q)
-        assert len(model._world_terms) == 3
-        # with room in the world cache, a world kept for one unnumbered
-        # term would be read back for the next
-        model._world_cache.clear()
-        for q in unnumbered * 2:
+        cache = model._world_cache
+        # Y under X=x1 keeps its two worlds, Y under X=x2 one, and the
+        # limit leaves none for Y under X=x3
+        assert [len(worlds) for worlds in cache.values()] == [2, 1, 0]
+        before = {content: dict(worlds) for content, worlds in cache.items()}
+        for q in uncached * 2:
             assert ab.prob_query(model, q) == ab.prob_query(fresh(model), q)
-            assert len(model._world_terms) == 3
-            assert len(model._world_cache) == 0
+            assert {content: dict(worlds)
+                    for content, worlds in cache.items()} == before
+        for q in kept[::2]:
+            setup = valuation._numbered(
+                model, valuation._term_setup(model, q.terms[0]), ("Y",))
+            program = valuation._compile(model, setup, ("Y",))
+            assert setup.memo is not None
+            assert all(program(idx) == world
+                       for idx, world in setup.memo.items())
+
+    def test_worlds_are_kept_from_the_second_query_on(self, insurance):
+        """A content's worlds are cached from the second query that meets
+        it on: one query on a fresh model leaves no worlds behind."""
+        model = fresh(insurance)
+        first = query([term([("Y", 1)], [("X", "x1")]), term([("Z", "z1")])])
+        assert ab.prob_query(model, first) == reference_prob(model, first)
+        assert len(model._world_cache) == 2
+        assert not any(model._world_cache.values())
+        second = query([term([("Y", 0)], [("X", "x1")])])
+        for q in (second, first, second):
+            assert ab.prob_query(model, q) == \
+                ab.prob_query(fresh(model), q) == reference_prob(model, q)
+        # Y under X=x1 varies with UY1 alone: its two worlds; Z's content
+        # met a second time keeps its two as well
+        assert sorted(map(len, model._world_cache.values())) == [2, 2]
+
+    def test_shared_draws_named_in_opposite_orders(self):
+        """Two terms name the share keys of V2 and V3 in opposite orders,
+        and the second also draws V1 from a key private to it. Each term's
+        world reads its cells in its own setup's order (resolution order),
+        not in the walk's, cached or not."""
+        nodes = ["V1", "V2", "V3", "V4"]
+        model = build_dag_model(nodes, list(zip(nodes, nodes[1:])),
+                                random.Random(2))
+
+        def drawn(v, p):
+            return constant_soft_intervention(
+                (v,), [(0,), (1,)], (p, 1 - p), share_key=("soft", v))
+        s1, s2, s3 = (drawn("V1", Fraction(1, 3)), drawn("V2", Fraction(1, 4)),
+                      drawn("V3", Fraction(2, 5)))
+        terms = [ab.QueryTerm(outcomes=(atom("V4", 1),), soft=(s3, s2)),
+                 ab.QueryTerm(outcomes=(atom("V4", 0),), soft=(s2, s3, s1))]
+        setups = [valuation._term_setup(model, t) for t in terms]
+        assert [a.share_key for a in setups[0].atoms] == \
+            [s2.share_key, s3.share_key]
+        den, got = tabulated(valuation._tabulate, fresh(model), terms, False)
+        assert (den, got) == tabulated(reference_tabulate, fresh(model),
+                                       terms, False)
+        q = query(terms)
+        warm = fresh(model)
+        for _ in range(3):
+            assert ab.prob_query(warm, q) == reference_prob(model, q)
+        assert all(warm._world_cache.values())
 
     @settings(max_examples=40, deadline=None)
     @given(table_cases(), st.data())

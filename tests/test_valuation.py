@@ -210,6 +210,83 @@ class TestJointTables:
         assert sum(pushed.probs.values()) == 1
 
 
+def drawn_x(share_key=("soft", "X")):
+    return constant_soft_intervention(
+        ("X",), [("x1",), ("x2",)], (Fraction(1, 2), Fraction(1, 2)),
+        share_key=share_key)
+
+
+MARKER = ab.SigmaMarker("XH", "xC")
+# a cell grid that stops at 1/2: its one cell has width 1/2
+HALF = ab.SoftIntervention(
+    targets=("X",), share_key=("half",), candidates=(("x1",),),
+    breaks=(Fraction(0), Fraction(1, 2)), cell_map={((), None): (0,)})
+
+
+def pushed(cholesterol_cm, variable):
+    table = ab.DistributionTable(variables=(variable,), domains=((0, 1),),
+                                 probs={(0,): Fraction(1)})
+    return ab.marginal_pushforward(table, cholesterol_cm)
+
+
+class TestRefusals:
+    """Every check of valuation's inputs, each met by one input."""
+
+    @pytest.mark.parametrize("call, kind, message", [
+        (lambda m, cm: ab.prob_query(m, query([term([("Y", 1)],
+                                                    [("W", 0)])])),
+         ab.UnknownVariable, "cannot intervene on unknown variable 'W'"),
+        (lambda m, cm: ab.prob_query(m, query([term([("Y", 1)],
+                                                    [("X", "x9")])])),
+         ab.DomainMismatch,
+         "intervention value 'x9' is outside the domain of 'X'"),
+        (lambda m, cm: ab.prob_query(m, query([term(
+            [("Y", 1)], [("X", "x1"), ("X", "x2")])])),
+         ab.DomainMismatch, "variable 'X' intervened twice with different "
+         "values"),
+        (lambda m, cm: ab.prob_query(m, query([ab.QueryTerm(
+            outcomes=(atom("Y", 1),), soft=(MARKER,))])),
+         ab.DomainMismatch, "term carries an unresolved stochastic "
+         "intervention %r; resolve it against a model and policy first"
+         % (MARKER,)),
+        (lambda m, cm: ab.prob_query(m, query([ab.QueryTerm(
+            outcomes=(atom("Y", 1),), soft=(constant_soft_intervention(
+                ("W",), [(0,), (1,)], (Fraction(1, 2), Fraction(1, 2)),
+                share_key=("soft", "W")),))])),
+         ab.UnknownVariable, "cannot intervene on unknown variable 'W'"),
+        (lambda m, cm: ab.prob_query(m, query([ab.QueryTerm(
+            outcomes=(atom("Y", 1),),
+            hard=(ab.HardIntervention("X", "x1"),), soft=(drawn_x(),))])),
+         ab.DomainMismatch, "variable 'X' receives two interventions in "
+         "one term"),
+        (lambda m, cm: ab.prob_query(m, query([term([("W", 0)])])),
+         ab.UnknownVariable, "unknown outcome variable 'W'"),
+        (lambda m, cm: ab.prob_query(m, query([term([("X", "x1")],
+                                                    [("X", "x1")])])),
+         ab.DomainMismatch, "variable 'X' is both intervened and "
+         "constrained in one term"),
+        (lambda m, cm: ab.prob_query(m, query([ab.QueryTerm(
+            outcomes=(atom("Y", 1),), soft=(HALF,))])),
+         ab.DomainMismatch, "cell widths of ('half',) do not sum to 1"),
+        (lambda m, cm: ab.prob_query(m, query([])),
+         ab.DomainMismatch, "query has no terms"),
+        (lambda m, cm: ab.counterfactual_table(m, []),
+         ab.DomainMismatch, "query has no terms"),
+        (lambda m, cm: pushed(cm, "HDL"),
+         ab.NotClusterUnion, "table covers only part of cluster 'TC'"),
+        (lambda m, cm: pushed(cm, "W"),
+         ab.NotClusterUnion, "variables W belong to no cluster"),
+    ], ids=["hard-unknown", "hard-domain", "hard-twice", "unresolved",
+            "soft-unknown", "two-interventions", "outcome-unknown",
+            "intervened-outcome", "cell-widths", "no-terms",
+            "no-table-terms", "part-of-cluster", "no-cluster"])
+    def test_refused(self, insurance, cholesterol_cm, call, kind, message):
+        with pytest.raises(kind) as err:
+            call(insurance, cholesterol_cm)
+        assert err.value.kind == kind.kind
+        assert err.value.message == message
+
+
 class TestBudget:
     def test_tiny_budget_raises(self, insurance):
         with pytest.raises(ab.SizeExceeded):
