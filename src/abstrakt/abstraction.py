@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, product
 
 from .errors import (
@@ -99,6 +100,15 @@ class ClusterMap:
         for c in self.clusters:
             for m in c.members:
                 self.member_cluster[m] = c.name
+
+    @cached_property
+    def key(self):
+        """The map's content: its clusters' names, members, labels and
+        tuples, in order, as text, so that values which compare equal but
+        differ in type (1, 1.0, True) give different keys."""
+        return repr([(c.name, c.members,
+                      [(cv.label, cv.tuples) for cv in c.values])
+                     for c in self.clusters])
 
     def cluster(self, name):
         if name not in self.by_name:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import product
 from operator import itemgetter
@@ -31,6 +31,7 @@ from .errors import (
     UnknownVariable,
 )
 from .scm import (
+    CACHE_LIMIT,
     DiscreteScm,
     ExoMember,
     ExogenousBlock,
@@ -207,23 +208,35 @@ def sigma_machinery(scm, cm, cluster_name, policy, budget=None,
     the distribution over its member tuples per context. The tables are
     computed on the working model, where the variables outside every
     cluster are projected away. With ``fallback='uniform'`` every context
-    without mass gets the uniform table (see _fill_uniform)."""
+    without mass gets the uniform table (see _fill_uniform).
+
+    When the map covers every variable of ``scm``, the split is kept on
+    ``scm`` per (cluster map content, cluster, policy, fallback) while it
+    keeps fewer than CACHE_LIMIT of them, and is shared by every later
+    call, so no caller may change it. A kept split still meets the gate of
+    a fresh call, the states of the sigma computation."""
     validate_policy(policy)
     validate_fallback(fallback)
     c = cm.cluster(cluster_name)
-    scm = _working_model(scm, cm, budget)
+    key = (cm.key, cluster_name, policy, fallback)
+    if key in scm._sigma:
+        states, split = scm._sigma[key]
+        check_budget(states, budget, "sigma computation needs %d states")
+        return split
+    working = _working_model(scm, cm, budget)
     split = DeltaSplit(name=c.name, members=c.members, values=c.values)
     if policy != "agnostic":
-        split.parents = _parent_clusters(scm, cm, c)
+        split.parents = _parent_clusters(working, cm, c)
     if policy == "general":
         split.rho_members, split.rho_classes = _rho_shared_reads(
-            scm, c.members)
-    check_budget(scm.exogenous_support_size(), budget,
-                 "sigma computation needs %d states")
+            working, c.members)
+    states = working.exogenous_support_size()
+    check_budget(states, budget, "sigma computation needs %d states")
     parent_clusters = [cm.by_name[p] for p in split.parents]
     reads = [*c.members, *(m for pc in parent_clusters for m in pc.members),
              *split.rho_members]
-    _den, weights = counterfactual_table(scm, [QueryTerm()], [reads], budget)
+    _den, weights = counterfactual_table(working, [QueryTerm()], [reads],
+                                         budget)
     totals = {}
     masses = {}
     for (values,), w in weights.items():
@@ -243,6 +256,8 @@ def sigma_machinery(scm, cm, cluster_name, policy, budget=None,
             for (label, ctx), tot in totals.items() if label == cv.label}
     if fallback == "uniform":
         _fill_uniform(split, cm.by_name)
+    if working is scm and len(scm._sigma) < CACHE_LIMIT:
+        scm._sigma[key] = (states, split)
     return split
 
 
@@ -390,14 +405,11 @@ def resolve_sigma(scm, cm, query, policy="general", budget=None,
     one cell draw across all terms."""
     validate_policy(policy)
     validate_fallback(fallback)
-    splits = {}
 
     def atom_for(marker):
         cm.cluster(marker.cluster).fiber(marker.label)
-        if marker.cluster not in splits:
-            splits[marker.cluster] = sigma_machinery(
-                scm, cm, marker.cluster, policy, budget, fallback)
-        split = splits[marker.cluster]
+        split = sigma_machinery(scm, cm, marker.cluster, policy, budget,
+                                fallback)
         ctx_tables = split.sigma[marker.label]
         if not ctx_tables:
             raise ImpossibleContext(
@@ -517,18 +529,30 @@ def _cells(split, clusters):
     return component, tables
 
 
+def _cell_rows(tables):
+    """The members and rows of the cell block whose members, in order, have
+    the reference tables ``tables`` (member -> table): each member ranges
+    over its table's positions, and each row's probability is the product
+    of its members' entries, as each member is drawn on its own. The rows
+    are (joint index, numerator) pairs over one denominator, returned with
+    it."""
+    members = tuple(ExoMember(name=member, domain=tuple(range(len(w))))
+                    for member, w in tables.items())
+    den, scaled = 1, []
+    for w in tables.values():
+        lcm = math.lcm(*(p.denominator for p in w))
+        scaled.append([p.numerator * (lcm // p.denominator) for p in w])
+        den *= lcm
+    rows = zip(product(*(m.domain for m in members)),
+               map(math.prod, product(*scaled)))
+    return members, den, rows
+
+
 def _cell_block(name, tables):
-    """The cell block ``name`` whose members, in order, have the reference
-    tables ``tables`` (member -> table): each member ranges over its
-    table's positions, and the block's table is their product, as each
-    member is drawn on its own."""
-    domains = [range(len(w)) for w in tables.values()]
-    return ExogenousBlock(
-        name=name, members=tuple(ExoMember(name=member, domain=tuple(r))
-                                 for member, r in zip(tables, domains)),
-        table={combo: math.prod((w[i] for w, i in zip(tables.values(), combo)),
-                                start=Fraction(1))
-               for combo in product(*domains)})
+    """The cell block ``name`` of _cell_rows(tables)."""
+    members, den, rows = _cell_rows(tables)
+    return ExogenousBlock(name=name, members=members,
+                          table={key: Fraction(num, den) for key, num in rows})
 
 
 def construct_projected_abstraction(scm, cm, policy="general", budget=None,
@@ -548,7 +572,12 @@ def construct_projected_abstraction(scm, cm, policy="general", budget=None,
     context selects one of its cell members, so the cluster's members are
     solved once per value of the selected members, and the label is written
     to every row that differs only in the cells no context selects
-    (context-specific independence)."""
+    (context-specific independence).
+
+    Each split of the result shares its reference tables and response
+    classes with the split the low model keeps (see sigma_machinery), so
+    a caller that changes them in place changes later answers of the low
+    model."""
     validate_policy(policy)
     validate_fallback(fallback)
     report = check_aic(scm, cm, budget)
@@ -563,9 +592,13 @@ def construct_projected_abstraction(scm, cm, policy="general", budget=None,
             splits[c.name] = DeltaSplit(name=c.name, members=c.members,
                                         values=c.values)
             continue
-        split = splits[c.name] = sigma_machinery(working, cm, c.name, policy,
-                                                 budget, fallback)
-        split.sigma = {label: split.sigma[label] for label in lossy}
+        # the model keeps the split sigma_machinery returns, so a copy is
+        # trimmed to the lossy labels and given its own cells
+        kept = sigma_machinery(working, cm, c.name, policy, budget,
+                               fallback)
+        split = splits[c.name] = replace(
+            kept, sigma={label: kept.sigma[label] for label in lossy},
+            component={})
         if c.name not in violators:
             continue
         split.violator = True
@@ -1047,12 +1080,18 @@ def high_from_doc(doc):
             _fill_uniform(s, splits)
         if s.block is None:
             continue
-        # rows are counted first, so no rebuild outgrows the document's block
+        # rows are counted first, and each is compared with its product
+        # in integers, so no Fraction of the block is rebuilt
         component, tables = _cells(s, splits)
+        members, den, rows = _cell_rows(tables)
         block = scm.block_index[s.block]
-        if (s.component != component
-                or len(block.table) != math.prod(map(len, tables.values()))
-                or block != _cell_block(s.block, tables)):
+        table = block.table
+        if (s.component != component or block.members != members
+                or len(table) != math.prod(map(len, tables.values()))
+                or any(key not in table
+                       or num * table[key].denominator
+                       != table[key].numerator * den
+                       for key, num in rows)):
             raise DomainMismatch(
                 "the cells and block %r of split %r must be the ones its "
                 "sigma tables give" % (s.block, s.name), block=s.block)

@@ -192,6 +192,7 @@ class DiscreteScm:
         self._world_cache = {}  # valuation._numbered: content -> worlds
         self._worlds = 0    # worlds kept in _world_cache, in all
         self._live = {}     # (variable, pinned parents) -> live noise
+        self._sigma = {}    # projection.sigma_machinery: key -> split
 
     def domain(self, name):
         if name not in self.var_index:

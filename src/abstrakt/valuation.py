@@ -488,14 +488,23 @@ def _term_setup(scm, term, reads=()):
     return _TermSetup(hard_map, atoms, segments, blocks)
 
 
-def _numbered(scm, setup, reads):
+def _numbered(scm, setup, reads, met=None):
     """Count a setup's term content (its hard settings, its atoms and the
     ``reads`` its worlds hold) in the world cache, which maps a content to
     its {index tuple: world} dict: the first setup to meet a content
     records it, the second creates the dict that it and every later one
-    keeps its worlds in. Past CACHE_LIMIT contents none is recorded."""
+    keeps its worlds in. Past CACHE_LIMIT contents none is recorded.
+
+    ``met`` maps the contents one query has met so far to their first
+    setups, so that a query counts each content once: a later term of a
+    content met before gets that setup's world dict."""
     content = (tuple(sorted(setup.hard.items(), key=lambda kv: kv[0])),
                tuple(_fingerprint(a) for a in setup.atoms), reads)
+    if met is not None:
+        first = met.setdefault(content, setup)
+        if first is not setup:
+            setup.memo = first.memo
+            return setup
     cache = scm._world_cache
     if content in cache:
         if cache[content] is None:
@@ -685,13 +694,15 @@ def prob_query(scm, query, budget=None):
     """Exact probability of a counterfactual conjunction, optionally
     conditioned on another conjunction, read off one table of what the
     terms' worlds show (see _tabulate and _holds). All terms share the
-    exogenous draw and all shared stochastic-intervention cells."""
+    exogenous draw and all shared stochastic-intervention cells, and terms
+    of one content share one world dict (see _numbered)."""
     if not query.terms:
         raise DomainMismatch("query has no terms")
     terms = list(query.terms) + list(query.conditioning or ())
     reads = [tuple(v for oc in t.outcomes for v in oc.variables)
              for t in terms]
-    setups = [_numbered(scm, _term_setup(scm, t), r)
+    met = {}
+    setups = [_numbered(scm, _term_setup(scm, t), r, met)
               for t, r in zip(terms, reads)]
     _den, weights = _tabulate(scm, terms, setups, reads, budget)
     n = len(query.terms)

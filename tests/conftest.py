@@ -6,6 +6,7 @@ import json
 import math
 import os
 import random
+from dataclasses import replace
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations, product
@@ -80,6 +81,11 @@ def identity_cluster_doc(scm):
             "values": [{"label": val, "tuples": [[val]]} for val in v.domain],
         })
     return {"clusters": clusters}
+
+
+def fresh(model):
+    """The same model with empty caches."""
+    return ab.DiscreteScm(model.endogenous, model.blocks, model.mechanisms)
 
 
 def identity_clusters(scm):
@@ -918,9 +924,13 @@ def reference_construct(scm, cm, policy="general", budget=None,
             splits[c.name] = projection.DeltaSplit(
                 name=c.name, members=c.members, values=c.values)
             continue
-        split = splits[c.name] = projection.sigma_machinery(
-            working, cm, c.name, policy, budget, fallback)
-        split.sigma = {label: split.sigma[label] for label in lossy}
+        # the model keeps the split sigma_machinery returns, so it is
+        # copied before it is trimmed and given its cells
+        kept = projection.sigma_machinery(working, cm, c.name, policy, budget,
+                                          fallback)
+        split = splits[c.name] = replace(
+            kept, sigma={label: kept.sigma[label] for label in lossy},
+            component={})
         if c.name not in violators:
             continue
         split.violator = True

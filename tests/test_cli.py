@@ -322,6 +322,38 @@ class TestRefusals:
         assert message in r.payload["error"]["message"]
 
 
+class TestRequestRefusals:
+    """One request per refusal of the CLI's own reading of its arguments
+    and input files, each exit 2 with its error kind and message."""
+
+    NOT_JSON = ("Expecting property name enclosed in double quotes: line 1 "
+                "column 2 (char 1)")
+
+    @pytest.mark.parametrize("argv, kind, message", [
+        (["eval", "--scm", INS, "--query", "P(Y=1) extra"], "SyntaxError",
+         "unexpected trailing text"),
+        (["sample", "--high", "HIGH", "--value", "XH"], "DomainMismatch",
+         "--value must look like CLUSTER=label"),
+        (["sample", "--high", "HIGH", "--value", "XH=xC", "--context", "{"],
+         "DomainMismatch", "--context is not valid JSON: " + NOT_JSON),
+        (["validate", "--scm", "BRACE"], "error",
+         "input is not valid JSON: " + NOT_JSON),
+    ], ids=["trailing-text", "value-without-label", "context-not-json",
+            "file-not-json"])
+    def test_refused(self, tmp_path, argv, kind, message):
+        paths = {"HIGH": str(tmp_path / "high.json"),
+                 "BRACE": str(tmp_path / "brace.json")}
+        low = ab.load_scm(INS)
+        ab.save_high(ab.construct_projected_abstraction(
+            low, ab.load_clusters(low, INS_CM)), paths["HIGH"])
+        with open(paths["BRACE"], "w") as fh:
+            fh.write("{")
+        r = run([paths.get(a, a) for a in argv])
+        assert r.exit_code == 2, r.payload
+        assert r.payload["error"]["kind"] == kind
+        assert r.payload["error"]["message"] == message
+
+
 class TestAicCheck:
     def test_violators(self):
         r = run(["aic-check", "--scm", INS, "--clusters", INS_CM])

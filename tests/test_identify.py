@@ -182,6 +182,33 @@ class TestEvaluate:
         with pytest.raises(ab.UnboundVariable):
             ab.evaluate_estimand(e, pushed)
 
+    @pytest.mark.parametrize("estimand, kind, message", [
+        (ab.Lookup((("Z", ab.Sym("z")),)), ab.UnboundVariable,
+         "symbol 'z' is not bound"),
+        (ab.Lookup((("Z", ab.Canon("W")),)), ab.UnknownVariable,
+         "variable 'W' is not in the data"),
+        (ab.Lookup((("W", 1),)), ab.UnknownVariable,
+         "variable 'W' is not in the data"),
+        (ab.Sum("W", "w", ab.Lookup((("Z", ab.Sym("w")),))),
+         ab.UnboundVariable, "sum over 'W', which is not in the data"),
+        (ab.Lookup((("Y", 1),), (("XH", "xZ"),)), ab.ZeroConditioning,
+         "conditioning event XH=xZ has probability zero"),
+        (ab.Ratio(ab.Lookup((("Y", 1),)), ab.Lookup((("XH", "xZ"),))),
+         ab.ZeroConditioning, "estimand denominator is zero"),
+        ("P(Y=1)", ab.DomainMismatch, "not an estimand node: 'P(Y=1)'"),
+    ], ids=["unbound-symbol", "canon-not-in-data", "lookup-not-in-data",
+            "sum-not-in-data", "zero-conditioning", "zero-denominator",
+            "not-a-node"])
+    def test_refused(self, insurance, insurance_cm, estimand, kind, message):
+        """Each refusal of evaluate_estimand, met by one estimand on the
+        pushed-forward insurance table (variables Z, XH and Y)."""
+        pushed = ab.marginal_pushforward(
+            ab.joint_distribution(insurance, ("Z", "X", "Y")), insurance_cm)
+        with pytest.raises(kind) as err:
+            ab.evaluate_estimand(estimand, pushed)
+        assert err.value.kind == kind.kind
+        assert err.value.message == message
+
     def test_zero_conditioning(self):
         rng = random.Random(1)
         scm = build_dag_model(["V1", "V2"], [("V1", "V2")], rng)

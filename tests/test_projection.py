@@ -16,7 +16,7 @@ from abstrakt import projection
 from abstrakt.cli import run
 from conftest import (atom, binary_block, build_dag_model, build_lossy_chain,
                       build_pixel_model, cluster_map_cases,
-                      context_after_target_docs, fixture_path,
+                      context_after_target_docs, fixture_path, fresh,
                       identity_clusters, reference_construct,
                       reference_verify, term, query)
 
@@ -1021,6 +1021,199 @@ class TestReferenceTables:
                 assert tables == {
                     ctx: bare.sigma[label].get(ctx, (Fraction(1, k),) * k)
                     for ctx in contexts}
+
+
+def outcome(call):
+    """What ``call`` gives: its result, or the kind, message and details
+    of the package error it raises."""
+    try:
+        return call()
+    except ab.AbstraktError as err:
+        return err.kind, err.message, err.details
+
+
+def split_content(split):
+    return split.parents, split.rho_members, split.rho_classes, split.sigma
+
+
+def context_of(split, ctx):
+    """A context mapping that selects ``ctx`` of the split's tables."""
+    parents, cls = ctx
+    shared = {}
+    if split.rho_members:
+        joint = next(j for j, c in split.rho_classes.items() if c == cls)
+        shared = {"%s.%s" % k: v for k, v in zip(split.rho_members, joint)}
+    return {"parents": dict(zip(split.parents, parents)), "shared": shared}
+
+
+def assert_warm_answers_as_fresh(warm, low, cm):
+    """Every cluster's reference tables, one context's sigma distribution
+    per label and one tilde query per label give the same on ``warm`` as
+    on a fresh copy of ``low``, under every policy and fallback."""
+    last = cm.clusters[-1].members[-1]
+    for policy, fallback, c in product(POLICIES, (None, "uniform"),
+                                       cm.clusters):
+        got, want = (projection.sigma_machinery(m, cm, c.name, policy,
+                                                fallback=fallback)
+                     for m in (warm, fresh(low)))
+        assert split_content(got) == split_content(want)
+        for label in c.labels():
+            if want.sigma[label]:
+                context = context_of(want, next(iter(want.sigma[label])))
+                assert outcome(lambda m=warm: ab.sigma_distribution(
+                    m, cm, c.name, label, policy, context,
+                    fallback=fallback)) == outcome(
+                        lambda: ab.sigma_distribution(
+                            fresh(low), cm, c.name, label, policy, context,
+                            fallback=fallback))
+            q = ab.lower_query(cm, query([ab.QueryTerm(
+                outcomes=(atom(cm.member_cluster[last], cm.by_name[
+                    cm.member_cluster[last]].labels()[0]),),
+                soft=(ab.SigmaMarker(c.name, label),))]))
+            assert outcome(lambda m=warm: ab.prob_query(m, ab.resolve_sigma(
+                m, cm, q, policy, fallback=fallback))) == outcome(
+                    lambda m=fresh(low): ab.prob_query(m, ab.resolve_sigma(
+                        m, cm, q, policy, fallback=fallback)))
+
+
+class TestKeptReferenceTables:
+    """sigma_machinery keeps each split it builds on the model it was
+    given, per (cluster map content, cluster, policy, fallback). A kept
+    split changes no answer, refusal or written byte."""
+
+    def test_one_table_per_key(self, insurance, insurance_cm, monkeypatch):
+        """The construction fills the memo, and no later tilde query or
+        sigma distribution of the same key builds a table again; the kept
+        split keeps every label, as the construction trims a copy."""
+        model = fresh(insurance)
+        built = []
+        real = projection.counterfactual_table
+
+        def counted(m, *args, **kwargs):
+            if m is model:
+                built.append(args)
+            return real(m, *args, **kwargs)
+
+        monkeypatch.setattr(projection, "counterfactual_table", counted)
+        high = ab.construct_projected_abstraction(model, insurance_cm)
+        assert len(built) == 1
+        q = sigma_marker_query([("Y", 1)], "XH", "xC")
+        z1 = {"parents": {"Z": "z1"}}
+        for _ in range(3):
+            assert ab.prob_query(model, ab.resolve_sigma(
+                model, insurance_cm, q)) == Fraction(149, 250)
+            assert ab.sigma_distribution(model, insurance_cm, "XH", "xC",
+                                         context=z1) == \
+                ab.sigma_distribution(fresh(insurance), insurance_cm, "XH",
+                                      "xC", context=z1)
+        assert len(built) == 1
+        (kept,) = [split for _states, split in model._sigma.values()]
+        assert set(kept.sigma) == {"xC", "xE"}
+        assert set(high.splits["XH"].sigma) == {"xC"}
+        assert kept.block is None and not kept.component
+        ab.resolve_sigma(model, insurance_cm, q, policy="agnostic")
+        ab.resolve_sigma(model, insurance_cm, q, fallback="uniform")
+        assert len(built) == len(model._sigma) == 3
+
+    def test_maps_share_tables_only_when_equal(self, insurance):
+        """Two maps share a model's tables exactly when their clusters'
+        names, members, labels and tuples are equal, in order and type."""
+        model = fresh(insurance)
+        with open(fixture_path("insurance_clusters.json")) as fh:
+            doc = json.load(fh)
+        first, equal = (ab.validate_clusters(model, copy.deepcopy(doc))
+                        for _ in range(2))
+        kept = projection.sigma_machinery(model, first, "XH", "general")
+        assert projection.sigma_machinery(model, equal, "XH", "general") \
+            is kept
+        relabeled = copy.deepcopy(doc)
+        relabeled["clusters"][2]["values"][1]["label"] = True
+        other = ab.validate_clusters(model, relabeled)
+        assert other.key != first.key
+        assert projection.sigma_machinery(model, other, "XH", "general") \
+            is not kept
+        assert len(model._sigma) == 2
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(cluster_map_cases())
+    def test_warm_model_answers_as_fresh(self, case):
+        """A model that has built its projected model and answered another
+        map under other policies and fallbacks gives every split, sigma
+        distribution and tilde answer a fresh one gives."""
+        low, cm = case
+        warm = fresh(low)
+        ab.construct_projected_abstraction(warm, cm, "markovian",
+                                           fallback="uniform")
+        identity = identity_clusters(low)
+        for policy, c in product(POLICIES, identity.clusters):
+            projection.sigma_machinery(warm, identity, c.name, policy)
+        assert_warm_answers_as_fresh(warm, low, cm)
+
+    @pytest.mark.parametrize("name", ["insurance", "chain-confounded-drawn"])
+    def test_warm_fixture_answers_as_fresh(self, name):
+        low, cm = reference_case(name)
+        warm = fresh(low)
+        for policy, fallback in product(POLICIES, (None, "uniform")):
+            ab.construct_projected_abstraction(warm, cm, policy,
+                                               fallback=fallback)
+        assert_warm_answers_as_fresh(warm, low, cm)
+
+    @pytest.mark.parametrize("partial", [False, True])
+    def test_warm_model_meets_every_gate(self, insurance, insurance_cm,
+                                         partial):
+        """At and just below each gate a fresh call meets, a warm model
+        gives what a fresh one gives: the sigma computation's states, and
+        with Z left out of the map first project_full's mechanism rows. The
+        model keeps no split of a map that leaves a variable out."""
+        model = fresh(insurance)
+        cm, keep = insurance_cm, set(model.var_index)
+        if partial:
+            cm, keep = ab.validate_clusters(model, {"clusters": [
+                {"name": "XH", "members": ["X"],
+                 "values": [{"label": "xC", "tuples": [["x1"], ["x2"]]},
+                            {"label": "xE", "tuples": [["x3"]]}]},
+                {"name": "Y", "members": ["Y"],
+                 "values": [{"label": 0, "tuples": [[0]]},
+                            {"label": 1, "tuples": [[1]]}]}]}), {"X", "Y"}
+        states = ab.project_full(model, keep).exogenous_support_size()
+        gates = sorted({*projected_rows(model, keep).values(), states}
+                       if partial else {states})
+        for policy in POLICIES:
+            projection.sigma_machinery(model, cm, "XH", policy)
+        assert len(model._sigma) == (0 if partial else len(POLICIES))
+        z = {"parents": {}, "shared": {}}
+        q = sigma_marker_query([("Y", 1)], "XH", "xC")
+        refused = set()
+        for gate, policy in product(gates, POLICIES):
+            for budget in (gate - 1, gate):
+                got, want = ([
+                    outcome(lambda: split_content(projection.sigma_machinery(
+                        m, cm, "XH", policy, budget))),
+                    outcome(lambda: ab.sigma_distribution(
+                        m, cm, "XH", "xC", policy, z if policy == "agnostic"
+                        else None, budget)),
+                    outcome(lambda: ab.resolve_sigma(
+                        m, cm, q, policy, budget).terms[0].soft[0].breaks)]
+                    for m in (model, fresh(insurance)))
+                assert got == want, (gate, budget, policy)
+                refused.update(w[1] for w in want if isinstance(w, tuple)
+                               and w[0] == "SizeExceeded")
+        assert partial == any(m.startswith("projected mechanism")
+                              for m in refused)
+        assert any(m.startswith("sigma computation") for m in refused)
+
+    def test_memo_stops_at_the_cache_limit(self, monkeypatch):
+        monkeypatch.setattr(projection, "CACHE_LIMIT", 2)
+        low, cm = reference_case("chain-confounded-drawn")
+        model = fresh(low)
+        label = cm.by_name["BH"].lossy_labels()[0]
+        q = ab.lower_query(cm, sigma_marker_query([("C", 1)], "BH", label))
+        for _ in range(2):
+            for policy in POLICIES:
+                assert ab.prob_query(model, ab.resolve_sigma(
+                    model, cm, q, policy)) == ab.prob_query(
+                        low, ab.resolve_sigma(fresh(low), cm, q, policy))
+        assert len(model._sigma) == 2
 
 
 LEGACY_DOCUMENT = fixture_path("unreachable_context_uniform_high.json")

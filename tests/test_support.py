@@ -28,7 +28,7 @@ from abstrakt import abstraction, projection, scm as scm_module, valuation
 from abstrakt.cli import run
 from conftest import (atom, binary_block, build_dag_model,
                       build_lossy_chain, constant_soft_intervention,
-                      fixture_path, identity_clusters, query,
+                      fixture_path, fresh, identity_clusters, query,
                       reference_tabulate, term)
 
 FIXTURES = ("insurance", "cholesterol", "hospital")
@@ -37,11 +37,6 @@ POLICIES = ("agnostic", "markovian", "general")
 
 # ---------------------------------------------------------------------------
 # the Fraction-product reference
-
-
-def fresh(model):
-    """The same model with empty caches."""
-    return ab.DiscreteScm(model.endogenous, model.blocks, model.mechanisms)
 
 
 _supports = {}
@@ -1266,6 +1261,21 @@ class TestCounterfactualTable:
                 ab.prob_query(fresh(model), q) == reference_prob(model, q)
         # Y under X=x1 varies with UY1 alone: its two worlds; Z's content
         # met a second time keeps its two as well
+        assert sorted(map(len, model._world_cache.values())) == [2, 2]
+
+    def test_terms_of_one_content_share_one_world_dict(self, insurance):
+        """Terms of one content (hard settings, atoms and reads) share one
+        world dict in a query, so a query counts each content once: a
+        one-shot query whose second and third terms share a content keeps
+        no worlds, and the second time it is asked keeps both contents'."""
+        model = fresh(insurance)
+        q = query([term([("Y", 1)], [("X", "x1")]),
+                   term([("Y", 0)], [("X", "x2")]),
+                   term([("Y", 1)], [("X", "x2")])])
+        assert ab.prob_query(model, q) == reference_prob(model, q) == 0
+        assert list(model._world_cache.values()) == [None, None]
+        assert model._worlds == 0
+        assert ab.prob_query(model, q) == 0
         assert sorted(map(len, model._world_cache.values())) == [2, 2]
 
     def test_shared_draws_named_in_opposite_orders(self):
