@@ -332,7 +332,12 @@ def ctfbn_check(g, scm, max_terms=2, budget=None):
     """Check the constraints a cluster diagram imposes on a model's
     counterfactual distributions, with conjunctions up to ``max_terms``
     worlds: factorization of parent-pinned terms by confounded components,
-    exclusion of non-parents, and consistency of nested interventions."""
+    exclusion of non-parents, and consistency of nested interventions.
+
+    Each check reads its probabilities off one counterfactual_table per
+    signature of the call. The model keeps those tables, keyed by what
+    their worlds read, so signatures whose worlds read the same settings,
+    and later audits of other diagrams of the same model, share them."""
     if set(g.nodes) != set(scm.variable_names()):
         raise DomainMismatch(
             "graph nodes %s do not match the model's variables %s"

@@ -941,11 +941,12 @@ def projected_sample(high, cluster, label, context=None, seed=0, n=None):
     rng = random.Random(seed)
 
     def draw():
+        # the tables sum to 1 (the construction and _check_split see to
+        # it) and every draw is below 1, so some edge lies above it
         r = Fraction(rng.random())
         for idx, edge in enumerate(cum):
             if r < edge:
                 return fiber[idx]
-        return fiber[-1]
 
     if n is None:
         return draw()

@@ -193,6 +193,8 @@ class DiscreteScm:
         self._worlds = 0    # worlds kept in _world_cache, in all
         self._live = {}     # (variable, pinned parents) -> live noise
         self._sigma = {}    # projection.sigma_machinery: key -> split
+        self._tables = {}   # valuation.counterfactual_table: contents -> table
+        self._table_rows = 0  # rows kept in _tables, in all
 
     def domain(self, name):
         if name not in self.var_index:

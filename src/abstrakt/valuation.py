@@ -259,16 +259,24 @@ def _relevance(scm, reads, hard=None, atoms=()):
     change the output, so the world is solved with it at any value. Every
     other block sums to its own denominator and cancels from every answer
     (the barren-node reduction), so it need not be enumerated. A noise
-    member of ``reads``, a (block, member) key, adds its block."""
+    member of ``reads``, a (block, member) key, adds its block.
+
+    Also returns the pinned variables the walk meets: those of ``reads``,
+    the pinned parents of the variables it solves and the pinned members
+    of its atoms' contexts. The world reads no other hard setting."""
     hard = hard or {}
     setter = {t: a for a in atoms for t in a.targets}
     redrawn = {k for a in atoms for k in a.exo_cells}
     needed = set()
+    met = set()
     blocks = {k[0] for k in reads if k in scm.member_index}
     stack = [v for v in reads if v in scm.var_index]
     while stack:
         v = stack.pop()
-        if v in needed or v in hard:
+        if v in needed:
+            continue
+        if v in hard:
+            met.add(v)
             continue
         needed.add(v)
         atom = setter.get(v)
@@ -285,7 +293,7 @@ def _relevance(scm, reads, hard=None, atoms=()):
         stack.extend(m for pc in atom.parents for m in pc.members)
         if atom.rho is not None:
             blocks.update(b for b, _m in atom.rho.member_keys)
-    return needed, tuple(sorted(scm.block_position[b] for b in blocks))
+    return needed, tuple(sorted(scm.block_position[b] for b in blocks)), met
 
 
 def _reader(slots):
@@ -406,24 +414,46 @@ def _compile(scm, setup, out):
 
 @dataclass(eq=False, slots=True)
 class _TermSetup:
-    """A checked term's world plan (see _term_setup), its content's cached
-    worlds (see _numbered), and its compiled world once one is solved."""
+    """A checked term's world plan and content (see _term_setup), its
+    content's cached worlds (see _numbered), and its compiled world once
+    one is solved."""
 
     hard: dict
     atoms: list
     segments: list
     blocks: tuple
+    content: tuple
     memo: object = None
     program: object = None
 
+    @property
+    def out(self):
+        """What the world shows (the last part of its content)."""
+        return self.content[2]
 
-def _term_setup(scm, term, reads=()):
+
+def _content(hard, atoms, out):
+    """A world's content: the hard settings it reads, its atoms' share keys
+    and fingerprints in resolution order, and the tuple ``out`` of what it
+    shows. Worlds of one content show the same in every exogenous state
+    and cell draw. A setting's value counts with its type: 1, 1.0 and True
+    pass the same domain check, and a world shows a pinned variable's
+    value as it was given."""
+    return (tuple(sorted([(v, x, type(x)) for v, x in hard.items()])),
+            tuple([(a.share_key, _fingerprint(a)) for a in atoms]),
+            tuple(out))
+
+
+def _term_setup(scm, term, reads=None):
     """Check a term and plan its world. Returns the world's _TermSetup: the
-    hard settings, the distinct atoms in the order they are resolved, the
-    solve-order segments between them and the positions of the blocks the
-    world reads; it has no cached worlds (see _numbered) and no program
-    yet (see _tabulate). Only the variables that the outcomes,
-    ``reads`` and the atoms' targets depend on are solved; ``reads`` may
+    hard settings it reads, the distinct atoms in the order they are
+    resolved, the solve-order segments between them, the positions of the
+    blocks the world reads and its content (see _content) over ``reads``
+    (default: the outcome variables); it has no cached worlds (see
+    _numbered) and no program yet (see _tabulate). Only the variables that
+    the outcomes, ``reads`` and the atoms' targets depend on are solved,
+    and only the hard settings that the walk to them meets (see
+    _relevance) are kept, while every setting is checked; ``reads`` may
     name noise members by their (block, member) keys."""
     hard_map = _check_hard(scm, term.hard)
     atoms = []
@@ -457,13 +487,16 @@ def _term_setup(scm, term, reads=()):
                 raise DomainMismatch(
                     "variable %r is both intervened and constrained in one term"
                     % v)
-    for v in reads:
-        if v not in scm.var_index and v not in scm.member_index:
-            raise UnknownVariable("unknown variable %r" % (v,), variable=v)
-    needed, blocks = _relevance(
-        scm, [v for oc in term.outcomes for v in oc.variables]
-        + list(reads) + [t for a in atoms for t in a.targets],
-        hard_map, atoms)
+    out = [v for oc in term.outcomes for v in oc.variables]
+    walk = out + [t for a in atoms for t in a.targets]
+    if reads is not None:
+        out = list(reads)
+        for v in out:
+            if v not in scm.var_index and v not in scm.member_index:
+                raise UnknownVariable("unknown variable %r" % (v,),
+                                      variable=v)
+        walk += out
+    needed, blocks, met = _relevance(scm, walk, hard_map, atoms)
     order = scm.topological_order_names()
     if any(a.parents for a in atoms):
         # An atom reads its context before it sets its targets, so the
@@ -485,33 +518,36 @@ def _term_setup(scm, term, reads=()):
     atoms = [atoms[n] for _pos, n in stops]
     bounds = [0] + [pos for pos, _n in stops] + [len(order)]
     segments = [order[i:j] for i, j in zip(bounds, bounds[1:])]
-    return _TermSetup(hard_map, atoms, segments, blocks)
+    hard = {v: x for v, x in hard_map.items() if v in met}
+    return _TermSetup(hard, atoms, segments, blocks,
+                      _content(hard, atoms, out))
 
 
-def _numbered(scm, setup, reads, met=None):
-    """Count a setup's term content (its hard settings, its atoms and the
-    ``reads`` its worlds hold) in the world cache, which maps a content to
-    its {index tuple: world} dict: the first setup to meet a content
-    records it, the second creates the dict that it and every later one
-    keeps its worlds in. Past CACHE_LIMIT contents none is recorded.
+def _numbered(scm, setup, met=None):
+    """Count a setup's content (see _content) in the world cache, which
+    maps a content to its {index tuple: world} dict: the first setup to
+    meet a content records it, the second creates the dict that it and
+    every later one keeps its worlds in. Past CACHE_LIMIT contents none is
+    recorded.
 
     ``met`` maps the contents one query has met so far to their first
     setups, so that a query counts each content once: a later term of a
-    content met before gets that setup's world dict."""
-    content = (tuple(sorted(setup.hard.items(), key=lambda kv: kv[0])),
-               tuple(_fingerprint(a) for a in setup.atoms), reads)
+    content met before gets that setup, and the walk solves its worlds
+    once for all of them (see _tabulate)."""
+    content = setup.content
     if met is not None:
         first = met.setdefault(content, setup)
         if first is not setup:
-            setup.memo = first.memo
-            return setup
+            return first
     cache = scm._world_cache
-    if content in cache:
-        if cache[content] is None:
-            cache[content] = {}
-        setup.memo = cache[content]
-    elif len(cache) < CACHE_LIMIT:
-        cache[content] = None
+    if content not in cache:
+        if len(cache) < CACHE_LIMIT:
+            cache[content] = None
+        return setup
+    memo = cache[content]
+    if memo is None:
+        memo = cache[content] = {}
+    setup.memo = memo
     return setup
 
 
@@ -524,28 +560,37 @@ def _check_shared(known, atom):
             % (atom.share_key,))
 
 
-def _draws(scm, terms, budget, blocks):
+def _cell_widths(scm, terms, budget):
     """Check the budget against the full exogenous support times the cell
-    draws, then return the common denominator of the states over the
-    blocks at positions ``blocks`` and all shared cell draws, and each
-    share key's cells, in the order the terms name them: (cell index,
-    integer weight over the atom's lcm of cell denominators) pairs."""
+    draws of ``terms``, then return each share key's positive cells, in
+    the order the terms name them: (cell index, width) pairs. The gate
+    of every table, fresh or kept."""
     atoms = {}
     for a in (a for t in terms for a in t.soft):
         _check_shared(atoms.setdefault(a.share_key, a), a)
     total = scm.exogenous_support_size()
-    widths = []
-    for a in atoms.values():
+    widths = {}
+    for key, a in atoms.items():
         cells = [(i, x) for i, x in enumerate(a.cell_widths()) if x > 0]
         if sum((x for _i, x in cells), Fraction(0)) != 1:
             raise DomainMismatch(
                 "cell widths of %r do not sum to 1" % (a.share_key,))
-        widths.append(cells)
+        widths[key] = cells
         total *= len(cells)
     check_budget(total, budget, "enumeration needs %d states")
+    return widths
+
+
+def _draws(scm, terms, budget, blocks):
+    """Check the budget (see _cell_widths), then return the common
+    denominator of the states over the blocks at positions ``blocks`` and
+    all shared cell draws, and each share key's cells, in the order the
+    terms name them: (cell index, integer weight over the atom's lcm of
+    cell denominators) pairs."""
+    widths = _cell_widths(scm, terms, budget)
     den = scm.exogenous_denominator(blocks)
     draws = {}
-    for key, cells in zip(atoms, widths):
+    for key, cells in widths.items():
         lcm = math.lcm(*(x.denominator for _i, x in cells))
         draws[key] = [(i, x.numerator * (lcm // x.denominator))
                       for i, x in cells]
@@ -553,12 +598,12 @@ def _draws(scm, terms, budget, blocks):
     return den, draws
 
 
-def _tabulate(scm, terms, setups, reads, budget):
+def _tabulate(scm, terms, setups, budget):
     """The one walker of the exogenous states: it sums the states of the
     blocks some term's world reads times the cell draws, and returns the
-    common denominator and a dict from per-term tuples of ``reads`` to
-    integer weights that sum to it, where an undefined world holds the
-    ImpossibleContext its program raised.
+    common denominator and a dict from per-term tuples of what the worlds
+    show (each setup's ``out``) to integer weights that sum to it, where an
+    undefined world holds the ImpossibleContext its program raised.
 
     Blocks and share keys' cell draws are one kind of noise, taken in one
     order (blocks by position, then keys as the terms name them). A source
@@ -578,15 +623,24 @@ def _tabulate(scm, terms, setups, reads, budget):
     every block with every draw. A table of one term meets its worlds in
     the joint walk's order; a table of several whose factors hold an
     undefined world is walked again jointly, so that its keys come in the
-    order that decides which error a query raises."""
+    order that decides which error a query raises.
+
+    Terms of one content (see _content) show one world in every state and
+    share one setup (see _numbered and counterfactual_table), so the walk
+    solves each setup once and hands its world to every term of it."""
+    distinct = list(dict.fromkeys(setups))
+    if len(distinct) < len(setups):
+        den, weights = _tabulate(scm, terms, distinct, budget)
+        spread = _reader([distinct.index(s) for s in setups])
+        return den, {spread(key): w for key, w in weights.items()}
     blocks = sorted(set().union(*(s.blocks for s in setups)))
     den, draws = _draws(scm, terms, budget, blocks)
     sources = blocks + list(draws)
     noise = []
     readers = {}
-    for setup, out in zip(setups, reads):
+    for setup in setups:
         if setup.memo is None:
-            setup.program = _compile(scm, setup, out)
+            setup.program = _compile(scm, setup, setup.out)
         noise.append(setup.blocks + tuple(a.share_key for a in setup.atoms))
         for x in noise[-1]:
             readers[x] = readers.get(x, 0) + 1
@@ -594,7 +648,8 @@ def _tabulate(scm, terms, setups, reads, budget):
     while True:
         walk = [x for x in sources if x in shared]
         plans = []
-        for setup, out, mine in zip(setups, reads, noise):
+        for setup, mine in zip(setups, noise):
+            out = setup.out
             own = [x for x in walk if x in mine]
             private = [x for x in sources if x in mine and x not in shared]
             states = None
@@ -695,16 +750,14 @@ def prob_query(scm, query, budget=None):
     conditioned on another conjunction, read off one table of what the
     terms' worlds show (see _tabulate and _holds). All terms share the
     exogenous draw and all shared stochastic-intervention cells, and terms
-    of one content share one world dict (see _numbered)."""
+    of one content share one world dict (see _numbered) and one run of its
+    program per state (see _tabulate)."""
     if not query.terms:
         raise DomainMismatch("query has no terms")
     terms = list(query.terms) + list(query.conditioning or ())
-    reads = [tuple(v for oc in t.outcomes for v in oc.variables)
-             for t in terms]
     met = {}
-    setups = [_numbered(scm, _term_setup(scm, t), r, met)
-              for t, r in zip(terms, reads)]
-    _den, weights = _tabulate(scm, terms, setups, reads, budget)
+    setups = [_numbered(scm, _term_setup(scm, t), met) for t in terms]
+    _den, weights = _tabulate(scm, terms, setups, budget)
     n = len(query.terms)
     main, given = terms[:n], terms[n:]
     num = cond = 0
@@ -726,18 +779,34 @@ def counterfactual_table(scm, terms, reads=None, budget=None):
     term's outcome variables; accepted sets are not applied) to weights.
     ``reads`` may name noise members by (block, member) key. No world is
     kept past the call; a world undefined in any state raises its
-    ImpossibleContext."""
+    ImpossibleContext.
+
+    The model keeps each table it returns, keyed by its terms' contents
+    (see _content), while it keeps at most CACHE_LIMIT rows in all: terms
+    that differ only in hard settings their worlds never read get the
+    same table. A kept table meets the budget gate a fresh one meets, and
+    no caller may change it. A table with an undefined world is not
+    kept."""
     if not terms:
         raise DomainMismatch("query has no terms")
     if reads is None:
-        reads = [[v for oc in t.outcomes for v in oc.variables]
-                 for t in terms]
+        reads = [None] * len(terms)
     setups = [_term_setup(scm, t, r) for t, r in zip(terms, reads)]
-    den, weights = _tabulate(scm, terms, setups, reads, budget)
-    for key in weights:
-        for world in key:
+    key = tuple(s.content for s in setups)
+    kept = scm._tables.get(key)
+    if kept is not None:
+        _cell_widths(scm, terms, budget)
+        return kept
+    first = {}
+    den, weights = _tabulate(scm, terms, [first.setdefault(s.content, s)
+                                          for s in setups], budget)
+    for worlds in weights:
+        for world in worlds:
             if isinstance(world, ImpossibleContext):
                 raise world
+    if scm._table_rows + len(weights) <= CACHE_LIMIT:
+        scm._tables[key] = den, weights
+        scm._table_rows += len(weights)
     return den, weights
 
 

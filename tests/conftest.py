@@ -1007,7 +1007,7 @@ def reference_construct(scm, cm, policy="general", budget=None,
                                    fallback=fallback)
 
 
-def reference_tabulate(scm, terms, setups, reads, budget=None):
+def reference_tabulate(scm, terms, setups, budget=None):
     """The joint walk of a counterfactual table: every state of the blocks
     some term reads times every joint cell draw, each term's world solved
     afresh by its compiled program. Returns the common denominator and a
@@ -1019,9 +1019,9 @@ def reference_tabulate(scm, terms, setups, reads, budget=None):
     at = {b: i for i, b in enumerate(blocks)}
     den, cells = valuation._draws(scm, terms, budget, blocks)
     keys = list(cells)
-    worlds = [(valuation._compile(scm, s, out), [at[b] for b in s.blocks],
+    worlds = [(valuation._compile(scm, s, s.out), [at[b] for b in s.blocks],
                [keys.index(a.share_key) for a in s.atoms])
-              for s, out in zip(setups, reads)]
+              for s in setups]
     weights = {}
     for u_idx, pu in scm.exogenous_states(blocks):
         # every joint cell draw, the last key varying fastest

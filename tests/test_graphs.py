@@ -14,9 +14,9 @@ import abstrakt as ab
 from abstrakt import graphs
 from abstrakt.cli import run
 from abstrakt.projection import POLICIES
-from conftest import (build_dag_model, cluster_map_cases, fixture_path,
-                      identity_clusters, noiseless_mediator_docs, term,
-                      query)
+from conftest import (build_dag_model, build_lossy_chain, cluster_map_cases,
+                      fixture_path, identity_clusters,
+                      noiseless_mediator_docs, term, query)
 
 
 class TestMakeGraph:
@@ -414,6 +414,61 @@ class TestModelConsistencyCheck:
                             table_by_prob_query)
         assert [ab.ctfbn_check(g, fresh(), max_terms=3)
                 for g in (cdag, projected, pruned)] == reports
+
+
+def audited_models():
+    """The projected models of the three fixtures and of a violator and a
+    clean lossy chain, each with its projected, unprojected and pruned
+    cluster diagrams (the projected one less one edge, for each edge)."""
+    pairs = []
+    for name in ("insurance", "hospital", "cholesterol"):
+        low = ab.load_scm(fixture_path(name + ".json"))
+        pairs.append((name, low, ab.load_clusters(
+            low, fixture_path(name + "_clusters.json"))))
+    kinds = {}
+    rng = random.Random(5)
+    while len(kinds) < 2:
+        low, cm = build_lossy_chain(rng, rng.random() < 0.5)
+        kind = bool(ab.check_aic(low, cm).violators)
+        if kind not in kinds:
+            kinds[kind] = ("chain.%s" % ("violator" if kind else "clean"),
+                           low, cm)
+    pairs += [kinds[True], kinds[False]]
+    out = []
+    for name, low, cm in pairs:
+        cdag = ab.build_cdag(ab.induce_diagram(low), cm)
+        proj = ab.build_projected_cdag(cdag, ab.check_aic(low, cm).violators)
+        pruned = [ab.make_graph(proj.nodes,
+                                [e for e in proj.directed if e != edge],
+                                proj.bidirected, projected=True)
+                  for edge in proj.directed]
+        pruned += [ab.make_graph(proj.nodes, proj.directed,
+                                 [e for e in proj.bidirected if e != edge],
+                                 projected=True)
+                   for edge in proj.bidirected]
+        high = ab.construct_projected_abstraction(low, cm)
+        out.append((name, high.scm, [proj, cdag] + pruned))
+    return out
+
+
+class TestKeptTables:
+    """counterfactual_table keeps its tables on the model, so audits of
+    several diagrams of one model share them: on one model that audits
+    every diagram of it twice, in order and then in reverse, each report
+    is a fresh model's."""
+
+    def test_warm_reports_equal_fresh_ones(self):
+        for name, high, diagrams in audited_models():
+            def fresh():
+                return ab.DiscreteScm(high.endogenous, high.blocks,
+                                      high.mechanisms)
+            warm = fresh()
+            for g in diagrams + diagrams[::-1]:
+                for max_terms in (2, 3):
+                    got = ab.ctfbn_check(g, warm, max_terms=max_terms)
+                    assert got == ab.ctfbn_check(g, fresh(),
+                                                 max_terms=max_terms), name
+            assert warm._tables and warm._world_cache == {}
 
 
 class TestInducedDiagram:

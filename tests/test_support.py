@@ -1241,7 +1241,7 @@ class TestCounterfactualTable:
                     for content, worlds in cache.items()} == before
         for q in kept[::2]:
             setup = valuation._numbered(
-                model, valuation._term_setup(model, q.terms[0]), ("Y",))
+                model, valuation._term_setup(model, q.terms[0]))
             program = valuation._compile(model, setup, ("Y",))
             assert setup.memo is not None
             assert all(program(idx) == world
@@ -1277,6 +1277,151 @@ class TestCounterfactualTable:
         assert model._worlds == 0
         assert ab.prob_query(model, q) == 0
         assert sorted(map(len, model._world_cache.values())) == [2, 2]
+
+    def test_terms_of_one_content_run_one_program(self, insurance,
+                                                  monkeypatch):
+        """Terms of one content show one world in every state, so the walk
+        solves it once and hands it to each of them: Y=1 and Y=0 under one
+        cell draw of X compile one program, run once per (state, cell)
+        pair of Y's three blocks and X's three cells."""
+        runs = counted_programs(monkeypatch)
+        soft = constant_soft_intervention(
+            ("X",), [("x1",), ("x2",), ("x3",)],
+            (Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)),
+            share_key=("soft", "X"))
+        terms = [ab.QueryTerm(outcomes=(atom("Y", y),), soft=(soft,))
+                 for y in (1, 0)]
+        assert ab.prob_query(fresh(insurance), query(terms)) == 0 == \
+            reference_prob(insurance, query(terms))
+        assert runs == [24]
+        del runs[:]
+        den, table = ab.counterfactual_table(fresh(insurance), terms)
+        assert runs == [24]
+        assert sum(table.values()) == den
+        assert {a for key in table for a in key} == {(0,), (1,)}
+        assert all(a == b for a, b in table)
+
+    def test_unread_hard_settings_share_one_walk(self, insurance,
+                                                 monkeypatch):
+        """Z is upstream of X, so Z[X=x1] reads no hard setting: its table
+        is Z's, walked once and kept on the model, and in prob_query its
+        content is Z's, whose world dict the second query creates."""
+        walks = []
+        real = valuation._tabulate
+
+        def counted(scm, terms, setups, budget):
+            walks.append(len(terms))
+            return real(scm, terms, setups, budget)
+        monkeypatch.setattr(valuation, "_tabulate", counted)
+        pinned = term([("Z", "z1")], [("X", "x1")])
+        plain = term([("Z", "z1")])
+        model = fresh(insurance)
+        want = ab.counterfactual_table(fresh(insurance), [plain])
+        del walks[:]
+        assert ab.counterfactual_table(model, [pinned]) == want
+        assert ab.counterfactual_table(model, [plain]) == want
+        assert walks == [1] and len(model._tables) == 1
+        assert model._table_rows == len(want[1])
+        for t in (pinned, plain):
+            assert ab.prob_query(model, query([t])) == \
+                reference_prob(model, query([t]))
+        (worlds,) = model._world_cache.values()
+        assert worlds
+
+    def test_kept_tables_meet_the_budget_gate(self, insurance):
+        """At a budget of exactly the states a table needs, and one below
+        it, a kept table gives what a fresh model gives: the table, or the
+        same SizeExceeded (kind, message and details). A stochastic
+        setting's cells count in the need."""
+        soft = constant_soft_intervention(
+            ("X",), [("x1",), ("x2",), ("x3",)],
+            (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)),
+            share_key=("soft", "X"))
+        support = insurance.exogenous_support_size()
+        cases = [([term([("Y", 1)], [("X", "x1")]), term([("X", "x2")])],
+                  support),
+                 ([ab.QueryTerm(outcomes=(atom("Y", 1),), soft=(soft,))],
+                  support * 3)]
+
+        def outcome(model, terms, budget):
+            try:
+                return ab.counterfactual_table(model, terms, budget=budget)
+            except ab.SizeExceeded as err:
+                return err.to_payload()
+        for terms, need in cases:
+            model = fresh(insurance)
+            kept = ab.counterfactual_table(model, terms)
+            for budget in (need, need - 1, need, need - 1):
+                want = outcome(fresh(insurance), terms, budget)
+                assert outcome(model, terms, budget) == want
+                assert isinstance(want, dict) == (budget < need)
+                if budget < need:
+                    assert want["details"] == {"required": need,
+                                               "budget": budget}
+            assert model._tables == {tuple(
+                valuation._term_setup(model, t).content
+                for t in terms): kept}
+
+    def test_kept_tables_keep_the_given_values(self):
+        """A pinned variable that a table reads shows its value as the
+        caller gave it. 1 and True pass the same domain check, and a model
+        that answered do(A=True) answers do(A=1) as a fresh one, value
+        types included."""
+        low, _cm = build_lossy_chain(random.Random(0))
+        model = fresh(low)
+        for value in (True, 1, 1.0, 1):
+            got = ab.joint_distribution(
+                model, ["A", "C"], [ab.HardIntervention("A", value)])
+            want = ab.joint_distribution(
+                fresh(low), ["A", "C"], [ab.HardIntervention("A", value)])
+            assert repr(got.probs) == repr(want.probs)
+            assert {type(a) for a, _c in got.probs} == {type(value)}
+        assert len(model._tables) == 3
+
+    def test_kept_tables_stop_at_the_cache_limit(self, insurance,
+                                                 monkeypatch):
+        """The model keeps tables while they hold at most CACHE_LIMIT rows
+        in all; past it a table is walked on every call, with the same
+        answer."""
+        monkeypatch.setattr(valuation, "CACHE_LIMIT", 5)
+        asked = [[term([("Y", 1)], [("X", x)])] for x in ("x1", "x2", "x3")]
+        asked.append([term([("Y", 1)]), term([("X", "x1")])])
+        want = [ab.counterfactual_table(fresh(insurance), terms)
+                for terms in asked]
+        # two rows per table of Y alone: the first two fit the limit
+        assert [len(table) for _den, table in want[:3]] == [2, 2, 2]
+        model = fresh(insurance)
+        for _ in range(3):
+            for terms, table in zip(asked, want):
+                assert ab.counterfactual_table(model, terms) == table
+            assert list(model._tables.values()) == want[:2]
+            assert model._table_rows == 4
+
+    def test_undefined_tables_raise_and_are_not_kept(self, monkeypatch):
+        """On the dead-context model ~XH=xC is undefined where ZH=z2: its
+        table raises ImpossibleContext on every call, from a fresh walk,
+        and the model keeps nothing."""
+        model, cm = dead_context_model()
+        tilde = ab.resolve_sigma(model, cm, ab.lower_query(cm, query([
+            ab.QueryTerm(outcomes=(cluster_atom(cm.cluster("YH"), 1),),
+                         soft=(ab.SigmaMarker("XH", "xC"),))])),
+            policy="markovian").terms[0]
+        with pytest.raises(ab.ImpossibleContext) as first:
+            ab.counterfactual_table(fresh(model), [tilde])
+        walks = []
+        real = valuation._tabulate
+
+        def counted(*args):
+            walks.append(1)
+            return real(*args)
+        monkeypatch.setattr(valuation, "_tabulate", counted)
+        kept = fresh(model)
+        for n in range(1, 4):
+            with pytest.raises(ab.ImpossibleContext) as err:
+                ab.counterfactual_table(kept, [tilde])
+            assert err.value.to_payload() == first.value.to_payload()
+            assert len(walks) == n
+        assert kept._tables == {} and kept._table_rows == 0
 
     def test_shared_draws_named_in_opposite_orders(self):
         """Two terms name the share keys of V2 and V3 in opposite orders,
@@ -1384,7 +1529,8 @@ class TestCounterfactualTable:
             ab.counterfactual_table(model, terms)
             tracemalloc.start()
             try:
-                ab.counterfactual_table(model, terms)
+                # a fresh model, so the table is walked, not the kept one
+                ab.counterfactual_table(fresh(model), terms)
                 _size, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
@@ -1489,13 +1635,10 @@ def walk_cases(draw):
 def tabulated(tabulate, model, terms, numbered):
     """``tabulate``'s table of what ``terms`` show, their setups numbered
     for the world cache or not."""
-    reads = [tuple(v for oc in t.outcomes for v in oc.variables)
-             for t in terms]
     setups = [valuation._term_setup(model, t) for t in terms]
     if numbered:
-        setups = [valuation._numbered(model, s, r)
-                  for s, r in zip(setups, reads)]
-    return tabulate(model, terms, setups, reads, None)
+        setups = [valuation._numbered(model, s) for s in setups]
+    return tabulate(model, terms, setups, None)
 
 
 def with_messages(weights):
